@@ -56,7 +56,7 @@ from .inference import (
     predict_cross,
     predict_many,
 )
-from .kernels import active_backend, available_backends
+from .kernels import active_backend
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "TraceEntry",
     "TrainConfig",
     "active_backend",
-    "available_backends",
     "build_dataset",
     "cluster_rating_matrices",
     "common_only_train",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import NmfFactors
-from .em import ModelDims, PclfParams, TraceEntry
+from .em import ModelDims, ModelError, PclfParams, TraceEntry
 
 FORMAT_VERSION = "pclf-model-v1"
 MODEL_KINDS = ("pclf", "fmm", "rmgm-like", "nmf")
@@ -39,8 +39,17 @@ def _array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": np.asarray(arr, dtype=float).ravel().tolist()}
 
 
-def _unarray(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
+def _unarray(arrays: dict, name: str) -> np.ndarray:
+    """Array ``name`` of a loaded document; it must exist, fit its shape and be finite."""
+    if name not in arrays:
+        raise CheckpointError(f"checkpoint array {name!r} is missing")
+    try:
+        arr = np.array(arrays[name]["data"], dtype=float).reshape(arrays[name]["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint array {name!r} is malformed: {exc!r}") from None
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint array {name!r} has non-finite values")
+    return arr
 
 
 def _dims_dict(dims: ModelDims) -> dict:
@@ -132,8 +141,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     default_w1 = doc.get("default_w1")
     if kind == "nmf":
         factors = NmfFactors(
-            u_factors=_unarray(doc["arrays"]["u_factors"]),
-            v_factors=_unarray(doc["arrays"]["v_factors"]),
+            u_factors=_unarray(doc["arrays"], "u_factors"),
+            v_factors=_unarray(doc["arrays"], "v_factors"),
             rank=int(doc["rank"]),
             objective=list(doc.get("objective", [])),
         )
@@ -143,17 +152,22 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
     dims = _dims_from_dict(doc["dims"])
     arrays = doc["arrays"]
+    domains = range(dims.n_domains)
     params = PclfParams(
         dims=dims,
-        prior_u=_unarray(arrays["prior_u"]),
-        prior_vcom=_unarray(arrays["prior_vcom"]),
-        prior_vspe=[_unarray(arrays[f"prior_vspe_{z}"]) for z in range(dims.n_domains)],
-        cond_u=_unarray(arrays["cond_u"]),
-        cond_vcom=_unarray(arrays["cond_vcom"]),
-        cond_vspe=[_unarray(arrays[f"cond_vspe_{z}"]) for z in range(dims.n_domains)],
-        rate_com=_unarray(arrays["rate_com"]),
-        rate_spe=[_unarray(arrays[f"rate_spe_{z}"]) for z in range(dims.n_domains)],
+        prior_u=_unarray(arrays, "prior_u"),
+        prior_vcom=_unarray(arrays, "prior_vcom"),
+        prior_vspe=[_unarray(arrays, f"prior_vspe_{z}") for z in domains],
+        cond_u=_unarray(arrays, "cond_u"),
+        cond_vcom=_unarray(arrays, "cond_vcom"),
+        cond_vspe=[_unarray(arrays, f"cond_vspe_{z}") for z in domains],
+        rate_com=_unarray(arrays, "rate_com"),
+        rate_spe=[_unarray(arrays, f"rate_spe_{z}") for z in domains],
     )
+    try:
+        params.validate()
+    except ModelError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
     return Checkpoint(
         model_kind=kind, seed=int(doc["seed"]), trace=trace,
         params=params, default_w1=default_w1,

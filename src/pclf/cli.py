@@ -43,17 +43,15 @@ def _parse_scale(text: str, levels: int) -> ScaleSpec:
     return ScaleSpec(lo, hi, levels)
 
 
-def _parse_int_list(text: str, expect: int, what: str) -> list[int]:
-    values = [int(x) for x in text.split(",")]
-    if len(values) == 1:
-        values = values * expect
-    if len(values) != expect:
-        raise DataError(f"{what} needs 1 or {expect} comma-separated values, got {text!r}")
-    return values
+def _parse_numbers(text: str, cast, what: str) -> list:
+    try:
+        return [cast(x) for x in text.split(",")]
+    except ValueError:
+        raise DataError(f"{what} needs comma-separated {cast.__name__}s, got {text!r}") from None
 
 
-def _parse_float_list(text: str, expect: int, what: str) -> list[float]:
-    values = [float(x) for x in text.split(",")]
+def _parse_list(text: str, expect: int, what: str, cast=int) -> list:
+    values = _parse_numbers(text, cast, what)
     if len(values) == 1:
         values = values * expect
     if len(values) != expect:
@@ -65,7 +63,7 @@ def cmd_ingest(args) -> int:
     if len(args.scale) not in (1, len(args.input)):
         raise DataError("--scale must be given once or once per --input")
     scales = args.scale if len(args.scale) == len(args.input) else args.scale * len(args.input)
-    columns = tuple(int(x) for x in args.columns.split(","))
+    columns = tuple(_parse_numbers(args.columns, int, "--columns"))
     if len(columns) != 3:
         raise DataError(f"--columns needs 3 entries, got {args.columns!r}")
     per_domain = []
@@ -97,7 +95,7 @@ def cmd_ingest(args) -> int:
 
 
 def _parse_betas(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    return tuple(_parse_numbers(text, float, "--betas"))
 
 
 def cmd_train(args) -> int:
@@ -125,7 +123,7 @@ def cmd_train(args) -> int:
         return 0
 
     if args.model == "pclf":
-        specific = _parse_int_list(args.specific_clusters, z, "-L/--specific-clusters")
+        specific = _parse_list(args.specific_clusters, z, "-L/--specific-clusters")
         dims = ModelDims.from_dataset(
             dataset, args.user_clusters, args.common_clusters, tuple(specific)
         )
@@ -162,7 +160,10 @@ def cmd_train(args) -> int:
 
 
 def _parse_cell(text: str) -> tuple[int, int, int, int]:
-    parts = [int(x) for x in text.split(",")]
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) == 3:
         return parts[0], parts[1], parts[0], parts[2]
     if len(parts) == 4:
@@ -196,7 +197,7 @@ def cmd_predict(args) -> int:
     params = ckpt.params
     z = params.dims.n_domains
     if args.w1 is not None:
-        w1 = _parse_float_list(args.w1, z, "--w1")
+        w1 = _parse_list(args.w1, z, "--w1", float)
     elif ckpt.default_w1 is not None:
         w1 = list(ckpt.default_w1)
     else:
@@ -207,6 +208,7 @@ def cmd_predict(args) -> int:
     head = f"# model_kind={ckpt.model_kind} w1={','.join(f'{w:g}' for w in w1)}"
 
     if args.complete is not None:
+        _check_domain(args.complete, z)
         lines = ["domain,user_idx,item_idx,predicted_rating"]
         def sink(u, row):
             for v, value in enumerate(row):
@@ -220,6 +222,8 @@ def cmd_predict(args) -> int:
         raise DataError("nothing to predict: give --cell/--cells or --complete")
     lines = ["user_domain,user_idx,item_domain,item_idx,predicted_rating,cross"]
     for du, u, dv, v in cells:
+        _check_domain(du, z)
+        _check_domain(dv, z)
         if du == dv:
             value = inference.predict(params, mats, mems, weights, du, u, v)
             cross = 0
@@ -232,6 +236,11 @@ def cmd_predict(args) -> int:
         lines.append(f"{du},{u},{dv},{v},{value:.6f},{cross}")
     _write_lines(args.out, [head] + lines)
     return 0
+
+
+def _check_domain(domain: int, n_domains: int) -> None:
+    if not 0 <= domain < n_domains:
+        raise DataError(f"domain {domain} out of range: the checkpoint has {n_domains}")
 
 
 def _collect_cells(args):
@@ -281,14 +290,14 @@ def cmd_synth(args) -> int:
             n_domains=z,
             n_user_clusters=args.user_clusters,
             n_common_clusters=args.common_clusters,
-            n_specific_clusters=tuple(_parse_int_list(args.specific_clusters, z, "-L")),
+            n_specific_clusters=tuple(_parse_list(args.specific_clusters, z, "-L")),
             n_levels=args.levels,
-            n_users=tuple(_parse_int_list(args.users, z, "--users")),
-            n_items=tuple(_parse_int_list(args.items, z, "--items")),
+            n_users=tuple(_parse_list(args.users, z, "--users")),
+            n_items=tuple(_parse_list(args.items, z, "--items")),
         )
         spec = evaluate.SyntheticSpec(
             dims=dims,
-            w1=tuple(_parse_float_list(args.w1, z, "--w1")),
+            w1=tuple(_parse_list(args.w1, z, "--w1", float)),
             density=args.density,
             seed=args.seed,
         )

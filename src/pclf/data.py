@@ -428,13 +428,19 @@ def load_dataset(directory: str) -> CrossDomainDataset:
             f"expected {DATASET_FORMAT!r}"
         )
     triples = []
-    with open(os.path.join(directory, "ratings.csv"), "r", encoding="utf-8") as fh:
+    ratings_path = os.path.join(directory, "ratings.csv")
+    with open(ratings_path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["domain", "user_idx", "item_idx", "rating"]:
             raise DataError(f"unexpected ratings.csv header: {header}")
         for row in reader:
-            z, u, v, r = (int(x) for x in row)
+            try:
+                z, u, v, r = (int(x) for x in row)
+            except ValueError:
+                raise DataError(
+                    f"{ratings_path}:{reader.line_num}: expected 4 integers, got {row}"
+                ) from None
             triples.append(RatingTriple(z, u, v, r))
     ds = CrossDomainDataset.from_indexed(
         n_levels=manifest["n_levels"],

@@ -235,6 +235,55 @@ def _gathered_log_weights(prior, cond, idx):
     return np.ascontiguousarray(full[:, idx].T)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One pair family: the K user clusters against ``n_clusters`` item clusters.
+
+    Slot 0 is the common family over the pooled triples, with global item
+    indices; slot z + 1 is domain z's specific family over that domain's
+    triples, with domain-local item indices.  ``gu`` is the global user
+    index and ``ridx`` the rating level minus one.
+    """
+
+    slot: int
+    n_clusters: int
+    n_items: int
+    gu: np.ndarray
+    items: np.ndarray
+    ridx: np.ndarray
+
+    def kernel_inputs(self, params: PclfParams):
+        """(log_wu, log_wv, log_rate, ridx), gathered per triple."""
+        prior = (params.prior_vcom, *params.prior_vspe)[self.slot]
+        cond = (params.cond_vcom, *params.cond_vspe)[self.slot]
+        rate = (params.rate_com, *params.rate_spe)[self.slot]
+        log_wu = _gathered_log_weights(params.prior_u, params.cond_u, self.gu)
+        log_wv = _gathered_log_weights(prior, cond, self.items)
+        return log_wu, log_wv, _log(rate), self.ridx
+
+
+def _families(dims: ModelDims, dataset: CrossDomainDataset) -> list[_Family]:
+    """The pooled common family, then one specific family per domain with L_z > 0."""
+    gu, gv, r = dataset.pooled()
+    families = [_Family(0, dims.n_common_clusters, dims.total_items, gu, gv, r - 1)]
+    for z, l_z in enumerate(dims.n_specific_clusters):
+        if l_z > 0:
+            families.append(_Family(
+                z + 1, l_z, dims.n_items[z], dataset.users[z] + dims.user_offset(z),
+                dataset.items[z], dataset.ratings[z] - 1,
+            ))
+    return families
+
+
+def _responsibilities(dataset, families, blocks) -> Responsibilities:
+    """One block per family, in slots; a domain without a family gets (S_z, K, 0)."""
+    k = blocks[0].shape[1]
+    slots = [None] + [np.zeros((s_z, k, 0)) for s_z in dataset.n_ratings]
+    for fam, block in zip(families, blocks):
+        slots[fam.slot] = block
+    return Responsibilities(p0=slots[0], pz=slots[1:])
+
+
 def init_params(
     dims: ModelDims,
     dataset: CrossDomainDataset,
@@ -251,21 +300,13 @@ def init_params(
     """
     _check_dims(dims, dataset)
     rng = np.random.default_rng(seed)
-    s_total = sum(dataset.n_ratings)
-    k, t = dims.n_user_clusters, dims.n_common_clusters
-    p0 = rng.gamma(0.5, size=(s_total, k, t))
-    p0 /= p0.sum(axis=(1, 2), keepdims=True)
-    pz = []
-    for z in range(dims.n_domains):
-        l_z = dims.n_specific_clusters[z]
-        s_z = dataset.n_ratings[z]
-        if l_z == 0:
-            pz.append(np.zeros((s_z, k, 0)))
-            continue
-        block = rng.gamma(0.5, size=(s_z, k, l_z))
+    families = _families(dims, dataset)
+    blocks = []
+    for fam in families:
+        block = rng.gamma(0.5, size=(len(fam.ridx), dims.n_user_clusters, fam.n_clusters))
         block /= block.sum(axis=(1, 2), keepdims=True)
-        pz.append(block)
-    return m_step(Responsibilities(p0=p0, pz=pz), dataset, floor=floor)
+        blocks.append(block)
+    return m_step(_responsibilities(dataset, families, blocks), dataset, floor=floor)
 
 
 def e_step(params: PclfParams, dataset: CrossDomainDataset, beta: float = 1.0) -> Responsibilities:
@@ -278,34 +319,11 @@ def e_step(params: PclfParams, dataset: CrossDomainDataset, beta: float = 1.0) -
     if not 0.0 < beta <= 1.0:
         raise ModelError(f"beta must lie in (0, 1], got {beta}")
     _check_dims(params.dims, dataset)
-    dims = params.dims
-    gu, gv, r = dataset.pooled()
-    ridx = (r - 1).astype(np.int64)
-
-    log_wu_all = _log(params.prior_u)[:, None] + _log(params.cond_u)  # (K, U)
-    log_wu = np.ascontiguousarray(log_wu_all[:, gu].T)
-    log_wv = _gathered_log_weights(params.prior_vcom, params.cond_vcom, gv)
-    p0 = kernels.pair_responsibilities(log_wu, log_wv, _log(params.rate_com), ridx, beta)
-
-    pz = []
-    for z in range(dims.n_domains):
-        l_z = dims.n_specific_clusters[z]
-        s_z = dataset.n_ratings[z]
-        if l_z == 0:
-            pz.append(np.zeros((s_z, dims.n_user_clusters, 0)))
-            continue
-        gu_z = dataset.users[z] + dims.user_offset(z)
-        ridx_z = (dataset.ratings[z] - 1).astype(np.int64)
-        log_wu_z = np.ascontiguousarray(log_wu_all[:, gu_z].T)
-        log_wv_z = _gathered_log_weights(
-            params.prior_vspe[z], params.cond_vspe[z], dataset.items[z]
-        )
-        pz.append(
-            kernels.pair_responsibilities(
-                log_wu_z, log_wv_z, _log(params.rate_spe[z]), ridx_z, beta
-            )
-        )
-    return Responsibilities(p0=p0, pz=pz)
+    families = _families(params.dims, dataset)
+    blocks = [
+        kernels.pair_responsibilities(*fam.kernel_inputs(params), beta) for fam in families
+    ]
+    return _responsibilities(dataset, families, blocks)
 
 
 def m_step(resp: Responsibilities, dataset: CrossDomainDataset, floor: float) -> PclfParams:
@@ -330,51 +348,38 @@ def m_step(resp: Responsibilities, dataset: CrossDomainDataset, floor: float) ->
         n_users=tuple(dataset.n_users),
         n_items=tuple(dataset.n_items),
     )
-    gu, gv, r = dataset.pooled()
-    ridx = (r - 1).astype(np.int64)
-    u_total, v_total = dims.total_users, dims.total_items
-
-    cl_u, cl_v, by_user, by_item, by_level = kernels.pair_stats(
-        resp.p0, gu, gv, ridx, u_total, v_total, dims.n_levels
-    )
-    prior_u_num = cl_u.copy()
-    cond_u_num = by_user.copy()
-    prior_vcom = _normalize(cl_v)
-    cond_vcom = _normalize(by_item, axis=1)
-    rate_com = _normalize(by_level, axis=2)
-
-    prior_vspe, cond_vspe, rate_spe = [], [], []
-    for z in range(dims.n_domains):
-        block = resp.pz[z]
-        if block.shape[2] == 0:
-            prior_vspe.append(np.zeros(0))
-            cond_vspe.append(np.zeros((0, dims.n_items[z])))
-            rate_spe.append(np.zeros((k, 0, dims.n_levels)))
-            continue
-        gu_z = dataset.users[z] + dims.user_offset(z)
-        ridx_z = (dataset.ratings[z] - 1).astype(np.int64)
-        cl_uz, cl_vz, by_user_z, by_item_z, by_level_z = kernels.pair_stats(
-            block, gu_z, dataset.items[z], ridx_z,
-            u_total, dims.n_items[z], dims.n_levels,
+    u_total, n_levels = dims.total_users, dims.n_levels
+    prior_u_num = np.zeros(k)
+    cond_u_num = np.zeros((k, u_total))
+    # (prior, cond, rate) per slot; a domain without a family keeps its empties
+    sides = [None] + [
+        (np.zeros(0), np.zeros((0, n_z)), np.zeros((k, 0, n_levels))) for n_z in dims.n_items
+    ]
+    for fam in _families(dims, dataset):
+        cl_u, cl_v, by_user, by_item, by_level = kernels.pair_stats(
+            (resp.p0, *resp.pz)[fam.slot], fam.gu, fam.items, fam.ridx,
+            u_total, fam.n_items, n_levels,
         )
-        prior_u_num += cl_uz
-        cond_u_num += by_user_z
-        prior_vspe.append(_normalize(cl_vz))
-        cond_vspe.append(_normalize(by_item_z, axis=1))
-        rate_spe.append(_normalize(by_level_z, axis=2))
-
-    params = PclfParams(
+        prior_u_num += cl_u
+        cond_u_num += by_user
+        sides[fam.slot] = (
+            _apply_floor(_normalize(cl_v), floor, axis=None),
+            _apply_floor(_normalize(by_item, axis=1), floor, axis=1),
+            _apply_floor(_normalize(by_level, axis=2), floor, axis=2),
+        )
+    (prior_vcom, cond_vcom, rate_com), *specific = sides
+    prior_vspe, cond_vspe, rate_spe = (list(a) for a in zip(*specific))
+    return PclfParams(
         dims=dims,
         prior_u=_apply_floor(_normalize(prior_u_num), floor, axis=None),
-        prior_vcom=_apply_floor(prior_vcom, floor, axis=None),
-        prior_vspe=[_apply_floor(a, floor, axis=None) for a in prior_vspe],
+        prior_vcom=prior_vcom,
+        prior_vspe=prior_vspe,
         cond_u=_apply_floor(_normalize(cond_u_num, axis=1), floor, axis=1),
-        cond_vcom=_apply_floor(cond_vcom, floor, axis=1),
-        cond_vspe=[_apply_floor(a, floor, axis=1) for a in cond_vspe],
-        rate_com=_apply_floor(rate_com, floor, axis=2),
-        rate_spe=[_apply_floor(a, floor, axis=2) for a in rate_spe],
+        cond_vcom=cond_vcom,
+        cond_vspe=cond_vspe,
+        rate_com=rate_com,
+        rate_spe=rate_spe,
     )
-    return params
 
 
 def log_likelihood(params: PclfParams, dataset: CrossDomainDataset) -> float:
@@ -384,27 +389,9 @@ def log_likelihood(params: PclfParams, dataset: CrossDomainDataset) -> float:
     M-step floor is positive).
     """
     _check_dims(params.dims, dataset)
-    dims = params.dims
-    gu, gv, r = dataset.pooled()
-    ridx = (r - 1).astype(np.int64)
-
-    log_wu_all = _log(params.prior_u)[:, None] + _log(params.cond_u)
-    log_wu = np.ascontiguousarray(log_wu_all[:, gu].T)
-    log_wv = _gathered_log_weights(params.prior_vcom, params.cond_vcom, gv)
-    total = kernels.pair_log_likelihood(log_wu, log_wv, _log(params.rate_com), ridx)
-
-    for z in range(dims.n_domains):
-        if dims.n_specific_clusters[z] == 0:
-            continue
-        gu_z = dataset.users[z] + dims.user_offset(z)
-        ridx_z = (dataset.ratings[z] - 1).astype(np.int64)
-        log_wu_z = np.ascontiguousarray(log_wu_all[:, gu_z].T)
-        log_wv_z = _gathered_log_weights(
-            params.prior_vspe[z], params.cond_vspe[z], dataset.items[z]
-        )
-        total += kernels.pair_log_likelihood(
-            log_wu_z, log_wv_z, _log(params.rate_spe[z]), ridx_z
-        )
+    total = 0.0  # plain adds in family order (sum() compensates on Python >= 3.12)
+    for fam in _families(params.dims, dataset):
+        total += kernels.pair_log_likelihood(*fam.kernel_inputs(params))
     return total
 
 

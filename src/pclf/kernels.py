@@ -1,33 +1,28 @@
-"""Hot numeric kernels behind the E/M steps, with selectable backends.
-
-Every kernel exists twice: a numba ``@njit`` version (default when numba
-imports cleanly) and a pure-numpy version.  Set ``PCLF_BACKEND=numpy`` or
-``PCLF_BACKEND=numba`` to force one; anything else means auto.  Setting
-``PCLF_NUM_THREADS`` above 1 switches the per-triple kernels to their
-``prange`` variants (reduction order then differs from sequential runs,
-so bit-for-bit determinism is only guaranteed single-threaded).
+"""Hot numeric kernels behind the E/M steps.
 
 All kernels work on one "pair family" at a time: a user side, an item
 side and a (K, C, R) rating table, where C is either the common or a
 domain-specific item-cluster count.  Callers pass per-triple gathered
-log-weights; the kernels own the O(S*K*C) inner loops.
+log-weights; the kernels own the O(S*K*C) inner loops, in numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_BACKEND = os.environ.get("PCLF_BACKEND", "auto").strip().lower()
-_ENV_THREADS = os.environ.get("PCLF_NUM_THREADS", "1").strip()
+
+def active_backend() -> str:
+    """Name of the kernel implementation, recorded alongside benchmark runs."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
+def pair_responsibilities(log_wu, log_wv, log_rate, ridx, beta=1.0):
+    """Tempered posterior over (user cluster, item cluster) per triple.
 
-
-def _np_pair_responsibilities(log_wu, log_wv, log_rate, ridx, beta):
+    Returns an (S, K, C) array whose per-triple slices are the softmax of
+    ``beta`` times the summed log-weights; a triple with zero total mass
+    yields the uniform matrix.
+    """
     ln = log_wu[:, :, None] + log_wv[:, None, :] + log_rate[:, :, ridx].transpose(2, 0, 1)
     if beta != 1.0:
         ln *= beta
@@ -40,17 +35,22 @@ def _np_pair_responsibilities(log_wu, log_wv, log_rate, ridx, beta):
     return p
 
 
-def _np_pair_log_likelihood(log_wu, log_wv, log_rate, ridx):
+def pair_log_likelihood(log_wu, log_wv, log_rate, ridx) -> float:
+    """Sum over triples of log marginal mass; -inf if any triple has none."""
     ln = log_wu[:, :, None] + log_wv[:, None, :] + log_rate[:, :, ridx].transpose(2, 0, 1)
     top = ln.max(axis=(1, 2))
-    finite = np.isfinite(top)
-    if not finite.all():
+    if not np.isfinite(top).all():
         return -np.inf
     lse = top + np.log(np.exp(ln - top[:, None, None]).sum(axis=(1, 2)))
     return float(lse.sum())
 
 
-def _np_pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
+def pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
+    """Sufficient statistics of one responsibility tensor.
+
+    Returns (cluster mass (K,), cluster mass (C,), per-user mass (K, U),
+    per-item mass (C, V), per-level mass (K, C, R)).
+    """
     s, n_uc, n_ic = resp.shape
     cluster_u = resp.sum(axis=(0, 2))
     cluster_v = resp.sum(axis=(0, 1))
@@ -69,252 +69,3 @@ def _np_pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
         for i in range(n_uc * n_ic)
     ]).reshape(n_uc, n_ic, n_levels)
     return cluster_u, cluster_v, by_user, by_item, by_level
-
-
-class _NumpyBackend:
-    name = "numpy"
-    pair_responsibilities = staticmethod(_np_pair_responsibilities)
-    pair_log_likelihood = staticmethod(_np_pair_log_likelihood)
-    pair_stats = staticmethod(_np_pair_stats)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-_NUMBA_OK = False
-if _ENV_BACKEND != "numpy":
-    try:
-        from numba import njit, prange, set_num_threads
-
-        _NUMBA_OK = True
-    except ImportError:
-        if _ENV_BACKEND == "numba":
-            raise
-
-if _NUMBA_OK:
-
-    def _resp_body(log_wu, log_wv, log_rate, ridx, beta, out):
-        n_triples, n_uc = log_wu.shape
-        n_ic = log_wv.shape[1]
-        for j in range(n_triples):
-            r = ridx[j]
-            top = -np.inf
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    v = beta * (log_wu[j, k] + log_wv[j, c] + log_rate[k, c, r])
-                    out[j, k, c] = v
-                    if v > top:
-                        top = v
-            if top == -np.inf:
-                fill = 1.0 / (n_uc * n_ic)
-                for k in range(n_uc):
-                    for c in range(n_ic):
-                        out[j, k, c] = fill
-                continue
-            total = 0.0
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    e = np.exp(out[j, k, c] - top)
-                    out[j, k, c] = e
-                    total += e
-            inv = 1.0 / total
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    out[j, k, c] *= inv
-
-    def _ll_body(log_wu, log_wv, log_rate, ridx):
-        n_triples, n_uc = log_wu.shape
-        n_ic = log_wv.shape[1]
-        total = 0.0
-        for j in range(n_triples):
-            r = ridx[j]
-            top = -np.inf
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    v = log_wu[j, k] + log_wv[j, c] + log_rate[k, c, r]
-                    if v > top:
-                        top = v
-            if top == -np.inf:
-                return -np.inf
-            acc = 0.0
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    acc += np.exp(log_wu[j, k] + log_wv[j, c] + log_rate[k, c, r] - top)
-            total += top + np.log(acc)
-        return total
-
-    _resp_seq = njit(cache=True)(_resp_body)
-    _ll_seq = njit(cache=True)(_ll_body)
-
-    @njit(cache=True, parallel=True)
-    def _resp_par(log_wu, log_wv, log_rate, ridx, beta, out):
-        n_triples, n_uc = log_wu.shape
-        n_ic = log_wv.shape[1]
-        for j in prange(n_triples):
-            r = ridx[j]
-            top = -np.inf
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    v = beta * (log_wu[j, k] + log_wv[j, c] + log_rate[k, c, r])
-                    out[j, k, c] = v
-                    if v > top:
-                        top = v
-            if top == -np.inf:
-                fill = 1.0 / (n_uc * n_ic)
-                for k in range(n_uc):
-                    for c in range(n_ic):
-                        out[j, k, c] = fill
-            else:
-                total = 0.0
-                for k in range(n_uc):
-                    for c in range(n_ic):
-                        e = np.exp(out[j, k, c] - top)
-                        out[j, k, c] = e
-                        total += e
-                inv = 1.0 / total
-                for k in range(n_uc):
-                    for c in range(n_ic):
-                        out[j, k, c] *= inv
-
-    @njit(cache=True, parallel=True)
-    def _ll_par(log_wu, log_wv, log_rate, ridx):
-        n_triples, n_uc = log_wu.shape
-        n_ic = log_wv.shape[1]
-        total = 0.0
-        bad = 0
-        for j in prange(n_triples):
-            r = ridx[j]
-            top = -np.inf
-            for k in range(n_uc):
-                for c in range(n_ic):
-                    v = log_wu[j, k] + log_wv[j, c] + log_rate[k, c, r]
-                    if v > top:
-                        top = v
-            if top == -np.inf:
-                bad += 1
-            else:
-                acc = 0.0
-                for k in range(n_uc):
-                    for c in range(n_ic):
-                        acc += np.exp(log_wu[j, k] + log_wv[j, c] + log_rate[k, c, r] - top)
-                total += top + np.log(acc)
-        if bad > 0:
-            return -np.inf
-        return total
-
-    @njit(cache=True)
-    def _stats_body(resp, gu, gv, ridx, n_users, n_items, n_levels):
-        n_triples, n_uc, n_ic = resp.shape
-        cluster_u = np.zeros(n_uc)
-        cluster_v = np.zeros(n_ic)
-        by_user = np.zeros((n_uc, n_users))
-        by_item = np.zeros((n_ic, n_items))
-        by_level = np.zeros((n_uc, n_ic, n_levels))
-        for j in range(n_triples):
-            u = gu[j]
-            v = gv[j]
-            r = ridx[j]
-            for k in range(n_uc):
-                row_sum = 0.0
-                for c in range(n_ic):
-                    p = resp[j, k, c]
-                    row_sum += p
-                    cluster_v[c] += p
-                    by_item[c, v] += p
-                    by_level[k, c, r] += p
-                cluster_u[k] += row_sum
-                by_user[k, u] += row_sum
-        return cluster_u, cluster_v, by_user, by_item, by_level
-
-    class _NumbaBackend:
-        name = "numba"
-
-        @staticmethod
-        def pair_responsibilities(log_wu, log_wv, log_rate, ridx, beta):
-            out = np.empty((log_wu.shape[0], log_wu.shape[1], log_wv.shape[1]))
-            if _threads > 1:
-                _resp_par(log_wu, log_wv, log_rate, ridx, beta, out)
-            else:
-                _resp_seq(log_wu, log_wv, log_rate, ridx, beta, out)
-            return out
-
-        @staticmethod
-        def pair_log_likelihood(log_wu, log_wv, log_rate, ridx):
-            if _threads > 1:
-                return float(_ll_par(log_wu, log_wv, log_rate, ridx))
-            return float(_ll_seq(log_wu, log_wv, log_rate, ridx))
-
-        pair_stats = staticmethod(_stats_body)
-
-
-def _parse_threads(raw):
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
-_threads = _parse_threads(_ENV_THREADS)
-if _NUMBA_OK and _threads > 1:
-    set_num_threads(_threads)
-
-_active = _NumbaBackend if _NUMBA_OK else _NumpyBackend
-
-
-def available_backends() -> list[str]:
-    names = ["numpy"]
-    if _NUMBA_OK:
-        names.append("numba")
-    return names
-
-
-def get_backend(name: str):
-    if name == "numpy":
-        return _NumpyBackend
-    if name == "numba" and _NUMBA_OK:
-        return _NumbaBackend
-    raise ValueError(f"backend {name!r} not available (have {available_backends()})")
-
-
-def active_backend() -> str:
-    return _active.name
-
-
-def num_threads() -> int:
-    return _threads
-
-
-def set_threads(n: int) -> None:
-    """Thread count for the parallel numba kernels; 1 restores sequential mode."""
-    global _threads
-    _threads = max(int(n), 1)
-    if _NUMBA_OK and _threads > 1:
-        set_num_threads(_threads)
-
-
-def pair_responsibilities(log_wu, log_wv, log_rate, ridx, beta=1.0):
-    """Tempered posterior over (user cluster, item cluster) per triple.
-
-    Returns an (S, K, C) array whose per-triple slices are the softmax of
-    ``beta`` times the summed log-weights; a triple with zero total mass
-    yields the uniform matrix.
-    """
-    return _active.pair_responsibilities(log_wu, log_wv, log_rate, ridx, beta)
-
-
-def pair_log_likelihood(log_wu, log_wv, log_rate, ridx) -> float:
-    """Sum over triples of log marginal mass; -inf if any triple has none."""
-    return _active.pair_log_likelihood(log_wu, log_wv, log_rate, ridx)
-
-
-def pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
-    """Sufficient statistics of one responsibility tensor.
-
-    Returns (cluster mass (K,), cluster mass (C,), per-user mass (K, U),
-    per-item mass (C, V), per-level mass (K, C, R)).
-    """
-    gu = np.ascontiguousarray(gu, dtype=np.int64)
-    gv = np.ascontiguousarray(gv, dtype=np.int64)
-    ridx = np.ascontiguousarray(ridx, dtype=np.int64)
-    return _active.pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels)

@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here sticks to plain Python loops over scalars so the code
-shares nothing with the vectorized/jitted paths it checks.
+shares nothing with the vectorized paths it checks.
 """
 
 import numpy as np

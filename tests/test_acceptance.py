@@ -70,15 +70,6 @@ def _uniform_random_dataset(seed, m=30, n=30, density=0.2, levels=5):
     return CrossDomainDataset.from_indexed(levels, triples, [m, m], [n, n])
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warmed_kernels():
-    """Pay the one-time JIT cost before any timed criterion."""
-    ds = _uniform_random_dataset(991, m=8, n=8, density=0.5)
-    dims = ModelDims.from_dataset(ds, 2, 2, (1, 1))
-    train(ds, dims, TrainConfig(beta_schedule=(1.0,), max_iters_per_beta=2,
-                                min_iters_per_beta=1, seed=0))
-
-
 class TestEmMonotonicity:
     def test_nondecreasing_over_20_seeds(self):
         with _criterion("EM monotonicity (20 seeds, beta=1)"):

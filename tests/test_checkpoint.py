@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,22 @@ class TestValidation:
             save_checkpoint(str(tmp_path / "x.json"), Checkpoint(
                 model_kind="nmf", seed=0, trace=[],
             ))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda arrays: arrays.pop("cond_vcom"), "'cond_vcom' is missing"),
+        (lambda arrays: arrays["rate_com"].update(shape=[3, 2, 4]), "'rate_com' is malformed"),
+        (lambda arrays: arrays["prior_u"]["data"].__setitem__(1, float("nan")),
+         "'prior_u' has non-finite"),
+        (lambda arrays: arrays["prior_u"]["data"].__setitem__(0, 2.0),
+         "prior_u: distribution off"),
+    ], ids=["missing", "shape", "nan", "unnormalized"])
+    def test_corrupt_array_named(self, tmp_path, corrupt, message):
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), Checkpoint(
+            model_kind="pclf", seed=0, trace=[], params=_params()
+        ))
+        doc = json.loads(path.read_text())
+        corrupt(doc["arrays"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))

@@ -211,6 +211,25 @@ class TestPredict:
         assert "nothing to predict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--cell", "a,b,c"],
+    ["predict", "--cell", "7,1,1"],
+    ["predict", "--cell", "0,1,-1,2"],
+    ["predict", "--complete", "9"],
+    ["train", "--betas", "x"],
+    ["train", "-L", "q"],
+], ids=["cell-not-int", "cell-domain", "cell-item-domain", "complete-domain", "betas", "L"])
+def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
+    dataset, ckpt = trained
+    if argv[0] == "predict":
+        argv = argv + ["--checkpoint", ckpt]
+    else:
+        argv = argv + ["--dataset", dataset, "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestInspect:
     def test_prints_dims_and_matrices(self, trained, capsys):
         _, ckpt = trained

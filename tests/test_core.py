@@ -15,7 +15,6 @@ from pclf import (
     m_step,
     train,
 )
-from pclf import kernels
 
 from conftest import random_dataset
 from oracles import dataset_log_likelihood, posterior_matrix, random_params
@@ -140,18 +139,30 @@ class TestEStep:
             triples=[RatingTriple(0, 1, 2, 3), RatingTriple(1, 0, 1, 1)],
             n_users=[2, 2], n_items=[3, 2],
         )
-        dims = ModelDims.from_dataset(ds, 3, 2, (2, 2))
-        params = random_params(rng, dims)
-        for beta in (0.4, 0.7, 1.0):
-            resp = e_step(params, ds, beta=beta)
-            gu, gv, r = ds.pooled()
-            for j in range(2):
-                expected = posterior_matrix(
-                    params.prior_u, params.cond_u[:, gu[j]],
-                    params.prior_vcom, params.cond_vcom[:, gv[j]],
-                    params.rate_com, int(r[j]), beta=beta,
-                )
-                np.testing.assert_allclose(resp.p0[j], expected, atol=1e-10)
+        gu, gv, r = ds.pooled()
+        # (2, 0): domain 1 has no specific clusters and gets an empty posterior
+        for n_specific in ((2, 2), (2, 0)):
+            dims = ModelDims.from_dataset(ds, 3, 2, n_specific)
+            params = random_params(rng, dims)
+            for beta in (0.4, 0.7, 1.0):
+                resp = e_step(params, ds, beta=beta)
+                for j in range(2):
+                    expected = posterior_matrix(
+                        params.prior_u, params.cond_u[:, gu[j]],
+                        params.prior_vcom, params.cond_vcom[:, gv[j]],
+                        params.rate_com, int(r[j]), beta=beta,
+                    )
+                    np.testing.assert_allclose(resp.p0[j], expected, atol=1e-10)
+                    z, v = j, int(ds.items[j][0])  # triple j is domain j's only one
+                    if n_specific[z] == 0:
+                        assert resp.pz[z].shape == (1, 3, 0)
+                        continue
+                    expected = posterior_matrix(
+                        params.prior_u, params.cond_u[:, gu[j]],
+                        params.prior_vspe[z], params.cond_vspe[z][:, v],
+                        params.rate_spe[z], int(r[j]), beta=beta,
+                    )
+                    np.testing.assert_allclose(resp.pz[z][0], expected, atol=1e-10)
 
     def test_degenerate_mass_goes_uniform(self):
         ds = CrossDomainDataset.from_indexed(
@@ -294,10 +305,12 @@ class TestLogLikelihood:
         assert after >= before - 1e-9
 
     def test_matches_bruteforce(self, tiny_dataset):
-        dims = ModelDims.from_dataset(tiny_dataset, 2, 3, (2, 1))
-        params = random_params(np.random.default_rng(12), dims)
-        expected = dataset_log_likelihood(params, tiny_dataset)
-        assert log_likelihood(params, tiny_dataset) == pytest.approx(expected, rel=1e-10)
+        # (2, 0): domain 1 has no specific clusters and adds no specific term
+        for n_specific in ((2, 1), (2, 0)):
+            dims = ModelDims.from_dataset(tiny_dataset, 2, 3, n_specific)
+            params = random_params(np.random.default_rng(12), dims)
+            expected = dataset_log_likelihood(params, tiny_dataset)
+            assert log_likelihood(params, tiny_dataset) == pytest.approx(expected, rel=1e-10)
 
     def test_permutation_invariance(self, tiny_dataset):
         dims = ModelDims.from_dataset(tiny_dataset, 3, 2, (2, 2))
@@ -372,73 +385,3 @@ class TestTrain:
             TrainConfig(beta_schedule=(0.0, 1.0))
         with pytest.raises(ModelError):
             TrainConfig(rel_ll_tol=0.0)
-
-
-@pytest.mark.skipif(
-    len(kernels.available_backends()) < 2, reason="numba backend unavailable"
-)
-class TestBackendAgreement:
-    def test_log_likelihood_close(self, tiny_dataset):
-        rng = np.random.default_rng(21)
-        dims = ModelDims.from_dataset(tiny_dataset, 3, 2, (2, 2))
-        params = random_params(rng, dims)
-        gu, gv, r = tiny_dataset.pooled()
-        ridx = (r - 1).astype(np.int64)
-        log_wu = np.ascontiguousarray(
-            (np.log(params.prior_u)[:, None] + np.log(params.cond_u))[:, gu].T
-        )
-        log_wv = np.ascontiguousarray(
-            (np.log(params.prior_vcom)[:, None] + np.log(params.cond_vcom))[:, gv].T
-        )
-        log_rate = np.log(params.rate_com)
-        values = [
-            kernels.get_backend(name).pair_log_likelihood(log_wu, log_wv, log_rate, ridx)
-            for name in kernels.available_backends()
-        ]
-        assert values[0] == pytest.approx(values[1], abs=1e-9)
-
-    def test_responsibilities_close(self):
-        rng = np.random.default_rng(22)
-        s, k, c, levels = 50, 4, 3, 5
-        log_wu = np.log(rng.random((s, k)) + 1e-3)
-        log_wv = np.log(rng.random((s, c)) + 1e-3)
-        log_rate = np.log(rng.dirichlet(np.ones(levels), size=(k, c)))
-        ridx = rng.integers(0, levels, size=s).astype(np.int64)
-        for beta in (0.5, 1.0):
-            outs = [
-                kernels.get_backend(name).pair_responsibilities(
-                    log_wu, log_wv, log_rate, ridx, beta
-                )
-                for name in kernels.available_backends()
-            ]
-            np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
-
-    def test_stats_close(self):
-        rng = np.random.default_rng(23)
-        s, k, c, levels, n_u, n_v = 40, 3, 2, 4, 6, 7
-        resp = rng.random((s, k, c))
-        resp /= resp.sum(axis=(1, 2), keepdims=True)
-        gu = rng.integers(0, n_u, size=s).astype(np.int64)
-        gv = rng.integers(0, n_v, size=s).astype(np.int64)
-        ridx = rng.integers(0, levels, size=s).astype(np.int64)
-        results = [
-            kernels.get_backend(name).pair_stats(resp, gu, gv, ridx, n_u, n_v, levels)
-            for name in kernels.available_backends()
-        ]
-        for a, b in zip(results[0], results[1]):
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_parallel_mode_matches_sequential(self, tiny_dataset):
-        dims = ModelDims.from_dataset(tiny_dataset, 3, 2, (2, 2))
-        params = random_params(np.random.default_rng(31), dims)
-        baseline = None
-        try:
-            for threads in (1, 2):
-                kernels.set_threads(threads)
-                value = log_likelihood(params, tiny_dataset)
-                if baseline is None:
-                    baseline = value
-                else:
-                    assert value == pytest.approx(baseline, abs=1e-9)
-        finally:
-            kernels.set_threads(1)

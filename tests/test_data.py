@@ -291,6 +291,16 @@ class TestRoundTrip:
         with pytest.raises(DataError, match="pclf-dataset-v1"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("row", ["0,1,x,3", "0,1,2"])
+    def test_load_malformed_row_names_line(self, tmp_path, tiny_dataset, row):
+        save_dataset(tiny_dataset, str(tmp_path))
+        ratings = tmp_path / "ratings.csv"
+        lines = ratings.read_text().splitlines()
+        lines[3] = row  # the header is line 1, so this is line 4
+        ratings.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"ratings\.csv:4\b"):
+            load_dataset(str(tmp_path))
+
     def test_serialized_form_byte_identical(self, tmp_path, tiny_dataset):
         save_dataset(tiny_dataset, str(tmp_path / "a"))
         save_dataset(tiny_dataset, str(tmp_path / "b"))
