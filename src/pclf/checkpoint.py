@@ -9,6 +9,7 @@ separators), so identical models produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,18 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             doc["arrays"][f"prior_vspe_{z}"] = _array(p.prior_vspe[z])
             doc["arrays"][f"cond_vspe_{z}"] = _array(p.cond_vspe[z])
             doc["arrays"][f"rate_spe_{z}"] = _array(p.rate_spe[z])
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    # write a sibling file and rename it over ``path``: a failed write
+    # leaves the previous checkpoint intact
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -128,6 +138,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     found = doc.get("format")
     if found != FORMAT_VERSION:
         raise CheckpointError(
@@ -136,22 +148,35 @@ def load_checkpoint(path: str) -> Checkpoint:
     kind = doc.get("model_kind")
     if kind not in MODEL_KINDS:
         raise CheckpointError(f"unknown model_kind {kind!r}")
-    trace = [TraceEntry(beta=b, iteration=int(i), log_likelihood=ll)
-             for b, i, ll in doc.get("trace", [])]
-    default_w1 = doc.get("default_w1")
+    try:
+        trace = [TraceEntry(beta=float(b), iteration=int(i), log_likelihood=float(ll))
+                 for b, i, ll in doc.get("trace", [])]
+        seed = int(doc["seed"])
+        default_w1 = doc.get("default_w1")
+        if default_w1 is not None:
+            default_w1 = [float(w) for w in default_w1]
+        if kind == "nmf":
+            rank, n_levels = int(doc["rank"]), int(doc["n_levels"])
+        else:
+            dims = _dims_from_dict(doc["dims"])
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path}: field {exc.args[0]!r} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: malformed header: {exc}") from None
+    arrays = doc.get("arrays")
+    if not isinstance(arrays, dict):
+        raise CheckpointError(f"checkpoint {path}: 'arrays' is missing or not an object")
     if kind == "nmf":
         factors = NmfFactors(
-            u_factors=_unarray(doc["arrays"], "u_factors"),
-            v_factors=_unarray(doc["arrays"], "v_factors"),
-            rank=int(doc["rank"]),
+            u_factors=_unarray(arrays, "u_factors"),
+            v_factors=_unarray(arrays, "v_factors"),
+            rank=rank,
             objective=list(doc.get("objective", [])),
         )
         return Checkpoint(
-            model_kind=kind, seed=int(doc["seed"]), trace=trace,
-            factors=factors, n_levels=int(doc["n_levels"]), default_w1=default_w1,
+            model_kind=kind, seed=seed, trace=trace,
+            factors=factors, n_levels=n_levels, default_w1=default_w1,
         )
-    dims = _dims_from_dict(doc["dims"])
-    arrays = doc["arrays"]
     domains = range(dims.n_domains)
     params = PclfParams(
         dims=dims,
@@ -169,6 +194,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     except ModelError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
     return Checkpoint(
-        model_kind=kind, seed=int(doc["seed"]), trace=trace,
+        model_kind=kind, seed=seed, trace=trace,
         params=params, default_w1=default_w1,
     )

@@ -128,7 +128,8 @@ def cmd_train(args) -> int:
             dataset, args.user_clusters, args.common_clusters, tuple(specific)
         )
         params, trace = train(dataset, dims, config)
-        default_w1 = [args.w1] * z
+        # a domain without specific clusters predicts from the common part only
+        default_w1 = [args.w1 if l_z > 0 else 1.0 for l_z in specific]
     elif args.model == "fmm":
         params, trace = baselines.fmm_train(
             dataset, args.user_clusters, args.common_clusters, config

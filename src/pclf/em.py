@@ -19,6 +19,7 @@ from . import kernels
 from .data import CrossDomainDataset
 
 PROB_ATOL = 1e-12  # every stored distribution must sum to 1 within this
+INIT_CHUNK_ROWS = 4096  # triples per random draw in init_params; bounds its memory
 
 
 class ModelError(ValueError):
@@ -229,10 +230,9 @@ def _log(arr: np.ndarray) -> np.ndarray:
         return np.log(arr)
 
 
-def _gathered_log_weights(prior, cond, idx):
-    """Per-triple log(prior[c] * cond[c, idx_j]) as an (S, C) array."""
-    full = _log(prior)[:, None] + _log(cond)
-    return np.ascontiguousarray(full[:, idx].T)
+def _log_weights(prior, cond):
+    """Per-entity log(prior[c] * cond[c, i]) as a (C, n) array."""
+    return _log(prior)[:, None] + _log(cond)
 
 
 @dataclass(frozen=True)
@@ -252,14 +252,27 @@ class _Family:
     items: np.ndarray
     ridx: np.ndarray
 
-    def kernel_inputs(self, params: PclfParams):
-        """(log_wu, log_wv, log_rate, ridx), gathered per triple."""
+    def log_tables(self, params: PclfParams):
+        """(log_wu (K, users), log_wv (C, items), log_rate (K, C, R)), per entity."""
         prior = (params.prior_vcom, *params.prior_vspe)[self.slot]
         cond = (params.cond_vcom, *params.cond_vspe)[self.slot]
         rate = (params.rate_com, *params.rate_spe)[self.slot]
-        log_wu = _gathered_log_weights(params.prior_u, params.cond_u, self.gu)
-        log_wv = _gathered_log_weights(prior, cond, self.items)
-        return log_wu, log_wv, _log(rate), self.ridx
+        return (
+            _log_weights(params.prior_u, params.cond_u), _log_weights(prior, cond), _log(rate),
+        )
+
+    def kernel_inputs(self, params: PclfParams):
+        """(log_wu, log_wv, log_rate, ridx) for the log-space kernels, gathered per triple."""
+        log_wu, log_wv, log_rate = self.log_tables(params)
+        return (
+            np.ascontiguousarray(log_wu[:, self.gu].T),
+            np.ascontiguousarray(log_wv[:, self.items].T),
+            log_rate, self.ridx,
+        )
+
+    def factorized_inputs(self, params: PclfParams):
+        """Arguments of the factorized kernels, before ``beta``."""
+        return (*self.log_tables(params), self.gu, self.items, self.ridx)
 
 
 def _families(dims: ModelDims, dataset: CrossDomainDataset) -> list[_Family]:
@@ -297,16 +310,29 @@ def init_params(
     responsibilities over many triples yields almost-symmetric parameters
     from which EM barely moves, while heavier-tailed draws give each
     triple a preferred cluster pair and break the symmetry immediately.
+    They are drawn and reduced ``INIT_CHUNK_ROWS`` triples at a time, which
+    consumes the same random stream as one draw over the whole family.
     """
     _check_dims(dims, dataset)
     rng = np.random.default_rng(seed)
     families = _families(dims, dataset)
-    blocks = []
+    stats = []
     for fam in families:
-        block = rng.gamma(0.5, size=(len(fam.ridx), dims.n_user_clusters, fam.n_clusters))
-        block /= block.sum(axis=(1, 2), keepdims=True)
-        blocks.append(block)
-    return m_step(_responsibilities(dataset, families, blocks), dataset, floor=floor)
+        total = None
+        # at least one (possibly empty) chunk, so an empty family still has statistics
+        for lo in range(0, max(len(fam.ridx), 1), INIT_CHUNK_ROWS):
+            rows = slice(lo, lo + INIT_CHUNK_ROWS)
+            block = rng.gamma(
+                0.5, size=(len(fam.ridx[rows]), dims.n_user_clusters, fam.n_clusters)
+            )
+            block /= block.sum(axis=(1, 2), keepdims=True)
+            part = kernels.pair_stats(
+                block, fam.gu[rows], fam.items[rows], fam.ridx[rows],
+                dims.total_users, fam.n_items, dims.n_levels,
+            )
+            total = part if total is None else [a + b for a, b in zip(total, part)]
+        stats.append(total)
+    return _params_from_stats(dims, families, stats, floor)
 
 
 def e_step(params: PclfParams, dataset: CrossDomainDataset, beta: float = 1.0) -> Responsibilities:
@@ -314,7 +340,9 @@ def e_step(params: PclfParams, dataset: CrossDomainDataset, beta: float = 1.0) -
 
     The common posterior is computed over the pooled data, each specific
     posterior over its own domain only.  ``beta`` tempers the posterior:
-    1 is the exact E step, smaller values flatten it (annealing).
+    1 is the exact E step, smaller values flatten it (annealing).  This
+    materializes the (S, K, C) tensors; ``train`` gets the same statistics
+    from the factorized ``kernels.pair_pass`` instead.
     """
     if not 0.0 < beta <= 1.0:
         raise ModelError(f"beta must lie in (0, 1], got {beta}")
@@ -331,35 +359,47 @@ def m_step(resp: Responsibilities, dataset: CrossDomainDataset, floor: float) ->
 
     Every distribution is the normalized sufficient statistic of its
     responsibilities (user-side statistics pool the common and all
-    specific tensors).  After normalizing, ``floor`` is added to every
-    entry and the distribution renormalized, which keeps later E steps
-    and likelihoods finite.
+    specific tensors); see ``_params_from_stats``.
     """
     s_total = sum(dataset.n_ratings)
     if resp.p0.shape[0] != s_total or len(resp.pz) != dataset.n_domains:
         raise ModelError("responsibility shapes do not match the dataset")
-    k, t = resp.p0.shape[1], resp.p0.shape[2]
     dims = ModelDims(
         n_domains=dataset.n_domains,
-        n_user_clusters=k,
-        n_common_clusters=t,
+        n_user_clusters=resp.p0.shape[1],
+        n_common_clusters=resp.p0.shape[2],
         n_specific_clusters=tuple(b.shape[2] for b in resp.pz),
         n_levels=dataset.n_levels,
         n_users=tuple(dataset.n_users),
         n_items=tuple(dataset.n_items),
     )
-    u_total, n_levels = dims.total_users, dims.n_levels
+    families = _families(dims, dataset)
+    stats = [
+        kernels.pair_stats(
+            (resp.p0, *resp.pz)[fam.slot], fam.gu, fam.items, fam.ridx,
+            dims.total_users, fam.n_items, dims.n_levels,
+        )
+        for fam in families
+    ]
+    return _params_from_stats(dims, families, stats, floor)
+
+
+def _params_from_stats(dims: ModelDims, families, stats, floor: float) -> PclfParams:
+    """The M step proper: parameters from each family's sufficient statistics.
+
+    ``stats[i]`` is the ``kernels.pair_stats``-shaped tuple of
+    ``families[i]``.  After normalizing, ``floor`` is added to every entry
+    and the distribution renormalized, which keeps later E steps and
+    likelihoods finite.
+    """
+    k, u_total, n_levels = dims.n_user_clusters, dims.total_users, dims.n_levels
     prior_u_num = np.zeros(k)
     cond_u_num = np.zeros((k, u_total))
     # (prior, cond, rate) per slot; a domain without a family keeps its empties
     sides = [None] + [
         (np.zeros(0), np.zeros((0, n_z)), np.zeros((k, 0, n_levels))) for n_z in dims.n_items
     ]
-    for fam in _families(dims, dataset):
-        cl_u, cl_v, by_user, by_item, by_level = kernels.pair_stats(
-            (resp.p0, *resp.pz)[fam.slot], fam.gu, fam.items, fam.ridx,
-            u_total, fam.n_items, n_levels,
-        )
+    for fam, (cl_u, cl_v, by_user, by_item, by_level) in zip(families, stats):
         prior_u_num += cl_u
         cond_u_num += by_user
         sides[fam.slot] = (
@@ -391,7 +431,7 @@ def log_likelihood(params: PclfParams, dataset: CrossDomainDataset) -> float:
     _check_dims(params.dims, dataset)
     total = 0.0  # plain adds in family order (sum() compensates on Python >= 3.12)
     for fam in _families(params.dims, dataset):
-        total += kernels.pair_log_likelihood(*fam.kernel_inputs(params))
+        total += float(kernels.pair_log_normalizers(*fam.factorized_inputs(params)).sum())
     return total
 
 
@@ -409,15 +449,22 @@ def train(
     there would freeze the saddle point.  A schedule of (1.0,) is plain
     EM.  Returns the final parameters and a per-iteration (beta,
     iteration, log-likelihood) trace.
+
+    Each iteration is ``m_step(e_step(...))`` computed by the factorized
+    ``kernels.pair_pass``, without the responsibility tensors.
     """
     _check_dims(dims, dataset)
     params = init_params(dims, dataset, config.seed, floor=config.smoothing_floor)
+    families = _families(dims, dataset)
     trace: list[TraceEntry] = []
     for beta in config.beta_schedule:
         prev = None
         for it in range(config.max_iters_per_beta):
-            resp = e_step(params, dataset, beta=beta)
-            params = m_step(resp, dataset, floor=config.smoothing_floor)
+            stats = [
+                kernels.pair_pass(*fam.factorized_inputs(params), beta)[:5]
+                for fam in families
+            ]
+            params = _params_from_stats(dims, families, stats, config.smoothing_floor)
             ll = log_likelihood(params, dataset)
             trace.append(TraceEntry(beta=beta, iteration=it, log_likelihood=ll))
             if (

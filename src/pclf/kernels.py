@@ -2,8 +2,21 @@
 
 All kernels work on one "pair family" at a time: a user side, an item
 side and a (K, C, R) rating table, where C is either the common or a
-domain-specific item-cluster count.  Callers pass per-triple gathered
-log-weights; the kernels own the O(S*K*C) inner loops, in numpy.
+domain-specific item-cluster count.
+
+Training runs on the factorized pass.  The posterior of one triple is
+bilinear, resp[k, c] = U[k] A_r[k, c] V[c] / Z with Z = U A_r V^T, so
+grouping the triples by rating level r gives every EM statistic from
+per-level products of (S_r, K) and (S_r, C) blocks with the (K, C) table
+A_r; no (S, K, C) tensor is ever built.  ``pair_pass`` returns the M-step
+statistics and the per-triple log normalizers, ``pair_log_normalizers``
+only the latter (the log-likelihood terms).
+
+The log-space kernels ``pair_responsibilities``, ``pair_log_likelihood``
+and ``pair_stats`` materialize the (S, K, C) posterior tensor.  They are
+the reference that the public ``em.e_step``/``em.m_step`` and the tests
+use; ``pair_stats`` also reduces the random responsibilities that seed
+``em.init_params``.
 """
 
 from __future__ import annotations
@@ -69,3 +82,105 @@ def pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
         for i in range(n_uc * n_ic)
     ]).reshape(n_uc, n_ic, n_levels)
     return cluster_u, cluster_v, by_user, by_item, by_level
+
+
+def _tempered(log_w, beta):
+    """exp(beta * log_w) per entity (column), scaled so its largest entry is 1.
+
+    Returns the (n, C) scaled weights and the (n,) log scale taken out; an
+    entity with no mass keeps zero weights and a zero scale.
+    """
+    scaled = beta * log_w
+    top = scaled.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.exp(scaled - top).T.copy(), top
+
+
+class _Factors:
+    """The tempered factors of one pair family, triples grouped by rating level.
+
+    ``u`` (S, K) and ``v`` (S, C) are the per-triple user and item weights
+    in level order (``order``), ``a[r]`` the (K, C) tempered rating table,
+    ``offset`` the per-triple log scale that was factored out of ``u`` and
+    ``v``, and ``levels()`` yields (r, slice of the level's triples).
+    """
+
+    def __init__(self, log_wu, log_wv, log_rate, gu, items, ridx, beta):
+        self.order = np.argsort(ridx, kind="stable")
+        self.gu = gu[self.order]
+        self.items = items[self.order]
+        u_tab, u_top = _tempered(log_wu, beta)
+        v_tab, v_top = _tempered(log_wv, beta)
+        self.u = u_tab[self.gu]
+        self.v = v_tab[self.items]
+        self.offset = u_top[self.gu] + v_top[self.items]
+        self.a = np.ascontiguousarray(np.exp(beta * np.moveaxis(log_rate, 2, 0)))
+        self.bounds = np.searchsorted(ridx[self.order], np.arange(len(self.a) + 1))
+
+    def levels(self):
+        for r in range(len(self.a)):
+            lo, hi = self.bounds[r], self.bounds[r + 1]
+            if hi > lo:
+                yield r, slice(lo, hi)
+
+    def log_normalizers(self, z):
+        """log Z plus the factored-out scale, back in the callers' triple order."""
+        out = np.empty_like(z)
+        with np.errstate(divide="ignore"):
+            out[self.order] = np.log(z) + self.offset
+        return out
+
+
+def pair_log_normalizers(log_wu, log_wv, log_rate, gu, items, ridx):
+    """Per-triple log marginal mass log sum_kc wu[k] rate[k, c, r] wv[c].
+
+    ``log_wu`` (K, U) and ``log_wv`` (C, V) are per-entity log weights,
+    indexed per triple by ``gu``/``items``; ``ridx`` is the level index.
+    A triple with no mass gets -inf.
+    """
+    f = _Factors(log_wu, log_wv, log_rate, gu, items, ridx, 1.0)
+    z = np.empty(len(ridx))
+    for r, sl in f.levels():
+        z[sl] = np.einsum("sc,sc->s", f.u[sl] @ f.a[r], f.v[sl])
+    return f.log_normalizers(z)
+
+
+def pair_pass(log_wu, log_wv, log_rate, gu, items, ridx, beta=1.0):
+    """Factorized E step plus M-step statistics of one pair family.
+
+    Takes the per-entity inputs of ``pair_log_normalizers`` and returns
+    what ``pair_stats(pair_responsibilities(...))`` returns -- (cluster
+    mass (K,), cluster mass (C,), per-user mass (K, U), per-item mass
+    (C, V), per-level mass (K, C, R)) -- followed by the per-triple log
+    normalizers of the tempered posterior.  A triple with no mass counts
+    as the uniform matrix, as in ``pair_responsibilities``.
+    """
+    f = _Factors(log_wu, log_wv, log_rate, gu, items, ridx, beta)
+    n_uc, n_ic = f.a.shape[1], f.a.shape[2]
+    ru = np.empty_like(f.u)
+    rv = np.empty_like(f.v)
+    z = np.empty(len(ridx))
+    by_level = np.zeros(f.a.shape)
+    for r, sl in f.levels():
+        u, v, a = f.u[sl], f.v[sl], f.a[r]
+        ua = u @ a
+        z[sl] = np.einsum("sc,sc->s", ua, v)
+        dead = z[sl] == 0.0
+        v_z = v / np.where(dead, 1.0, z[sl])[:, None]
+        rv[sl] = ua * v_z
+        ru[sl] = (v_z @ a.T) * u
+        by_level[r] = a * (u.T @ v_z)
+        if dead.any():  # zero total mass: the uniform matrix, as in the reference
+            ru[sl][dead] = 1.0 / n_uc
+            rv[sl][dead] = 1.0 / n_ic
+            by_level[r] += dead.sum() / (n_uc * n_ic)
+    by_user = np.stack([
+        np.bincount(f.gu, weights=ru[:, k], minlength=log_wu.shape[1]) for k in range(n_uc)
+    ])
+    by_item = np.stack([
+        np.bincount(f.items, weights=rv[:, c], minlength=log_wv.shape[1]) for c in range(n_ic)
+    ])
+    return (
+        ru.sum(axis=0), rv.sum(axis=0), by_user, by_item,
+        np.moveaxis(by_level, 0, 2), f.log_normalizers(z),
+    )

@@ -62,6 +62,23 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.factors.u_factors, factors.u_factors)
         assert back.factors.objective == factors.objective
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), Checkpoint(model_kind="pclf", seed=1, trace=[],
+                                              params=_params()))
+        before = path.read_bytes()
+
+        def broken_dump(doc, fh, **kwargs):
+            fh.write('{"format": "trunc')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), Checkpoint(model_kind="pclf", seed=2, trace=[],
+                                                  params=_params()))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_byte_identical_writes(self, tmp_path):
         params = _params()
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -119,6 +136,34 @@ class TestValidation:
         ))
         doc = json.loads(path.read_text())
         corrupt(doc["arrays"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind, corrupt, message", [
+        ("pclf", lambda doc: doc.pop("dims"), "field 'dims' is missing"),
+        ("pclf", lambda doc: doc["dims"].pop("n_levels"), "field 'n_levels' is missing"),
+        ("pclf", lambda doc: doc.pop("seed"), "field 'seed' is missing"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[1.0]]), "malformed header"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, "x", 2.0]]), "malformed header"),
+        ("pclf", lambda doc: doc.pop("arrays"), "'arrays' is missing"),
+        ("pclf", lambda doc: doc.__setitem__("default_w1", ["x"]), "malformed header"),
+        ("nmf", lambda doc: doc.pop("rank"), "field 'rank' is missing"),
+        ("nmf", lambda doc: doc.pop("n_levels"), "field 'n_levels' is missing"),
+    ], ids=["dims", "dims-field", "seed", "trace-short", "trace-value", "arrays",
+            "default-w1", "nmf-rank", "nmf-levels"])
+    def test_corrupt_header_named(self, tmp_path, kind, corrupt, message):
+        path = tmp_path / "model.json"
+        if kind == "nmf":
+            factors = NmfFactors(u_factors=np.ones((2, 1)), v_factors=np.ones((3, 1)),
+                                 rank=1, objective=[1.0])
+            ckpt = Checkpoint(model_kind="nmf", seed=0, trace=[], factors=factors, n_levels=5)
+        else:
+            ckpt = Checkpoint(model_kind="pclf", seed=0, trace=[TraceEntry(1.0, 0, -3.0)],
+                              params=_params(), default_w1=[0.35, 1.0])
+        save_checkpoint(str(path), ckpt)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))

@@ -230,6 +230,35 @@ def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("field", ["dims", "seed", "trace"])
+def test_corrupt_checkpoint_header_one_line_error(trained, capsys, field):
+    _, ckpt = trained
+    doc = json.load(open(ckpt))
+    if field == "trace":
+        doc["trace"] = [[1.0]]
+    else:
+        del doc[field]
+    json.dump(doc, open(ckpt, "w"))
+    assert main(["predict", "--checkpoint", ckpt, "--cell", "0,0,0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_no_specific_clusters_default_w1_predicts(rating_files, tmp_path, capsys):
+    dataset, _ = _ingest(rating_files, tmp_path, capsys)
+    ckpt = str(tmp_path / "model.json")
+    rc = main([
+        "train", "--dataset", dataset, "-K", "3", "-T", "2", "-L", "2,0",
+        "--betas", "1.0", "--max-iters", "3", "--out", ckpt,
+    ])
+    assert rc == 0
+    assert load_checkpoint(ckpt).default_w1 == [0.35, 1.0]
+    out = str(tmp_path / "preds.csv")
+    assert main(["predict", "--checkpoint", ckpt, "--cell", "1,1,1", "--out", out]) == 0
+    assert main(["predict", "--checkpoint", ckpt, "--complete", "1", "--out", out]) == 0
+    assert "w1=0.35,1" in open(out).readline()
+
+
 class TestInspect:
     def test_prints_dims_and_matrices(self, trained, capsys):
         _, ckpt = trained

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pclf import em, kernels
 from pclf import (
     CrossDomainDataset,
     ModelDims,
@@ -24,6 +27,18 @@ PROB_ATOL = 1e-12
 
 def single_cluster_dims(dataset):
     return ModelDims.from_dataset(dataset, 1, 1, (1,) * dataset.n_domains)
+
+
+def param_arrays(params):
+    """(name, array) for every parameter array, per-domain lists unrolled."""
+    out = []
+    for field in dataclasses.fields(PclfParams)[1:]:
+        value = getattr(params, field.name)
+        if isinstance(value, list):
+            out.extend((f"{field.name}[{z}]", a) for z, a in enumerate(value))
+        else:
+            out.append((field.name, value))
+    return out
 
 
 def permute_params(params, perm_k=None, perm_t=None, perm_l=None):
@@ -73,6 +88,28 @@ class TestInitParams:
         dims = ModelDims.from_dataset(tiny_dataset, 4, 3, (2, 3))
         params = init_params(dims, tiny_dataset, seed=1)
         params.validate(atol=PROB_ATOL)
+
+    def test_chunked_draws_match_one_draw(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=3, n_common_clusters=2,
+            n_specific_clusters=(2, 0), n_levels=5,
+            n_users=(10, 8), n_items=(7, 9),
+        )
+        ds = random_dataset(rng, dims, 25)
+        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 7)  # 50 pooled triples: 8 chunks
+        got = init_params(dims, ds, seed=5)
+        draw = np.random.default_rng(5)
+        blocks = []
+        for shape in ((50, 3, 2), (25, 3, 2)):
+            block = draw.gamma(0.5, size=shape)
+            blocks.append(block / block.sum(axis=(1, 2), keepdims=True))
+        want = m_step(
+            Responsibilities(p0=blocks[0], pz=[blocks[1], np.zeros((25, 3, 0))]),
+            ds, floor=1e-10,
+        )
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14, err_msg=name)
 
     def test_dims_mismatch(self, tiny_dataset):
         wrong = ModelDims(
@@ -375,6 +412,42 @@ class TestTrain:
         np.testing.assert_allclose(once.cond_u, twice.cond_u, atol=1e-12)
         np.testing.assert_allclose(once.rate_com, twice.rate_com, atol=1e-12)
         np.testing.assert_allclose(once.cond_vspe[0], twice.cond_vspe[0], atol=1e-12)
+
+    @pytest.mark.parametrize("specific", [(2, 3), (2, 0)])
+    def test_matches_reference_loop(self, specific):
+        # train() runs the factorized pass; the reference is the log-space
+        # e_step -> m_step -> per-family pair_log_likelihood loop
+        rng = np.random.default_rng(21)
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=3, n_common_clusters=2,
+            n_specific_clusters=specific, n_levels=5,
+            n_users=(14, 11), n_items=(9, 12),
+        )
+        ds = random_dataset(rng, dims, 70)
+        config = TrainConfig(beta_schedule=(0.5, 0.8, 1.0), max_iters_per_beta=6,
+                             min_iters_per_beta=2, seed=4)
+        params = init_params(dims, ds, config.seed, floor=config.smoothing_floor)
+        want = []
+        for beta in config.beta_schedule:
+            prev = None
+            for it in range(config.max_iters_per_beta):
+                params = m_step(e_step(params, ds, beta=beta), ds, config.smoothing_floor)
+                ll = 0.0
+                for fam in em._families(dims, ds):
+                    ll += kernels.pair_log_likelihood(*fam.kernel_inputs(params))
+                want.append((beta, it, ll))
+                if prev is not None and it + 1 >= config.min_iters_per_beta \
+                        and abs(ll - prev) <= config.rel_ll_tol * abs(prev):
+                    break
+                prev = ll
+        got, trace = train(ds, dims, config)
+        assert [(t.beta, t.iteration) for t in trace] == [w[:2] for w in want]
+        np.testing.assert_allclose(
+            [t.log_likelihood for t in trace], [w[2] for w in want], rtol=1e-12, atol=0
+        )
+        assert got.dims == params.dims
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(params)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
     def test_config_validation(self):
         with pytest.raises(ModelError):

@@ -71,3 +71,82 @@ class TestKernelCorrectness:
         assert by_item.sum() == pytest.approx(s, abs=1e-9)
         assert by_level.sum() == pytest.approx(s, abs=1e-9)
         np.testing.assert_allclose(by_level.sum(axis=2), resp.sum(axis=0), atol=1e-9)
+
+
+def _entity_inputs(seed, s=60, k=3, c=4, levels=5, n_users=9, n_items=11):
+    """Per-entity log tables, as the factorized kernels take them."""
+    rng = np.random.default_rng(seed)
+    log_wu = np.log(rng.random((k, n_users)) + 1e-4)
+    log_wv = np.log(rng.random((c, n_items)) + 1e-4)
+    log_rate = np.log(rng.dirichlet(np.ones(levels), size=(k, c)))
+    gu = rng.integers(0, n_users, size=s)
+    items = rng.integers(0, n_items, size=s)
+    ridx = rng.integers(0, levels, size=s)
+    return log_wu, log_wv, log_rate, gu, items, ridx
+
+
+def _reference_pass(log_wu, log_wv, log_rate, gu, items, ridx, beta):
+    """pair_stats of pair_responsibilities on the per-triple gathered inputs."""
+    log_wu_t = np.ascontiguousarray(log_wu[:, gu].T)
+    log_wv_t = np.ascontiguousarray(log_wv[:, items].T)
+    resp = kernels.pair_responsibilities(log_wu_t, log_wv_t, log_rate, ridx, beta)
+    stats = kernels.pair_stats(
+        resp, gu, items, ridx, log_wu.shape[1], log_wv.shape[1], log_rate.shape[2]
+    )
+    return stats, (log_wu_t, log_wv_t)
+
+
+class TestFactorizedPass:
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("case", ["random", "zeros", "dead"])
+    def test_matches_log_space_reference(self, beta, case):
+        log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(11)
+        if case == "zeros":  # floor=0 leaves exact zeros that are not dead triples
+            log_wu[0, :] = -np.inf
+            log_wv[1, :4] = -np.inf
+            log_rate[2, 3, :] = -np.inf
+        if case == "dead":  # user 2 and level 0 carry no mass; items 0-2 are tiny
+            log_wu[:, 2] = -np.inf
+            log_wv[:, :3] += np.log(1e-300)
+            log_rate[:, :, 0] = -np.inf
+        inputs = (log_wu, log_wv, log_rate, gu, items, ridx)
+        expected, gathered = _reference_pass(*inputs, beta)
+        got = kernels.pair_pass(*inputs, beta)
+        assert len(got) == 6
+        for name, want, have in zip(
+            ("cluster_u", "cluster_v", "by_user", "by_item", "by_level"), expected, got
+        ):
+            assert have.shape == want.shape, name
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12, err_msg=name)
+        dead = (gu == 2) | (ridx == 0) if case == "dead" else np.zeros(len(ridx), bool)
+        assert np.array_equal(np.isneginf(got[5]), dead)
+        if beta == 1.0 and case == "dead":
+            assert kernels.pair_log_likelihood(*gathered, log_rate, ridx) == -np.inf
+        if beta == 1.0 and not dead.any():
+            ll = kernels.pair_log_likelihood(*gathered, log_rate, ridx)
+            assert got[5].sum() == pytest.approx(ll, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["random", "dead"])
+    def test_log_normalizers_match_reference(self, case):
+        log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(12, s=40)
+        if case == "dead":
+            log_wv[:, items[5]] = -np.inf
+        inputs = (log_wu, log_wv, log_rate, gu, items, ridx)
+        got = kernels.pair_log_normalizers(*inputs)
+        np.testing.assert_array_equal(got, kernels.pair_pass(*inputs, 1.0)[5])
+        for j in range(len(ridx)):
+            one = (log_wu[:, gu[j:j + 1]].T, log_wv[:, items[j:j + 1]].T, log_rate, ridx[j:j + 1])
+            want = kernels.pair_log_likelihood(*one)
+            if np.isfinite(want):
+                assert got[j] == pytest.approx(want, rel=1e-13)
+            else:
+                assert got[j] == -np.inf
+        assert np.isneginf(got).any() == (case == "dead")
+
+    def test_tempered_normalizer_is_tempered_logsumexp(self):
+        log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(13, s=20)
+        got = kernels.pair_pass(log_wu, log_wv, log_rate, gu, items, ridx, 0.5)[5]
+        ln = log_wu[:, gu].T[:, :, None] + log_wv[:, items].T[:, None, :] \
+            + log_rate[:, :, ridx].transpose(2, 0, 1)
+        want = np.log(np.exp(0.5 * ln).sum(axis=(1, 2)))
+        np.testing.assert_allclose(got, want, rtol=1e-13)
