@@ -105,12 +105,18 @@ def nmf_train(
     return NmfFactors(u_factors=u, v_factors=v, rank=rank, objective=objective)
 
 
-def nmf_predict(factors: NmfFactors, user: int, item: int, n_levels: int) -> float:
-    """Factor dot product clamped to the rating range [1, R]."""
-    m, n = factors.u_factors.shape[0], factors.v_factors.shape[0]
-    if not 0 <= user < m:
-        raise DataError(f"user index {user} out of range [0, {m})")
-    if not 0 <= item < n:
-        raise DataError(f"item index {item} out of range [0, {n})")
-    raw = float(factors.u_factors[user] @ factors.v_factors[item])
-    return float(min(max(raw, 1.0), float(n_levels)))
+def nmf_predict(factors: NmfFactors, user, item, n_levels: int):
+    """Factor dot product clamped to the rating range [1, R].
+
+    ``user`` and ``item`` are indices or index arrays (broadcast against
+    each other); scalars give a float, arrays an array.
+    """
+    for kind, index, size in (("user", user, factors.u_factors.shape[0]),
+                              ("item", item, factors.v_factors.shape[0])):
+        index = np.asarray(index)
+        bad = (index < 0) | (index >= size)
+        if bad.any():
+            raise DataError(f"{kind} index {index[bad].flat[0]} out of range [0, {size})")
+    raw = np.einsum("...k,...k->...", factors.u_factors[user], factors.v_factors[item])
+    clamped = np.clip(raw, 1.0, float(n_levels))
+    return float(clamped) if clamped.ndim == 0 else clamped

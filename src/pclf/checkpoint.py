@@ -9,12 +9,12 @@ separators), so identical models produce byte-identical files.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import NmfFactors
+from .data import atomic_write
 from .em import ModelDims, ModelError, PclfParams, TraceEntry
 
 FORMAT_VERSION = "pclf-model-v1"
@@ -116,18 +116,10 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             doc["arrays"][f"prior_vspe_{z}"] = _array(p.prior_vspe[z])
             doc["arrays"][f"cond_vspe_{z}"] = _array(p.cond_vspe[z])
             doc["arrays"][f"rate_spe_{z}"] = _array(p.rate_spe[z])
-    # write a sibling file and rename it over ``path``: a failed write
-    # leaves the previous checkpoint intact
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    # a failed write leaves the previous checkpoint intact
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -10,6 +10,7 @@ seeds and exits nonzero with a one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -165,34 +166,38 @@ def _parse_cell(text: str) -> tuple[int, int, int, int]:
         parts = [int(x) for x in text.split(",")]
     except ValueError:
         parts = []
+    if len(parts) not in (3, 4):
+        raise DataError(
+            f"cell must be 'domain,user,item' or 'udomain,user,idomain,item', got {text!r}"
+        )
+    if parts[1] < 0 or parts[-1] < 0:
+        raise DataError(f"cell user and item indices must be >= 0, got {text!r}")
     if len(parts) == 3:
         return parts[0], parts[1], parts[0], parts[2]
-    if len(parts) == 4:
-        return parts[0], parts[1], parts[2], parts[3]
-    raise DataError(
-        f"cell must be 'domain,user,item' or 'udomain,user,idomain,item', got {text!r}"
-    )
+    return parts[0], parts[1], parts[2], parts[3]
 
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    cells = _collect_cells(args) if args.complete is None else None
+    if cells is not None and not len(cells):
+        raise DataError("nothing to predict: give --cell/--cells or --complete")
     if ckpt.model_kind == "nmf":
-        if args.complete is None and not args.cell and not args.cells:
-            raise DataError("nothing to predict: give --cell/--cells or --complete")
-        lines = ["domain,user_idx,item_idx,predicted_rating"]
-        cells = _collect_cells(args)
-        if args.complete is not None:
-            if args.complete != 0:
-                raise DataError("nmf checkpoints hold a single domain (use --complete 0)")
-            m = ckpt.factors.u_factors.shape[0]
-            n = ckpt.factors.v_factors.shape[0]
-            cells = [(0, u, 0, v) for u in range(m) for v in range(n)]
-        for du, u, dv, v in cells:
-            if du != dv or du != 0:
-                raise DataError("nmf checkpoints predict only domain-0 cells")
-            value = baselines.nmf_predict(ckpt.factors, u, v, ckpt.n_levels)
-            lines.append(f"0,{u},{v},{value:.6f}")
-        _write_lines(args.out, ["# model_kind=nmf"] + lines)
+        factors, levels = ckpt.factors, ckpt.n_levels
+        if args.complete not in (None, 0):
+            raise DataError("nmf checkpoints hold a single domain (use --complete 0)")
+        if cells is not None and cells[:, [0, 2]].any():
+            raise DataError("nmf checkpoints predict only domain-0 cells")
+        head = "# model_kind=nmf\ndomain,user_idx,item_idx,predicted_rating\n"
+        with _output(args.out, head) as write:
+            if cells is None:
+                sink, items = _row_sink(write, 0), np.arange(factors.v_factors.shape[0])
+                for u in range(factors.u_factors.shape[0]):
+                    sink(u, baselines.nmf_predict(factors, u, items, levels))
+            else:
+                values = baselines.nmf_predict(factors, cells[:, 1], cells[:, 3], levels)
+                write("".join(f"0,{u},{v},{x:.6f}\n" for u, v, x in
+                              zip(*cells[:, [1, 3]].T.tolist(), values.tolist())))
         return 0
 
     params = ckpt.params
@@ -206,36 +211,25 @@ def cmd_predict(args) -> int:
     weights = inference.PredictionWeights(w1=tuple(w1))
     mats = inference.cluster_rating_matrices(params)
     mems = inference.memberships(params)
-    head = f"# model_kind={ckpt.model_kind} w1={','.join(f'{w:g}' for w in w1)}"
+    head = f"# model_kind={ckpt.model_kind} w1={','.join(f'{w:g}' for w in w1)}\n"
 
-    if args.complete is not None:
+    if cells is None:
         _check_domain(args.complete, z)
-        lines = ["domain,user_idx,item_idx,predicted_rating"]
-        def sink(u, row):
-            for v, value in enumerate(row):
-                lines.append(f"{args.complete},{u},{v},{value:.6f}")
-        inference.complete_matrix(params, mats, mems, weights, args.complete, sink)
-        _write_lines(args.out, [head] + lines)
+        with _output(args.out, head + "domain,user_idx,item_idx,predicted_rating\n") as write:
+            inference.complete_matrix(params, mats, mems, weights, args.complete,
+                                      _row_sink(write, args.complete))
         return 0
 
-    cells = _collect_cells(args)
-    if not cells:
-        raise DataError("nothing to predict: give --cell/--cells or --complete")
-    lines = ["user_domain,user_idx,item_domain,item_idx,predicted_rating,cross"]
-    for du, u, dv, v in cells:
-        _check_domain(du, z)
-        _check_domain(dv, z)
-        if du == dv:
-            value = inference.predict(params, mats, mems, weights, du, u, v)
-            cross = 0
-        else:
-            value = inference.predict_cross(
-                params, mats, mems, (du, u), (dv, v),
-                weights=weights, mix_specific=args.mix_specific,
-            )
-            cross = 1
-        lines.append(f"{du},{u},{dv},{v},{value:.6f},{cross}")
-    _write_lines(args.out, [head] + lines)
+    values = inference.predict_cells(params, mats, mems, weights, cells, args.mix_specific)
+    head += "user_domain,user_idx,item_domain,item_idx,predicted_rating,cross\n"
+    with _output(args.out, head) as write:
+        write("".join(f"{du},{u},{dv},{v},{x:.6f},{int(du != dv)}\n"
+                      for du, u, dv, v, x in zip(*cells.T.tolist(), values.tolist())))
+    unseen = ((cells[:, 1] >= np.take(params.dims.n_users, cells[:, 0]))
+              | (cells[:, 3] >= np.take(params.dims.n_items, cells[:, 2]))).sum()
+    if unseen:
+        print(f"note: {unseen} of {len(cells)} cells used a uniform membership "
+              "for an unseen user or item", file=sys.stderr)
     return 0
 
 
@@ -244,7 +238,8 @@ def _check_domain(domain: int, n_domains: int) -> None:
         raise DataError(f"domain {domain} out of range: the checkpoint has {n_domains}")
 
 
-def _collect_cells(args):
+def _collect_cells(args) -> np.ndarray:
+    """Every --cell and --cells cell as rows of (user domain, user, item domain, item)."""
     cells = [_parse_cell(c) for c in (args.cell or [])]
     if args.cells:
         with open(args.cells, "r", encoding="utf-8") as fh:
@@ -252,16 +247,35 @@ def _collect_cells(args):
                 line = line.strip()
                 if line and not line.startswith("#"):
                     cells.append(_parse_cell(line))
-    return cells
+    return np.array(cells, dtype=np.int64).reshape(-1, 4)
 
 
-def _write_lines(path, lines) -> None:
-    if path is None:
-        for line in lines:
-            print(line)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+@contextlib.contextmanager
+def _output(path, head: str):
+    """Yield ``write(text)`` for ``path`` (stdout if None).  The target is
+    opened and ``head`` written at the first call, so a check that fails
+    before any output leaves the target as it was."""
+    opened = []
+
+    def write(text: str) -> None:
+        if not opened:
+            opened.append(sys.stdout if path is None else open(path, "w", encoding="utf-8"))
+            opened[0].write(head)
+        opened[0].write(text)
+
+    try:
+        yield write
+    finally:
+        if opened and path is not None:
+            opened[0].close()
+
+
+def _row_sink(write, domain: int):
+    """``sink(user, row)`` that writes one user's row of a domain's predictions."""
+    def complete_sink(u, row):
+        prefix = f"{domain},{u},"
+        write("".join([f"{prefix}{v},{x:.6f}\n" for v, x in enumerate(row.tolist())]))
+    return complete_sink
 
 
 def cmd_evaluate(args) -> int:

@@ -8,6 +8,7 @@ the same entity).  All ratings are normalized onto a shared discrete scale
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -392,10 +393,25 @@ def given_n_split(
 DATASET_FORMAT = "pclf-dataset-v1"
 
 
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Open a sibling temp file for writing and rename it over ``path`` when
+    the block ends; a failed write removes it and leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
     """Write the canonical dump: ratings.csv plus manifest.json with counts and ID maps."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "ratings.csv"), "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(directory, "ratings.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "user_idx", "item_idx", "rating"])
         for t in dataset.triples():
@@ -410,7 +426,7 @@ def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
         "user_ids": dataset.user_ids,
         "item_ids": dataset.item_ids,
     }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(directory, "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
@@ -422,11 +438,14 @@ def load_dataset(directory: str) -> CrossDomainDataset:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format") != DATASET_FORMAT:
-        raise DataError(
-            f"unsupported dataset format {manifest.get('format')!r}, "
-            f"expected {DATASET_FORMAT!r}"
-        )
+    except ValueError as exc:
+        raise DataError(f"dataset manifest {manifest_path} is not valid JSON: {exc}") from exc
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != DATASET_FORMAT:
+        raise DataError(f"unsupported dataset format {fmt!r}, expected {DATASET_FORMAT!r}")
+    for key in ("n_levels", "n_users", "n_items", "user_ids", "item_ids"):
+        if key not in manifest:
+            raise DataError(f"dataset manifest {manifest_path} lacks {key!r}")
     triples = []
     ratings_path = os.path.join(directory, "ratings.csv")
     with open(ratings_path, "r", encoding="utf-8") as fh:

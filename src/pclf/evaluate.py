@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -415,16 +415,7 @@ class ResultsReport:
 
 def _base_dataset(config: ExperimentConfig, seed: int) -> CrossDomainDataset:
     if config.synthetic is not None:
-        spec = config.synthetic
-        if seed != spec.seed:
-            spec = SyntheticSpec(
-                dims=spec.dims, w1=spec.w1, density=spec.density, seed=seed,
-                membership_concentration=spec.membership_concentration,
-                rating_sharpness=spec.rating_sharpness,
-                specific_sharpness=spec.specific_sharpness,
-                table_noise=spec.table_noise, params=spec.params,
-            )
-        dataset, _ = synth_generate(spec)
+        dataset, _ = synth_generate(replace(config.synthetic, seed=seed))
         return dataset
     per_domain = []
     for src in config.domains:
@@ -464,15 +455,14 @@ def _model_maes(
     """Train one model and return its MAE on each domain's eval set."""
     k = int(config.dims["K"])
     t = int(config.dims["T"])
-    train_cfg = TrainConfig(
-        beta_schedule=config.train.beta_schedule,
-        max_iters_per_beta=config.train.max_iters_per_beta,
-        min_iters_per_beta=config.train.min_iters_per_beta,
-        rel_ll_tol=config.train.rel_ll_tol,
-        smoothing_floor=config.train.smoothing_floor,
-        seed=seed,
-    )
+    train_cfg = replace(config.train, seed=seed)
     n_domains = train_ds.n_domains
+    # per domain: the eval set's users, items and ratings as arrays
+    evals = [
+        [np.array([getattr(e, key) for e in eval_set], dtype=np.int64)
+         for key in ("user", "item", "rating")]
+        for eval_set in eval_sets
+    ]
     out = []
     if model in ("pclf", "rmgm-like"):
         if model == "pclf":
@@ -489,9 +479,7 @@ def _model_maes(
         mats = inference.cluster_rating_matrices(params)
         mems = inference.memberships(params)
         for z in range(n_domains):
-            users = np.array([e.user for e in eval_sets[z]], dtype=np.int64)
-            items = np.array([e.item for e in eval_sets[z]], dtype=np.int64)
-            truths = np.array([e.rating for e in eval_sets[z]], dtype=float)
+            users, items, truths = evals[z]
             preds = inference.predict_many(params, mats, mems, weights, z, users, items)
             out.append(mae(preds, truths))
         return out
@@ -502,9 +490,7 @@ def _model_maes(
             weights = inference.PredictionWeights.common_only(1)
             mats = inference.cluster_rating_matrices(params)
             mems = inference.memberships(params)
-            users = np.array([e.user for e in eval_sets[z]], dtype=np.int64)
-            items = np.array([e.item for e in eval_sets[z]], dtype=np.int64)
-            truths = np.array([e.rating for e in eval_sets[z]], dtype=float)
+            users, items, truths = evals[z]
             preds = inference.predict_many(params, mats, mems, weights, 0, users, items)
             out.append(mae(preds, truths))
         return out
@@ -514,11 +500,8 @@ def _model_maes(
             factors = baselines.nmf_train(
                 matrix, rank=config.nmf_rank, iters=config.nmf_iters, seed=seed
             )
-            preds = [
-                baselines.nmf_predict(factors, e.user, e.item, train_ds.n_levels)
-                for e in eval_sets[z]
-            ]
-            truths = [e.rating for e in eval_sets[z]]
+            users, items, truths = evals[z]
+            preds = baselines.nmf_predict(factors, users, items, train_ds.n_levels)
             out.append(mae(preds, truths))
         return out
     raise DataError(f"unknown model {model!r}")

@@ -105,31 +105,74 @@ def memberships(params: PclfParams) -> MembershipVectors:
     )
 
 
-def _user_vector(mems: MembershipVectors, dims: ModelDims, domain: int, user: int):
-    if 0 <= user < dims.n_users[domain]:
-        return mems.p_u[dims.user_offset(domain) + user]
-    warnings.warn(
-        f"user {user} unseen in domain {domain}; using uniform membership",
-        stacklevel=3,
-    )
-    return np.full(dims.n_user_clusters, 1.0 / dims.n_user_clusters)
+def user_table(params: PclfParams, mems: MembershipVectors, domain: int) -> np.ndarray:
+    """One domain's user memberships, (M_z + 1, K); the last row is the
+    uniform membership every unseen user gets."""
+    dims = params.dims
+    start = dims.user_offset(domain)
+    return _with_uniform_row(mems.p_u[start:start + dims.n_users[domain]])
 
 
-def _common_item_vector(mems: MembershipVectors, dims: ModelDims, domain: int, item: int):
-    if 0 <= item < dims.n_items[domain]:
-        return mems.p_vcom[dims.item_offset(domain) + item]
-    warnings.warn(
-        f"item {item} unseen in domain {domain}; using uniform membership",
-        stacklevel=3,
-    )
-    return np.full(dims.n_common_clusters, 1.0 / dims.n_common_clusters)
+def item_table(params: PclfParams, mats: ClusterRatingMatrices, mems: MembershipVectors,
+               domain: int, w1: float) -> np.ndarray:
+    """Expected rating of each item of ``domain`` per user cluster,
+    ``w1 * p_vcom S_com^T + (1 - w1) * p_vspe S_spe^T``, (N_z + 1, K); the
+    last row is built from the uniform memberships of an unseen item."""
+    dims = params.dims
+    start = dims.item_offset(domain)
+    common = _with_uniform_row(mems.p_vcom[start:start + dims.n_items[domain]]) @ mats.s_com.T
+    if dims.n_specific_clusters[domain] == 0 and w1 != 1.0:
+        raise ModelError(f"domain {domain} has no specific clusters; predictions require w1 = 1")
+    if w1 == 1.0:
+        return common
+    specific = _with_uniform_row(mems.p_vspe[domain]) @ mats.s_spe[domain].T
+    return w1 * common + (1.0 - w1) * specific
 
 
-def _specific_item_vector(mems: MembershipVectors, dims: ModelDims, domain: int, item: int):
-    l_z = dims.n_specific_clusters[domain]
-    if 0 <= item < dims.n_items[domain]:
-        return mems.p_vspe[domain][item]
-    return np.full(l_z, 1.0 / l_z)
+def _with_uniform_row(rows: np.ndarray) -> np.ndarray:
+    return np.vstack([rows, np.full((1, rows.shape[1]), 1.0 / rows.shape[1])])
+
+
+def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: MembershipVectors,
+                  weights: PredictionWeights | None, cells, mix_specific: bool = False
+                  ) -> np.ndarray:
+    """Predicted ratings for rows of (user domain, user, item domain, item).
+
+    Each prediction is a user-table row dotted with an item-table row.  A
+    user or item outside its domain's index range gets the uniform row.
+    In-domain rows mix with their domain's weight; cross-domain rows use
+    the common pattern alone (w1 = 1) unless ``mix_specific`` blends in the
+    item domain's specific pattern with that domain's weight.
+    """
+    dims = params.dims
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 4)
+    for d in np.unique(cells[:, [0, 2]]).tolist():
+        if not 0 <= d < dims.n_domains:
+            raise ModelError(f"domain {d} out of range: the model has {dims.n_domains}")
+    blocks = cells[:, 0] * dims.n_domains + cells[:, 2]
+    out = np.empty(len(cells))
+    for block in np.unique(blocks).tolist():
+        du, dv = divmod(block, dims.n_domains)
+        rows = blocks == block
+        w1 = weights.w1[dv] if du == dv or mix_specific else 1.0
+        users = _table_rows(cells[rows, 1], dims.n_users[du])
+        items = _table_rows(cells[rows, 3], dims.n_items[dv])
+        out[rows] = np.einsum("ij,ij->i", user_table(params, mems, du)[users],
+                              item_table(params, mats, mems, dv, w1)[items])
+    return out
+
+
+def _table_rows(index: np.ndarray, size: int) -> np.ndarray:
+    """Each index's table row: itself if in [0, size), else the uniform row."""
+    return np.where((index >= 0) & (index < size), index, size)
+
+
+def _warn_unseen(dims: ModelDims, user: tuple[int, int], item: tuple[int, int]) -> None:
+    for kind, (domain, index), sizes in (("user", user, dims.n_users),
+                                         ("item", item, dims.n_items)):
+        if not 0 <= index < sizes[domain]:
+            warnings.warn(f"{kind} {index} unseen in domain {domain}; using uniform membership",
+                          stacklevel=3)
 
 
 def predict(
@@ -144,24 +187,11 @@ def predict(
     """Predicted rating for one in-domain cell, always within [1, R].
 
     Unseen users or items fall back to uniform memberships (with a
-    warning), which yields the cluster-prior-weighted mean.
+    warning), which averages the expected ratings over their clusters.
     """
-    dims = params.dims
-    w1 = weights.w1[domain]
-    pu = _user_vector(mems, dims, domain, user)
-    common = float(pu @ mats.s_com @ _common_item_vector(mems, dims, domain, item))
-    if dims.n_specific_clusters[domain] == 0:
-        if w1 != 1.0:
-            raise ModelError(
-                f"domain {domain} has no specific clusters; predictions require w1 = 1"
-            )
-        return common
-    if w1 == 1.0:
-        return common
-    specific = float(
-        pu @ mats.s_spe[domain] @ _specific_item_vector(mems, dims, domain, item)
-    )
-    return w1 * common + (1.0 - w1) * specific
+    value = predict_cells(params, mats, mems, weights, [domain, user, domain, item])[0]
+    _warn_unseen(params.dims, (domain, user), (domain, item))
+    return float(value)
 
 
 def predict_many(
@@ -181,21 +211,10 @@ def predict_many(
         raise ModelError("user index out of range; use predict() for fallbacks")
     if items.size and (items.min() < 0 or items.max() >= dims.n_items[domain]):
         raise ModelError("item index out of range; use predict() for fallbacks")
-    pu = mems.p_u[dims.user_offset(domain) + users]
-    pvc = mems.p_vcom[dims.item_offset(domain) + items]
-    common = np.einsum("nk,kt,nt->n", pu, mats.s_com, pvc)
-    w1 = weights.w1[domain]
-    if dims.n_specific_clusters[domain] == 0:
-        if w1 != 1.0:
-            raise ModelError(
-                f"domain {domain} has no specific clusters; predictions require w1 = 1"
-            )
-        return common
-    if w1 == 1.0:
-        return common
-    pvs = mems.p_vspe[domain][items]
-    specific = np.einsum("nk,kl,nl->n", pu, mats.s_spe[domain], pvs)
-    return w1 * common + (1.0 - w1) * specific
+    domains = np.full_like(users, domain)
+    return predict_cells(
+        params, mats, mems, weights, np.column_stack([domains, users, domains, items])
+    )
 
 
 def predict_cross(
@@ -214,26 +233,13 @@ def predict_cross(
     pattern using that domain's weights (the shared user clusters make the
     bilinear form well defined either way).
     """
-    (dom_u, u), (dom_v, v) = user, item
-    dims = params.dims
-    if dom_u == dom_v:
+    if user[0] == item[0]:
         raise ModelError("predict_cross requires distinct user and item domains")
-    for d in (dom_u, dom_v):
-        if not 0 <= d < dims.n_domains:
-            raise ModelError(f"domain {d} out of range")
-    pu = _user_vector(mems, dims, dom_u, u)
-    common = float(pu @ mats.s_com @ _common_item_vector(mems, dims, dom_v, v))
-    if not mix_specific:
-        return common
-    if dims.n_specific_clusters[dom_v] == 0:
-        return common
-    if weights is None:
+    if mix_specific and weights is None:
         raise ModelError("mix_specific=True needs the item domain's weights")
-    w1 = weights.w1[dom_v]
-    specific = float(
-        pu @ mats.s_spe[dom_v] @ _specific_item_vector(mems, dims, dom_v, v)
-    )
-    return w1 * common + (1.0 - w1) * specific
+    value = predict_cells(params, mats, mems, weights, [*user, *item], mix_specific)[0]
+    _warn_unseen(params.dims, user, item)
+    return float(value)
 
 
 def complete_matrix(
@@ -250,19 +256,6 @@ def complete_matrix(
     the full row of item predictions; the dense matrix itself is never
     materialized.
     """
-    dims = params.dims
-    n_items = dims.n_items[domain]
-    pvc = mems.p_vcom[dims.item_offset(domain): dims.item_offset(domain) + n_items]
-    w1 = weights.w1[domain]
-    has_specific = dims.n_specific_clusters[domain] > 0
-    if not has_specific and w1 != 1.0:
-        raise ModelError(
-            f"domain {domain} has no specific clusters; predictions require w1 = 1"
-        )
-    for u in range(dims.n_users[domain]):
-        pu = mems.p_u[dims.user_offset(domain) + u]
-        row = (pu @ mats.s_com) @ pvc.T
-        if has_specific and w1 != 1.0:
-            specific = (pu @ mats.s_spe[domain]) @ mems.p_vspe[domain].T
-            row = w1 * row + (1.0 - w1) * specific
-        sink(u, row)
+    items = item_table(params, mats, mems, domain, weights.w1[domain])[:-1]
+    for u, row in enumerate(user_table(params, mems, domain)[:-1]):
+        sink(u, items @ row)

@@ -242,3 +242,24 @@ class TestNmfPredict:
             nmf_predict(factors, 2, 0, 5)
         with pytest.raises(DataError):
             nmf_predict(factors, 0, -1, 5)
+
+    def test_index_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(0)
+        factors = NmfFactors(rng.random((4, 3)) * 2, rng.random((5, 3)) * 2, rank=3)
+        users, items = rng.integers(0, 4, size=30), rng.integers(0, 5, size=30)
+        batch = nmf_predict(factors, users, items, 5)
+        assert isinstance(nmf_predict(factors, 1, 2, 5), float)
+        np.testing.assert_allclose(
+            batch, [nmf_predict(factors, int(u), int(v), 5) for u, v in zip(users, items)],
+            rtol=0, atol=1e-12,
+        )
+        row = nmf_predict(factors, 2, np.arange(5), 5)
+        np.testing.assert_allclose(row, [nmf_predict(factors, 2, v, 5) for v in range(5)],
+                                   rtol=0, atol=1e-12)
+
+    def test_index_array_bounds(self):
+        factors = NmfFactors(np.ones((2, 1)), np.ones((2, 1)), rank=1)
+        with pytest.raises(DataError, match="user index 2"):
+            nmf_predict(factors, np.array([0, 2]), np.array([0, 1]), 5)
+        with pytest.raises(DataError, match="item index -1"):
+            nmf_predict(factors, np.array([0, 1]), np.array([-1, 0]), 5)

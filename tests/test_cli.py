@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from pclf import load_checkpoint, load_dataset
+from pclf import load_checkpoint, load_dataset, nmf_predict
 from pclf.cli import main
 
 
@@ -204,6 +205,36 @@ class TestPredict:
         assert rc == 0
         assert len(open(tmp_path / "p.csv").read().splitlines()) == 4
 
+    def test_mixed_cells_file_matches_library(self, trained, tmp_path, capsys):
+        _, ckpt_path = trained
+        cells = ["0,1,2", "1,3,4", "0,2,1,5", "1,0,0,7", "0,99,3", "1,2,50",
+                 "0,42,1,1", "1,6,0,77", "0,7,9"]
+        cells_file = tmp_path / "cells.txt"
+        cells_file.write_text("# mixed\n" + "\n".join(cells) + "\n")
+        out = str(tmp_path / "p.csv")
+        assert main(["predict", "--checkpoint", ckpt_path, "--cells", str(cells_file),
+                     "--out", out]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: 4 of 9 cells used a uniform membership for an unseen user or item"
+        ]
+        from pclf import (PredictionWeights, cluster_rating_matrices,
+                          memberships, predict, predict_cross)
+        ckpt = load_checkpoint(ckpt_path)
+        params = ckpt.params
+        mats, mems = cluster_rating_matrices(params), memberships(params)
+        weights = PredictionWeights(w1=tuple(ckpt.default_w1))
+        rows = [line.split(",") for line in open(out).read().splitlines()[2:]]
+        assert len(rows) == len(cells)
+        with pytest.warns(UserWarning, match="unseen"):
+            for row in rows:
+                du, u, dv, v = (int(x) for x in row[:4])
+                if du == dv:
+                    want = predict(params, mats, mems, weights, du, u, v)
+                else:
+                    want = predict_cross(params, mats, mems, (du, u), (dv, v), weights=weights)
+                assert float(row[4]) == pytest.approx(want, abs=5e-7)
+                assert row[5] == str(int(du != dv))
+
     def test_nothing_to_predict(self, trained, capsys):
         _, ckpt = trained
         rc = main(["predict", "--checkpoint", ckpt])
@@ -215,10 +246,13 @@ class TestPredict:
     ["predict", "--cell", "a,b,c"],
     ["predict", "--cell", "7,1,1"],
     ["predict", "--cell", "0,1,-1,2"],
+    ["predict", "--cell", "0,-3,5"],
+    ["predict", "--cell", "0,1,1,-2"],
     ["predict", "--complete", "9"],
     ["train", "--betas", "x"],
     ["train", "-L", "q"],
-], ids=["cell-not-int", "cell-domain", "cell-item-domain", "complete-domain", "betas", "L"])
+], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
+        "complete-domain", "betas", "L"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     if argv[0] == "predict":
@@ -228,6 +262,26 @@ def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("damage", [
+    "not-json", "n_levels", "n_users", "n_items", "user_ids", "item_ids",
+])
+def test_corrupt_manifest_one_line_error(trained, tmp_path, capsys, damage):
+    dataset, _ = trained
+    manifest = os.path.join(dataset, "manifest.json")
+    if damage == "not-json":
+        text = open(manifest).read()[:-10]
+    else:
+        doc = json.load(open(manifest))
+        del doc[damage]
+        text = json.dumps(doc)
+    open(manifest, "w").write(text)
+    assert main(["train", "--dataset", dataset, "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    if damage != "not-json":
+        assert repr(damage) in err[0]
 
 
 @pytest.mark.parametrize("field", ["dims", "seed", "trace"])
@@ -257,6 +311,55 @@ def test_no_specific_clusters_default_w1_predicts(rating_files, tmp_path, capsys
     assert main(["predict", "--checkpoint", ckpt, "--cell", "1,1,1", "--out", out]) == 0
     assert main(["predict", "--checkpoint", ckpt, "--complete", "1", "--out", out]) == 0
     assert "w1=0.35,1" in open(out).readline()
+
+
+@pytest.fixture
+def nmf_trained(rating_files, tmp_path, capsys):
+    dataset = str(tmp_path / "d0only")
+    assert main(["ingest", "--input", rating_files[0], "--scale", "1:5", "--out", dataset]) == 0
+    ckpt = str(tmp_path / "nmf.json")
+    assert main(["train", "--dataset", dataset, "--model", "nmf", "--rank", "2",
+                 "--nmf-iters", "20", "--out", ckpt]) == 0
+    capsys.readouterr()
+    return ckpt
+
+
+class TestPredictNmf:
+    def _rows(self, path):
+        lines = open(path).read().splitlines()
+        assert lines[:2] == ["# model_kind=nmf", "domain,user_idx,item_idx,predicted_rating"]
+        return [line.split(",") for line in lines[2:]]
+
+    def test_cells_match_nmf_predict(self, nmf_trained, tmp_path):
+        out = str(tmp_path / "p.csv")
+        assert main(["predict", "--checkpoint", nmf_trained, "--cell", "0,3,4",
+                     "--cell", "0,0,9", "--out", out]) == 0
+        ckpt = load_checkpoint(nmf_trained)
+        rows = self._rows(out)
+        assert [row[:3] for row in rows] == [["0", "3", "4"], ["0", "0", "9"]]
+        for row in rows:
+            want = nmf_predict(ckpt.factors, int(row[1]), int(row[2]), ckpt.n_levels)
+            assert float(row[3]) == pytest.approx(want, abs=5e-7)
+
+    def test_complete_matches_nmf_predict(self, nmf_trained, tmp_path):
+        out = str(tmp_path / "p.csv")
+        assert main(["predict", "--checkpoint", nmf_trained, "--complete", "0",
+                     "--out", out]) == 0
+        ckpt = load_checkpoint(nmf_trained)
+        rows = self._rows(out)
+        assert [(int(r[1]), int(r[2])) for r in rows] == [(u, v) for u in range(8)
+                                                          for v in range(10)]
+        for row in rows:
+            want = nmf_predict(ckpt.factors, int(row[1]), int(row[2]), ckpt.n_levels)
+            assert float(row[3]) == pytest.approx(want, abs=5e-7)
+
+    def test_domain_one_cell_rejected(self, nmf_trained, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--checkpoint", nmf_trained, "--cell", "0,1,1",
+                     "--cell", "1,0,0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestInspect:

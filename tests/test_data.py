@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +309,29 @@ class TestRoundTrip:
         save_dataset(tiny_dataset, str(tmp_path / "b"))
         for name in ("ratings.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("broken", ["ratings.csv", "manifest.json"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_dataset, monkeypatch,
+                                              broken):
+        save_dataset(tiny_dataset, str(tmp_path))
+        before = (tmp_path / broken).read_bytes()
+
+        def broken_writer(fh):
+            fh.write("domain,trunc")
+            raise OSError("disk full")
+
+        def broken_dump(doc, fh, **kwargs):
+            fh.write('{"format": "trunc')
+            raise OSError("disk full")
+
+        if broken == "ratings.csv":
+            monkeypatch.setattr(csv, "writer", broken_writer)
+        else:
+            monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(tiny_dataset.domain_view(0), str(tmp_path))
+        assert (tmp_path / broken).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "ratings.csv"]
 
 
 class TestDatasetViews:

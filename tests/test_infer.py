@@ -13,6 +13,7 @@ from pclf import (
     predict_cross,
     predict_many,
 )
+from pclf.inference import predict_cells
 
 from oracles import expected_rating, random_dims, random_params
 from test_core import permute_params
@@ -215,6 +216,37 @@ class TestPredict:
             assert batch[i] == pytest.approx(
                 predict(params, mats, mems, weights, 0, int(u), int(v)), abs=1e-12
             )
+
+
+class TestPredictCells:
+    def test_matches_bilinear_forms(self):
+        dims, params, mats, mems = _prediction_bundle(seed=18)
+        weights = PredictionWeights(w1=(0.35, 0.6))
+        cells = np.array([
+            [0, 1, 0, 1], [1, 0, 1, 2], [0, 2, 1, 0], [1, 1, 0, 1],
+            [0, 7, 0, 1], [1, 1, 1, 9], [0, 5, 1, 4], [1, 0, 0, 3],
+        ])
+
+        def membership(rows, offset, size, index):
+            if 0 <= index < size:
+                return rows[offset + index]
+            return np.full(rows.shape[1], 1.0 / rows.shape[1])
+
+        for mix_specific in (False, True):
+            got = predict_cells(params, mats, mems, weights, cells, mix_specific)
+            for (du, u, dv, v), value in zip(cells, got):
+                pu = membership(mems.p_u, dims.user_offset(du), dims.n_users[du], u)
+                pvc = membership(mems.p_vcom, dims.item_offset(dv), dims.n_items[dv], v)
+                pvs = membership(mems.p_vspe[dv], 0, dims.n_items[dv], v)
+                common = pu @ mats.s_com @ pvc
+                specific = pu @ mats.s_spe[dv] @ pvs
+                w1 = weights.w1[dv] if du == dv or mix_specific else 1.0
+                assert value == pytest.approx(w1 * common + (1 - w1) * specific, abs=1e-12)
+
+    def test_domain_out_of_range(self):
+        dims, params, mats, mems = _prediction_bundle(seed=19)
+        with pytest.raises(ModelError, match="domain 2 out of range"):
+            predict_cells(params, mats, mems, PredictionWeights.uniform(2), [[0, 0, 2, 0]])
 
 
 class TestPredictCross:
