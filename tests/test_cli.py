@@ -313,6 +313,25 @@ def test_no_specific_clusters_default_w1_predicts(rating_files, tmp_path, capsys
     assert "w1=0.35,1" in open(out).readline()
 
 
+def test_failed_weight_check_leaves_output_untouched(rating_files, tmp_path, capsys):
+    dataset, _ = _ingest(rating_files, tmp_path, capsys)
+    ckpt = str(tmp_path / "model.json")
+    assert main([
+        "train", "--dataset", dataset, "-K", "3", "-T", "2", "-L", "2,0",
+        "--betas", "1.0", "--max-iters", "3", "--out", ckpt,
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "preds.csv"
+    out.write_text("previous\n")
+    # domain 1 has no specific clusters, so w1 = 0.5 fails its check
+    for cells in (["--complete", "1"], ["--cell", "0,1,1", "--cell", "1,1,1"]):
+        argv = ["predict", "--checkpoint", ckpt, "--w1", "0.5", *cells, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "w1 = 1" in err[0]
+        assert out.read_text() == "previous\n"
+
+
 @pytest.fixture
 def nmf_trained(rating_files, tmp_path, capsys):
     dataset = str(tmp_path / "d0only")

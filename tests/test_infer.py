@@ -225,6 +225,7 @@ class TestPredictCells:
         cells = np.array([
             [0, 1, 0, 1], [1, 0, 1, 2], [0, 2, 1, 0], [1, 1, 0, 1],
             [0, 7, 0, 1], [1, 1, 1, 9], [0, 5, 1, 4], [1, 0, 0, 3],
+            [0, -2, 0, 1], [1, 0, 1, -3],
         ])
 
         def membership(rows, offset, size, index):
