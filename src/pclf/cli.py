@@ -30,6 +30,7 @@ from .data import (
     build_dataset,
     load_dataset,
     parse_ratings,
+    read_int_rows,
     save_dataset,
     select_subset,
 )
@@ -191,13 +192,13 @@ def cmd_predict(args) -> int:
         head = "# model_kind=nmf\ndomain,user_idx,item_idx,predicted_rating\n"
         with _output(args.out, head) as write:
             if cells is None:
-                sink, items = _row_sink(write, 0), np.arange(factors.v_factors.shape[0])
-                for u in range(factors.u_factors.shape[0]):
+                n_users = factors.u_factors.shape[0]
+                sink, items = _row_sink(write, 0, n_users), np.arange(factors.v_factors.shape[0])
+                for u in range(n_users):
                     sink(u, baselines.nmf_predict(factors, u, items, levels))
             else:
                 values = baselines.nmf_predict(factors, cells[:, 1], cells[:, 3], levels)
-                write("".join(f"0,{u},{v},{x:.6f}\n" for u, v, x in
-                              zip(*cells[:, [1, 3]].T.tolist(), values.tolist())))
+                _write_rows(write, cells[:, 0], cells[:, 1], cells[:, 3], values)
         return 0
 
     params = ckpt.params
@@ -217,14 +218,14 @@ def cmd_predict(args) -> int:
         _check_domain(args.complete, z)
         with _output(args.out, head + "domain,user_idx,item_idx,predicted_rating\n") as write:
             inference.complete_matrix(params, mats, mems, weights, args.complete,
-                                      _row_sink(write, args.complete))
+                                      _row_sink(write, args.complete,
+                                                params.dims.n_users[args.complete]))
         return 0
 
     values = inference.predict_cells(params, mats, mems, weights, cells, args.mix_specific)
     head += "user_domain,user_idx,item_domain,item_idx,predicted_rating,cross\n"
     with _output(args.out, head) as write:
-        write("".join(f"{du},{u},{dv},{v},{x:.6f},{int(du != dv)}\n"
-                      for du, u, dv, v, x in zip(*cells.T.tolist(), values.tolist())))
+        _write_rows(write, *cells.T, values, (cells[:, 0] != cells[:, 2]).astype(np.int64))
     unseen = ((cells[:, 1] >= np.take(params.dims.n_users, cells[:, 0]))
               | (cells[:, 3] >= np.take(params.dims.n_items, cells[:, 2]))).sum()
     if unseen:
@@ -240,13 +241,33 @@ def _check_domain(domain: int, n_domains: int) -> None:
 
 def _collect_cells(args) -> np.ndarray:
     """Every --cell and --cells cell as rows of (user domain, user, item domain, item)."""
-    cells = [_parse_cell(c) for c in (args.cell or [])]
+    cells = np.array([_parse_cell(c) for c in (args.cell or [])], dtype=np.int64).reshape(-1, 4)
     if args.cells:
-        with open(args.cells, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
+        cells = np.concatenate([cells, _read_cells(args.cells)])
+    return cells
+
+
+def _read_cells(path: str) -> np.ndarray:
+    """A --cells file's cells; a file that is not plain digit rows of one
+    width goes through ``_parse_cells_file``, which names a bad line."""
+    with open(path, "rb") as fh:
+        rows = read_int_rows(fh.read())
+    if rows is None or rows.shape[1] not in (3, 4):
+        return _parse_cells_file(path)
+    return rows[:, [0, 1, 0, 2]] if rows.shape[1] == 3 else rows
+
+
+def _parse_cells_file(path: str) -> np.ndarray:
+    """Parse a --cells file line by line; blank and ``#`` lines are skipped."""
+    cells = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
                     cells.append(_parse_cell(line))
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
     return np.array(cells, dtype=np.int64).reshape(-1, 4)
 
 
@@ -270,12 +291,115 @@ def _output(path, head: str):
             opened[0].close()
 
 
-def _row_sink(write, domain: int):
-    """``sink(user, row)`` that writes one user's row of a domain's predictions."""
+def _row_sink(write, domain: int, n_users: int):
+    """``sink(user, row)`` for one domain's rows of predictions in user
+    order.  Rows are buffered and written in blocks of about
+    ``BLOCK_ROWS`` cells; the last block goes out with user ``n_users - 1``."""
+    users, rows = [], []
+
     def complete_sink(u, row):
-        prefix = f"{domain},{u},"
-        write("".join([f"{prefix}{v},{x:.6f}\n" for v, x in enumerate(row.tolist())]))
+        users.append(u)
+        rows.append(row)
+        if u == n_users - 1 or (len(rows) + 1) * len(row) > BLOCK_ROWS:
+            n_items = len(row)
+            values = np.concatenate(rows)
+            _write_rows(write, np.full(len(values), domain), np.repeat(users, n_items),
+                        np.tile(np.arange(n_items), len(users)), values)
+            users.clear()
+            rows.clear()
     return complete_sink
+
+
+# rows formatted per call of _csv_rows, which bounds its buffers
+BLOCK_ROWS = 1 << 14
+
+
+def _digit_words(text) -> np.ndarray:
+    """One uint32 per number 0..999: the bytes of ``text(i)`` right-aligned
+    in three, NUL-padded, then a NUL."""
+    return np.frombuffer(b"".join(text(i).rjust(3, b"\0") + b"\0" for i in range(1000)),
+                         dtype=np.uint32)
+
+
+_FULL = _digit_words(lambda i: b"%03d" % i)            # a group below the leading one
+_LEAD = _digit_words(lambda i: b"%d" % i if i else b"")  # a leading group above the units
+_UNITS = _digit_words(lambda i: b"%d" % i)             # the units group when it leads
+
+
+def _write_rows(write, *columns) -> None:
+    """Write CSV rows of ``columns`` through ``write``, ``BLOCK_ROWS`` at a time."""
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        write(_csv_rows(*(c[start:start + BLOCK_ROWS] for c in columns)))
+
+
+def _csv_rows(*columns) -> str:
+    """CSV lines of equal-length columns: non-negative integers in decimal,
+    floats as ``f"{x:.6f}"`` does, byte for byte.
+
+    Every field is a row of 4-byte words, three ASCII digits and a NUL
+    each, with leading zeros as NUL and the separator in the last NUL;
+    the rows are laid side by side and the NULs dropped."""
+    words = [(_float_words if c.dtype.kind == "f" else _int_words)(
+        c, b"\n" if i == len(columns) - 1 else b",") for i, c in enumerate(columns)]
+    block = np.concatenate(words, axis=1)
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _int_words(x: np.ndarray, end: bytes, groups: int = 1) -> np.ndarray:
+    """Non-negative integers as (n, >= groups) words of 3-digit groups,
+    most significant first; the last word ends in ``end``."""
+    top = int(x.max()) if len(x) else 0
+    while top >= 1000 ** groups:
+        groups += 1
+    out = np.zeros((len(x), groups), np.uint32)
+    rest = x
+    for col in range(groups - 1, -1, -1):
+        table = _UNITS if col == groups - 1 else _LEAD
+        if top < 1000 ** (groups - col):    # no row has digits above this group
+            out[:, col] = table[rest]
+            break
+        higher = rest // 1000
+        group = rest - 1000 * higher
+        out[:, col] = np.where(higher > 0, _FULL[group], table[group])
+        rest = higher
+    out[:, -1] |= _end_word(end)
+    return out
+
+
+def _end_word(end: bytes) -> np.uint32:
+    """The word with ``end`` in its last byte, to OR into a field's last word."""
+    return np.frombuffer(b"\0\0\0" + end, dtype=np.uint32)[0]
+
+
+def _float_words(x: np.ndarray, end: bytes) -> np.ndarray:
+    """``f"{v:.6f}"`` of every value as words, as ``_int_words`` lays them.
+
+    Values in [0, 1000) are rounded as x * 1e6, which lies within 6e-8 of
+    the exact product there.  A value whose product falls within 1e-6 of a
+    half unit, where that error or a tie could change the rounding, and
+    every negative, non-finite or larger value are formatted by the
+    f-string itself."""
+    fast = ~np.signbit(x) & (x < 1e3)
+    scaled = np.where(fast, x, 0.0) * 1e6
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
+    units = np.rint(scaled).astype(np.int64)
+    whole = units // 1_000_000
+    decimals = units - 1_000_000 * whole
+    high = decimals // 1000
+    slow = np.flatnonzero(~fast)
+    texts = [f"{v:.6f}".encode() for v in x[slow].tolist()]
+    # room for the widest text before the separator byte
+    groups = max([1] + [-(-(len(t) + 1) // 4) - 2 for t in texts])
+    low = _FULL[decimals - 1000 * high] | _end_word(end)
+    out = np.concatenate([_int_words(whole, b".", groups), _FULL[high][:, None], low[:, None]],
+                         axis=1)
+    if texts:
+        field = out.view(np.uint8)
+        width = field.shape[1] - 1
+        field[slow, :width] = 0
+        for i, text in zip(slow.tolist(), texts):
+            field[i, width - len(text):width] = np.frombuffer(text, dtype=np.uint8)
+    return out
 
 
 def cmd_evaluate(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -264,35 +265,57 @@ class CrossDomainDataset:
     def from_indexed(
         cls,
         n_levels: int,
-        triples: list[RatingTriple],
+        triples: list[RatingTriple] | np.ndarray,
         n_users: list[int],
         n_items: list[int],
     ) -> "CrossDomainDataset":
-        """Build a dataset from already-dense triples with declared index sizes."""
+        """Build a dataset from already-dense triples with declared index sizes.
+
+        ``triples`` is a list of ``RatingTriple`` or an (S, 4) integer array
+        of (domain, user, item, level) rows.  The first triple outside the
+        declared sizes, in order, is reported.
+        """
+        if isinstance(triples, np.ndarray):
+            z, u, v, r = np.asarray(triples, dtype=np.int64).reshape(-1, 4).T
+        else:
+            try:
+                z, u, v, r = np.array([[t.domain for t in triples], [t.user for t in triples],
+                                       [t.item for t in triples], [t.rating for t in triples]],
+                                      dtype=np.int64).reshape(4, -1)
+            except OverflowError:   # a value past int64 lies outside every declared range
+                for t in triples:
+                    _check_triple(t, n_levels, n_users, n_items)
+                raise
         n_dom = len(n_users)
-        per_u: list[list[int]] = [[] for _ in range(n_dom)]
-        per_v: list[list[int]] = [[] for _ in range(n_dom)]
-        per_r: list[list[int]] = [[] for _ in range(n_dom)]
-        for t in triples:
-            if not 0 <= t.domain < n_dom:
-                raise DataError(f"domain {t.domain} out of range")
-            if not (0 <= t.user < n_users[t.domain] and 0 <= t.item < n_items[t.domain]):
-                raise DataError(f"triple {t} outside declared index space")
-            if not 1 <= t.rating <= n_levels:
-                raise DataError(f"rating level {t.rating} outside 1..{n_levels}")
-            per_u[t.domain].append(t.user)
-            per_v[t.domain].append(t.item)
-            per_r[t.domain].append(t.rating)
+        dom_ok = (z >= 0) & (z < n_dom)
+        # an out-of-range domain looks up the sizes of an empty extra domain
+        zi = np.where(dom_ok, z, n_dom)
+        ok = (dom_ok & (u >= 0) & (u < np.append(n_users, 0)[zi])
+              & (v >= 0) & (v < np.append(n_items, 0)[zi]) & (r >= 1) & (r <= n_levels))
+        if not ok.all():
+            i = np.argmin(ok)
+            bad = RatingTriple(int(z[i]), int(u[i]), int(v[i]), int(r[i]))
+            _check_triple(bad, n_levels, n_users, n_items)
         return cls(
             n_levels=n_levels,
-            users=[np.array(u, dtype=np.int64) for u in per_u],
-            items=[np.array(v, dtype=np.int64) for v in per_v],
-            ratings=[np.array(r, dtype=np.int64) for r in per_r],
+            users=[u[z == d] for d in range(n_dom)],
+            items=[v[z == d] for d in range(n_dom)],
+            ratings=[r[z == d] for d in range(n_dom)],
             n_users=list(n_users),
             n_items=list(n_items),
             user_ids=[[str(i) for i in range(m)] for m in n_users],
             item_ids=[[str(i) for i in range(n)] for n in n_items],
         )
+
+
+def _check_triple(t: RatingTriple, n_levels: int, n_users: list[int],
+                  n_items: list[int]) -> None:
+    if not 0 <= t.domain < len(n_users):
+        raise DataError(f"domain {t.domain} out of range")
+    if not (0 <= t.user < n_users[t.domain] and 0 <= t.item < n_items[t.domain]):
+        raise DataError(f"triple {t} outside declared index space")
+    if not 1 <= t.rating <= n_levels:
+        raise DataError(f"rating level {t.rating} outside 1..{n_levels}")
 
 
 def build_dataset(
@@ -391,6 +414,7 @@ def given_n_split(
 
 
 DATASET_FORMAT = "pclf-dataset-v1"
+RATINGS_HEADER = ["domain", "user_idx", "item_idx", "rating"]
 
 
 @contextlib.contextmanager
@@ -413,7 +437,7 @@ def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     with atomic_write(os.path.join(directory, "ratings.csv")) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["domain", "user_idx", "item_idx", "rating"])
+        writer.writerow(RATINGS_HEADER)
         for t in dataset.triples():
             writer.writerow([t.domain, t.user, t.item, t.rating])
     manifest = {
@@ -446,27 +470,65 @@ def load_dataset(directory: str) -> CrossDomainDataset:
     for key in ("n_levels", "n_users", "n_items", "user_ids", "item_ids"):
         if key not in manifest:
             raise DataError(f"dataset manifest {manifest_path} lacks {key!r}")
-    triples = []
-    ratings_path = os.path.join(directory, "ratings.csv")
-    with open(ratings_path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["domain", "user_idx", "item_idx", "rating"]:
-            raise DataError(f"unexpected ratings.csv header: {header}")
-        for row in reader:
-            try:
-                z, u, v, r = (int(x) for x in row)
-            except ValueError:
-                raise DataError(
-                    f"{ratings_path}:{reader.line_num}: expected 4 integers, got {row}"
-                ) from None
-            triples.append(RatingTriple(z, u, v, r))
     ds = CrossDomainDataset.from_indexed(
         n_levels=manifest["n_levels"],
-        triples=triples,
+        triples=_read_ratings_csv(os.path.join(directory, "ratings.csv")),
         n_users=manifest["n_users"],
         n_items=manifest["n_items"],
     )
     ds.user_ids = manifest["user_ids"]
     ds.item_ids = manifest["item_ids"]
     return ds
+
+
+def read_int_rows(data: bytes) -> np.ndarray | None:
+    """Rows of comma-separated decimal integers as an (n, width) int64 array.
+
+    Only text made of digits, commas and LF or CRLF line ends, with no
+    blank line and the same number of non-empty fields on every line, is
+    read; anything else gives None, and the caller's line-by-line parser
+    then accepts or rejects it with a diagnostic.
+    """
+    text = data.replace(b"\r\n", b"\n")
+    if (not text or text.startswith(b"\n") or b"\n\n" in text
+            or text.translate(None, b"0123456789,\n")):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text.decode("ascii")), dtype=np.int64,
+                          delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_ratings_csv(path: str) -> np.ndarray | list[RatingTriple]:
+    """ratings.csv as (S, 4) rows; a file ``read_int_rows`` does not take
+    goes through ``_parse_ratings_csv``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, _, body = data.partition(b"\n")
+    if head.removesuffix(b"\r") == ",".join(RATINGS_HEADER).encode():
+        if not body:
+            return np.empty((0, 4), dtype=np.int64)
+        rows = read_int_rows(body)
+        if rows is not None and rows.shape[1] == 4:
+            return rows
+    return _parse_ratings_csv(path)
+
+
+def _parse_ratings_csv(path: str) -> list[RatingTriple]:
+    """Parse ratings.csv row by row, naming the line of a malformed row."""
+    triples = []
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RATINGS_HEADER:
+            raise DataError(f"unexpected ratings.csv header: {header}")
+        for row in reader:
+            try:
+                z, u, v, r = (int(x) for x in row)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{reader.line_num}: expected 4 integers, got {row}"
+                ) from None
+            triples.append(RatingTriple(z, u, v, r))
+    return triples

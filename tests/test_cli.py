@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pclf import load_checkpoint, load_dataset, nmf_predict
-from pclf.cli import main
+from pclf import cli, load_checkpoint, load_dataset, nmf_predict
+from pclf.cli import _csv_rows, main
 
 
 @pytest.fixture
@@ -530,3 +532,156 @@ class TestSynthAndEvaluate:
         assert rc == 0
         results = open(f"{out}/results.csv").read().splitlines()
         assert len(results) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("0,1", "cell must be"),
+    ("0,1,x", "cell must be"),
+    ("0,-3,5", "indices must be >= 0"),
+    ("0,2,1,-1", "indices must be >= 0"),
+], ids=["short", "not-int", "negative-user", "negative-item"])
+def test_cells_file_error_names_line(trained, tmp_path, capsys, line, reason):
+    _, ckpt = trained
+    cells = tmp_path / "cells.txt"
+    cells.write_text(f"0,0,0\n# a comment\n{line}\n0,1,1\n")
+    assert main(["predict", "--checkpoint", ckpt, "--cells", str(cells)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cells}:3: ")
+    assert reason in err[0]
+
+
+def _formatted(*columns) -> str:
+    """The f-string lines the CSV writer replaces."""
+    return "".join(
+        ",".join(f"{x:.6f}" if isinstance(x, float) else f"{x}" for x in row) + "\n"
+        for row in zip(*(c.tolist() for c in columns))
+    )
+
+
+def _check_writer(ints, values):
+    ints = np.asarray(ints, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    tail = ints[::-1].copy()
+    assert _csv_rows(ints, values, tail) == _formatted(ints, values, tail)
+    assert _csv_rows(ints, tail, values) == _formatted(ints, tail, values)
+
+
+index_columns = st.lists(
+    st.one_of(st.sampled_from([0, 1, 9, 10, 99, 100, 999, 1000, 1001, 999_999, 10**6]),
+              st.integers(0, 10).map(lambda k: 10**k), st.integers(0, 2**63 - 1)),
+    min_size=1, max_size=40)
+
+
+class TestCsvWriter:
+    """``cli._csv_rows`` writes the bytes of the f-strings it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_float(self, data):
+        values = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                    min_size=1, max_size=40))
+        ints = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(values),
+                                  max_size=len(values)))
+        _check_writer(ints, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 128 * 12), min_size=1, max_size=40), index_columns)
+    def test_exact_ties(self, numerators, ints):
+        # j/128 has seven decimals, so the sixth rounds half to even
+        values = [j / 128 for j in numerators]
+        _check_writer((ints * len(values))[:len(values)], values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 999_999_999), st.floats(-1e-9, 1e-9)),
+                    min_size=1, max_size=40))
+    def test_near_rounding_boundary(self, points):
+        # the doubles nearest a half unit of the sixth decimal, and others
+        # within 1e-9 of it
+        half = np.array([(k + 0.5) / 1e6 for k, _ in points])
+        values = np.concatenate([half, np.nextafter(half, 0), np.nextafter(half, np.inf),
+                                 half + [d for _, d in points]])
+        _check_writer(range(len(values)), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 20), index_columns)
+    def test_integer_levels(self, levels, ints):
+        values = [float(r) for r in range(1, levels + 1)] + [levels - 4e-7, 9.9999996]
+        _check_writer((ints * len(values))[:len(values)], values)
+
+    def test_carry_into_new_digit(self):
+        assert _csv_rows(np.array([0]), np.array([9.9999996])) == "0,10.000000\n"
+        _check_writer([0, 1], [999.9999996, 99.9999995])
+
+    def test_negative_zero_and_tiny_negatives(self):
+        assert _csv_rows(np.array([0, 1]), np.array([-0.0, -4e-7])) == (
+            "0,-0.000000\n1,-0.000000\n")
+        _check_writer([0, 1, 2], [-0.0, -1e-9, 0.0])
+
+    @pytest.mark.parametrize("block_rows", [2, 7, 1 << 14])
+    def test_complete_rows_cross_digit_boundaries(self, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(1, 12, size=(1002, 3))
+        written = []
+        sink = cli._row_sink(written.append, 1, len(rows))
+        for u, row in enumerate(rows):
+            sink(u, row)
+        users = np.repeat(np.arange(len(rows)), 3)
+        items = np.tile(np.arange(3), len(rows))
+        assert "".join(written) == _formatted(np.ones_like(users), users, items, rows.ravel())
+        if block_rows > len(rows.ravel()):
+            assert len(written) == 1    # users 9|10, 99|100 and 999|1000 share a block
+
+
+@pytest.mark.parametrize("text", [
+    "0,1,2\n1,3,4\n",
+    "0,1,2\r\n1,3,4\r\n",
+    "0,1,2\n0,1,1,3\n",
+    "# cells\n0,1,2\n",
+    "0,1,2\n\n1,3,4\n",
+    "\n0,1,2",
+    " 0,1,2 \n\t1,3,4\n",
+    "+1,1,2\n",
+    "1_0,1,2\n",
+    "1.0,1,2\n",
+    "0,1,2 # x\n",
+    "0,1,2#9\n",
+    "0,-1,2\n",
+    "0,1,-2\n",
+    "0,1\n",
+    "0,1,2,3,4\n",
+    "0,,2\n",
+    "0,1,2,\n",
+    "",
+    "\n\n",
+    "9223372036854775807,1,2\n",
+    "9223372036854775808,1,2\n",
+], ids=["lf", "crlf", "mixed-3-4", "comment-line", "blank-line", "leading-blank",
+        "whitespace", "plus", "underscore", "decimal", "trailing-comment", "glued-comment",
+        "negative-user", "negative-item", "two-fields", "five-fields", "empty-field",
+        "trailing-comma", "empty", "only-blank", "int64-max", "past-int64"])
+def test_cells_reader_matches_line_parser(tmp_path, text):
+    path = tmp_path / "cells.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(cli._read_cells, path) == _outcome(cli._parse_cells_file, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="0123456789,\n\r #+-_.\t", max_size=40),
+    st.text(alphabet="0123456789,\n#", max_size=40),
+    st.lists(st.lists(st.integers(0, 10**4).map(str), min_size=3, max_size=4)
+             .map(",".join), max_size=8).map("\n".join),
+))
+def test_cells_reader_matches_line_parser_property(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cells") / "cells.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(cli._read_cells, path) == _outcome(cli._parse_cells_file, path)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, as a list, or the error it raises."""
+    try:
+        return read(str(path)).tolist()
+    except Exception as exc:   # the two readers must fail alike
+        return type(exc).__name__, str(exc)

@@ -20,6 +20,7 @@ from pclf import (
     save_dataset,
     select_subset,
 )
+from pclf.data import _parse_ratings_csv, _read_ratings_csv
 
 
 class TestNormalizeScale:
@@ -332,6 +333,87 @@ class TestRoundTrip:
             save_dataset(tiny_dataset.domain_view(0), str(tmp_path))
         assert (tmp_path / broken).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "ratings.csv"]
+
+
+def _replace_line_4(directory, row):
+    """Put ``row`` on line 4 of ratings.csv (the header is line 1), keeping
+    the CRLF line ends save_dataset writes."""
+    ratings = directory / "ratings.csv"
+    lines = ratings.read_bytes().decode().split("\r\n")
+    lines[3] = row
+    ratings.write_bytes("\r\n".join(lines).encode())
+    return str(ratings)
+
+
+class TestRatingsReader:
+    """load_dataset's one-read path accepts and rejects what the
+    row-by-row parser does, with the same messages."""
+
+    @pytest.mark.parametrize("row, message", [
+        ("", "{path}:4: expected 4 integers, got []"),
+        ('0,"1,2",1,3', "{path}:4: expected 4 integers, got ['0', '1,2', '1', '3']"),
+        ("0,1,1,3,7", "{path}:4: expected 4 integers, got ['0', '1', '1', '3', '7']"),
+        ("0,1,1.0,3", "{path}:4: expected 4 integers, got ['0', '1', '1.0', '3']"),
+        ("0,1,1,3#", "{path}:4: expected 4 integers, got ['0', '1', '1', '3#']"),
+        ("1,5,0,2", "triple RatingTriple(domain=1, user=5, item=0, rating=2) "
+                    "outside declared index space"),
+        ("0,1,1,6", "rating level 6 outside 1..5"),
+        ("2,0,0,1", "domain 2 out of range"),
+        ("0,-1,0,1", "triple RatingTriple(domain=0, user=-1, item=0, rating=1) "
+                     "outside declared index space"),
+        ("0,99999999999999999999,0,1", "triple RatingTriple(domain=0, "
+         "user=99999999999999999999, item=0, rating=1) outside declared index space"),
+    ], ids=["blank", "quoted-comma", "extra-column", "not-integer", "comment", "user-range",
+            "level-range", "domain-range", "negative", "past-int64"])
+    def test_bad_row_message(self, tmp_path, tiny_dataset, row, message):
+        save_dataset(tiny_dataset, str(tmp_path))
+        path = _replace_line_4(tmp_path, row)
+        with pytest.raises(DataError) as exc:
+            load_dataset(str(tmp_path))
+        assert str(exc.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("row", ['0,"1",1,3', " 0, 1, 1, 3", "+0,1,1,3", "0,01,1,3"])
+    def test_row_only_the_parser_reads(self, tmp_path, tiny_dataset, row):
+        save_dataset(tiny_dataset, str(tmp_path))
+        _replace_line_4(tmp_path, row)
+        loaded = load_dataset(str(tmp_path))
+        expected = tiny_dataset.triples()
+        expected[2] = RatingTriple(0, 1, 1, 3)
+        assert loaded.triples() == expected
+
+    def test_first_bad_triple_in_order_is_named(self):
+        triples = [RatingTriple(0, 0, 0, 1), RatingTriple(0, 0, 0, 9),
+                   RatingTriple(3, 0, 0, 1), RatingTriple(0, 7, 0, 1)]
+        for rows in (triples, np.array([[t.domain, t.user, t.item, t.rating]
+                                        for t in triples])):
+            with pytest.raises(DataError, match=r"^rating level 9 outside 1\.\.5$"):
+                CrossDomainDataset.from_indexed(5, rows, [2], [2])
+
+    def test_array_and_list_build_the_same_dataset(self, tiny_dataset):
+        triples = tiny_dataset.triples()
+        rows = np.array([[t.domain, t.user, t.item, t.rating] for t in triples])
+        ds = CrossDomainDataset.from_indexed(5, rows, [3, 2], [2, 3])
+        assert ds.triples() == triples
+        assert all(a.dtype == np.int64 for a in ds.users + ds.items + ds.ratings)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="0123456789,\n\r \"+-.#", max_size=40),
+        st.lists(st.lists(st.integers(0, 4).map(str), min_size=3, max_size=5)
+                 .map(",".join), max_size=8).map("\r\n".join),
+    ))
+    def test_reader_matches_parser(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("ratings") / "ratings.csv"
+        path.write_bytes(b"domain,user_idx,item_idx,rating\r\n" + body.encode())
+
+        def outcome(read):
+            try:
+                return CrossDomainDataset.from_indexed(
+                    5, read(str(path)), [3, 3], [3, 3]).triples()
+            except Exception as exc:   # the two readers must fail alike
+                return type(exc).__name__, str(exc)
+
+        assert outcome(_read_ratings_csv) == outcome(_parse_ratings_csv)
 
 
 class TestDatasetViews:

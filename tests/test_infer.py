@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,26 @@ class TestPredictCells:
                 specific = pu @ mats.s_spe[dv] @ pvs
                 w1 = weights.w1[dv] if du == dv or mix_specific else 1.0
                 assert value == pytest.approx(w1 * common + (1 - w1) * specific, abs=1e-12)
+
+    def test_scalar_calls_match_batch(self):
+        dims, params, mats, mems = _prediction_bundle(seed=20)
+        weights = PredictionWeights(w1=(0.35, 0.6))
+        cells = [
+            [0, 1, 0, 1], [1, 0, 1, 2], [0, 2, 1, 0], [1, 1, 0, 1],
+            [0, 7, 0, 1], [1, 1, 1, 9], [0, 5, 1, 4], [1, 0, 0, 3],
+            [0, -2, 0, 1], [1, 0, 1, -3], [0, 1, 1, -1], [1, -4, 0, 0],
+        ]
+        for mix_specific in (False, True):
+            batch = predict_cells(params, mats, mems, weights, cells, mix_specific)
+            for (du, u, dv, v), want in zip(cells, batch):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # unseen indices warn
+                    if du == dv:
+                        got = predict(params, mats, mems, weights, du, u, v)
+                    else:
+                        got = predict_cross(params, mats, mems, (du, u), (dv, v),
+                                            weights=weights, mix_specific=mix_specific)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_domain_out_of_range(self):
         dims, params, mats, mems = _prediction_bundle(seed=19)
