@@ -33,6 +33,7 @@ from .data import (
     read_int_rows,
     save_dataset,
     select_subset,
+    text_lines,
 )
 from .em import ModelDims, ModelError, TrainConfig, train
 
@@ -173,6 +174,8 @@ def _parse_cell(text: str) -> tuple[int, int, int, int]:
         )
     if parts[1] < 0 or parts[-1] < 0:
         raise DataError(f"cell user and item indices must be >= 0, got {text!r}")
+    if max(parts) > np.iinfo(np.int64).max or min(parts) < np.iinfo(np.int64).min:
+        raise DataError(f"cell indices must fit in 64 bits, got {text!r}")
     if len(parts) == 3:
         return parts[0], parts[1], parts[0], parts[2]
     return parts[0], parts[1], parts[2], parts[3]
@@ -261,7 +264,7 @@ def _parse_cells_file(path: str) -> np.ndarray:
     """Parse a --cells file line by line; blank and ``#`` lines are skipped."""
     cells = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(text_lines(fh, path), start=1):
             line = line.strip()
             if line and not line.startswith("#"):
                 try:
@@ -407,7 +410,8 @@ def cmd_evaluate(args) -> int:
     if args.repeats is not None:
         config.n_repeats = args.repeats
     os.makedirs(args.out, exist_ok=True)
-    report = evaluate.run_experiment(config, log=print if args.verbose else None)
+    report = evaluate.run_experiment(config, log=print if args.verbose else None,
+                                     note=lambda line: print(line, file=sys.stderr))
     with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as fh:
         fh.write(evaluate.raw_results_csv(report))
     table = evaluate.report_table(report, fmt="plain")

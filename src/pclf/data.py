@@ -91,7 +91,7 @@ def parse_ratings(
     except OSError as exc:
         raise DataError(f"cannot read ratings file {path}: {exc}") from exc
     with handle:
-        for lineno, line in enumerate(handle, start=1):
+        for lineno, line in enumerate(text_lines(handle, path), start=1):
             if skip_header and lineno == 1:
                 continue
             line = line.rstrip("\n").rstrip("\r")
@@ -236,21 +236,34 @@ class CrossDomainDataset:
             item_ids=[list(self.item_ids[z])],
         )
 
-    def restrict(self, triples: list[RatingTriple]) -> "CrossDomainDataset":
+    def restrict(self, triples: list[RatingTriple] | None = None, *,
+                 positions: list[np.ndarray] | None = None) -> "CrossDomainDataset":
         """Dataset containing only ``triples`` but keeping the full index space.
 
-        Used to train on a split's train pool while preserving user/item
+        Given ``positions`` instead, one index array per domain into this
+        dataset's arrays, it keeps those ratings in that order.  Used to
+        train on a split's train pool while preserving user/item
         identities for later evaluation.
         """
-        per_domain: list[list[RatingTriple]] = [[] for _ in range(self.n_domains)]
-        for t in triples:
-            self._check_domain(t.domain)
-            per_domain[t.domain].append(t)
+        if positions is None:
+            per_domain: list[list[RatingTriple]] = [[] for _ in range(self.n_domains)]
+            for t in triples:
+                self._check_domain(t.domain)
+                per_domain[t.domain].append(t)
+            columns = [[np.array([getattr(t, key) for t in ts], dtype=np.int64)
+                        for ts in per_domain] for key in ("user", "item", "rating")]
+        else:
+            if len(positions) != self.n_domains:
+                raise DataError(f"restrict needs {self.n_domains} position arrays, "
+                                f"got {len(positions)}")
+            columns = [[col[pos] for col, pos in zip(cols, positions)]
+                       for cols in (self.users, self.items, self.ratings)]
+        users, items, ratings = columns
         return CrossDomainDataset(
             n_levels=self.n_levels,
-            users=[np.array([t.user for t in ts], dtype=np.int64) for ts in per_domain],
-            items=[np.array([t.item for t in ts], dtype=np.int64) for ts in per_domain],
-            ratings=[np.array([t.rating for t in ts], dtype=np.int64) for ts in per_domain],
+            users=users,
+            items=items,
+            ratings=ratings,
             n_users=list(self.n_users),
             n_items=list(self.n_items),
             user_ids=[list(ids) for ids in self.user_ids],
@@ -387,6 +400,34 @@ def given_n_split(
     """Split one domain: the first ``n_train_users`` users contribute everything,
     each remaining (test) user contributes a random sample of ``n_given``
     ratings to the train pool and the rest to the evaluation set.
+
+    Both lists run by user ascending and keep the dataset's order within
+    a user.
+    """
+    train, evaluation = _given_n_positions(dataset, domain, n_train_users, n_given, seed)
+    z = domain
+    columns = (dataset.users[z], dataset.items[z], dataset.ratings[z])
+
+    def triples(positions):
+        return [RatingTriple(z, u, v, r)
+                for u, v, r in zip(*(c[positions].tolist() for c in columns))]
+
+    return GivenNSplit(train_pool=triples(train), eval_set=triples(evaluation),
+                       n_given=n_given, seed=seed)
+
+
+def _given_n_positions(
+    dataset: CrossDomainDataset,
+    domain: int,
+    n_train_users: int,
+    n_given: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``given_n_split`` as positions into the domain's arrays: (train, eval).
+
+    Test users draw their ``n_given`` kept ratings with one
+    ``rng.choice(n_rated, size=min(n_given, n_rated), replace=False)``
+    each, in ascending user order.
     """
     dataset._check_domain(domain)
     m = dataset.n_users[domain]
@@ -394,23 +435,17 @@ def given_n_split(
         raise DataError(f"n_train_users must be in [0, {m}), got {n_train_users}")
     if n_given < 0:
         raise DataError("n_given must be >= 0")
-    z = domain
-    by_user: dict[int, list[RatingTriple]] = {}
-    for u, v, r in zip(dataset.users[z], dataset.items[z], dataset.ratings[z]):
-        by_user.setdefault(int(u), []).append(RatingTriple(z, int(u), int(v), int(r)))
-
+    order = np.argsort(dataset.users[domain], kind="stable")
+    users = dataset.users[domain][order]
+    starts = np.flatnonzero(np.diff(users, prepend=-1))
+    counts = np.diff(np.append(starts, len(users)))
+    first_test = int(np.searchsorted(users[starts], n_train_users))
+    keep = np.zeros(len(users), dtype=bool)
+    keep[:starts[first_test] if first_test < len(starts) else len(users)] = True
     rng = np.random.default_rng(seed)
-    train, evaluation = [], []
-    for u in sorted(by_user):
-        rows = by_user[u]
-        if u < n_train_users:
-            train.extend(rows)
-            continue
-        k = min(n_given, len(rows))
-        chosen = set(rng.choice(len(rows), size=k, replace=False).tolist())
-        for idx, t in enumerate(rows):
-            (train if idx in chosen else evaluation).append(t)
-    return GivenNSplit(train_pool=train, eval_set=evaluation, n_given=n_given, seed=seed)
+    for start, count in zip(starts[first_test:].tolist(), counts[first_test:].tolist()):
+        keep[start + rng.choice(count, size=min(n_given, count), replace=False)] = True
+    return order[keep], order[~keep]
 
 
 DATASET_FORMAT = "pclf-dataset-v1"
@@ -435,11 +470,14 @@ def atomic_write(path: str):
 def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
     """Write the canonical dump: ratings.csv plus manifest.json with counts and ID maps."""
     os.makedirs(directory, exist_ok=True)
+    rows = np.concatenate([
+        np.column_stack([np.full(len(dataset.users[z]), z), dataset.users[z],
+                         dataset.items[z], dataset.ratings[z]])
+        for z in range(dataset.n_domains)
+    ])
     with atomic_write(os.path.join(directory, "ratings.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RATINGS_HEADER)
-        for t in dataset.triples():
-            writer.writerow([t.domain, t.user, t.item, t.rating])
+        csv.writer(fh).writerow(RATINGS_HEADER)   # csv ends rows with CRLF
+        np.savetxt(fh, rows, fmt="%d", delimiter=",", newline="\r\n")
     manifest = {
         "format": DATASET_FORMAT,
         "n_domains": dataset.n_domains,
@@ -481,6 +519,15 @@ def load_dataset(directory: str) -> CrossDomainDataset:
     return ds
 
 
+def text_lines(handle, path: str):
+    """The lines of a text file opened as UTF-8; a byte that is not UTF-8
+    raises ``DataError`` naming ``path``."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def read_int_rows(data: bytes) -> np.ndarray | None:
     """Rows of comma-separated decimal integers as an (n, width) int64 array.
 
@@ -519,7 +566,7 @@ def _parse_ratings_csv(path: str) -> list[RatingTriple]:
     """Parse ratings.csv row by row, naming the line of a malformed row."""
     triples = []
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(text_lines(fh, path))
         header = next(reader, None)
         if header != RATINGS_HEADER:
             raise DataError(f"unexpected ratings.csv header: {header}")

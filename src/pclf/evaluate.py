@@ -20,8 +20,8 @@ from .data import (
     DataError,
     RatingTriple,
     ScaleSpec,
+    _given_n_positions,
     build_dataset,
-    given_n_split,
     parse_ratings,
     select_subset,
 )
@@ -117,16 +117,9 @@ def _params_from_memberships(dims, mem_u, mem_vcom, mem_vspe, rate_com, rate_spe
     )
 
 
-def synth_generate(spec: SyntheticSpec) -> tuple[CrossDomainDataset, PclfParams]:
-    """Sample a dataset from a planted model and return both.
-
-    Each observed cell picks the common component with probability w1,
-    then latent clusters from the entity memberships, then a level from
-    the matching rating table.  The returned parameters are the exact
-    generating model, usable as an oracle.
-    """
+def _planted_params(spec: SyntheticSpec, rng: np.random.Generator) -> PclfParams:
+    """The generating model: ``spec.params``, or one drawn from ``rng``."""
     dims = spec.dims
-    rng = np.random.default_rng(spec.seed)
     if spec.params is not None:
         params = spec.params
     else:
@@ -164,9 +157,29 @@ def synth_generate(spec: SyntheticSpec) -> tuple[CrossDomainDataset, PclfParams]
             dims, mem_u, mem_vcom, mem_vspe, rate_com, rate_spe
         )
     params.validate()
+    return params
+
+
+def synth_generate(spec: SyntheticSpec) -> tuple[CrossDomainDataset, PclfParams]:
+    """Sample a dataset from a planted model and return both.
+
+    Each observed cell picks the common component with probability w1,
+    then latent clusters from the entity memberships, then a level from
+    the matching rating table.  The returned parameters are the exact
+    generating model, usable as an oracle.
+
+    The random stream is fixed: the model draws, then per domain the
+    cells (``rng.choice(M*N, replace=False)``), one uniform per cell for
+    the component, and three uniforms per cell for its user cluster, item
+    cluster and level, each turned into an index as ``Generator.choice``
+    does.
+    """
+    dims = spec.dims
+    rng = np.random.default_rng(spec.seed)
+    params = _planted_params(spec, rng)
     mems = inference.memberships(params)
 
-    triples: list[RatingTriple] = []
+    blocks = []
     for z in range(dims.n_domains):
         m, n = dims.n_users[z], dims.n_items[z]
         n_cells = int(round(spec.density * m * n))
@@ -175,24 +188,43 @@ def synth_generate(spec: SyntheticSpec) -> tuple[CrossDomainDataset, PclfParams]
         flat = rng.choice(m * n, size=n_cells, replace=False)
         users, items = flat // n, flat % n
         use_common = rng.random(n_cells) < spec.w1[z]
-        for u, v, com in zip(users, items, use_common):
-            pu = mems.p_u[dims.user_offset(z) + u]
-            k = rng.choice(dims.n_user_clusters, p=pu)
-            if com or dims.n_specific_clusters[z] == 0:
-                t = rng.choice(dims.n_common_clusters, p=mems.p_vcom[dims.item_offset(z) + v])
-                table = params.rate_com[k, t]
-            else:
-                l = rng.choice(dims.n_specific_clusters[z], p=mems.p_vspe[z][v])
-                table = params.rate_spe[z][k, l]
-            level = int(rng.choice(dims.n_levels, p=table)) + 1
-            triples.append(RatingTriple(z, int(u), int(v), level))
+        if dims.n_specific_clusters[z] == 0:
+            use_common[:] = True
+        # the uniforms of each cell's user, item-cluster and level draws
+        draws = rng.random((n_cells, 3))
+        k = _replay_choice(mems.p_u[dims.user_offset(z) + users], draws[:, 0])
+        tables = np.empty((n_cells, dims.n_levels))
+        com, spe = use_common, ~use_common
+        t = _replay_choice(mems.p_vcom[dims.item_offset(z) + items[com]], draws[com, 1])
+        tables[com] = params.rate_com[k[com], t]
+        l = _replay_choice(mems.p_vspe[z][items[spe]], draws[spe, 1])
+        tables[spe] = params.rate_spe[z][k[spe], l]
+        levels = _replay_choice(tables, draws[:, 2]) + 1
+        blocks.append(np.column_stack([np.full(n_cells, z), users, items, levels]))
     dataset = CrossDomainDataset.from_indexed(
         n_levels=dims.n_levels,
-        triples=triples,
+        triples=np.concatenate(blocks),
         n_users=list(dims.n_users),
         n_items=list(dims.n_items),
     )
     return dataset, params
+
+
+_CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)
+
+
+def _replay_choice(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rng.choice(p.shape[1], p=row)`` for every row of ``p``, given the
+    uniform ``u`` each call draws: the count of entries of the row's
+    normalized cumulative sum that are ``<= u``, which is the index
+    ``Generator.choice`` takes.  A row with a negative entry, or whose sum
+    is off 1 by more than ``choice`` allows, raises as ``choice`` would."""
+    sums = p.sum(axis=1)
+    if (p < 0).any() or not (np.abs(sums - 1.0) <= _CHOICE_ATOL).all():
+        raise DataError("a sampling distribution has a negative entry or does not sum to 1")
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -382,6 +414,7 @@ class ResultRow:
 class ResultsReport:
     rows: list[ResultRow]
     domain_names: list[str]
+    given_n: list[int] = field(default_factory=list)   # settings run, scored or not
 
     def cell(self, model: str, domain: int, given_n: int) -> list[float]:
         return [
@@ -406,11 +439,11 @@ class ResultsReport:
 
     @property
     def domains(self) -> list[int]:
-        return sorted({r.domain for r in self.rows})
+        return sorted({r.domain for r in self.rows} | set(range(len(self.domain_names))))
 
     @property
     def given_values(self) -> list[int]:
-        return sorted({r.given_n for r in self.rows})
+        return sorted({r.given_n for r in self.rows} | set(self.given_n))
 
 
 def _base_dataset(config: ExperimentConfig, seed: int) -> CrossDomainDataset:
@@ -436,34 +469,35 @@ def _base_dataset(config: ExperimentConfig, seed: int) -> CrossDomainDataset:
     return build_dataset(per_domain)
 
 
-def _assert_no_leak(train_triples, eval_triples) -> None:
-    train_keys = {(t.domain, t.user, t.item) for t in train_triples}
-    for t in eval_triples:
-        if (t.domain, t.user, t.item) in train_keys:
-            raise RuntimeError(
-                f"evaluation triple {t} leaked into the training pool"
-            )
+def _assert_no_leak(train_ds: CrossDomainDataset, evals) -> None:
+    """Raise on the first eval rating, in domain order, whose (user, item)
+    cell is also in ``train_ds``; ``evals`` holds (users, items, ratings)
+    per domain."""
+    for z, (users, items, ratings) in enumerate(evals):
+        n = train_ds.n_items[z]
+        leaked = np.isin(users * n + items, train_ds.users[z] * n + train_ds.items[z])
+        if leaked.any():
+            i = int(np.argmax(leaked))
+            t = RatingTriple(z, int(users[i]), int(items[i]), int(ratings[i]))
+            raise RuntimeError(f"evaluation triple {t} leaked into the training pool")
 
 
 def _model_maes(
     model: str,
     train_ds: CrossDomainDataset,
-    eval_sets: list[list[RatingTriple]],
+    evals: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     config: ExperimentConfig,
     seed: int,
-) -> list[float]:
-    """Train one model and return its MAE on each domain's eval set."""
+) -> list[float | None]:
+    """Train one model and return its MAE on each domain's eval set, given
+    as (users, items, ratings) arrays; None for a domain with no eval
+    ratings."""
     k = int(config.dims["K"])
     t = int(config.dims["T"])
     train_cfg = replace(config.train, seed=seed)
     n_domains = train_ds.n_domains
-    # per domain: the eval set's users, items and ratings as arrays
-    evals = [
-        [np.array([getattr(e, key) for e in eval_set], dtype=np.int64)
-         for key in ("user", "item", "rating")]
-        for eval_set in eval_sets
-    ]
-    out = []
+    scored = [z for z in range(n_domains) if len(evals[z][0])]
+    out: list[float | None] = [None] * n_domains
     if model in ("pclf", "rmgm-like"):
         if model == "pclf":
             l = config.dims["L"]
@@ -478,13 +512,13 @@ def _model_maes(
             weights = inference.PredictionWeights.common_only(n_domains)
         mats = inference.cluster_rating_matrices(params)
         mems = inference.memberships(params)
-        for z in range(n_domains):
+        for z in scored:
             users, items, truths = evals[z]
             preds = inference.predict_many(params, mats, mems, weights, z, users, items)
-            out.append(mae(preds, truths))
+            out[z] = mae(preds, truths)
         return out
     if model == "fmm":
-        for z in range(n_domains):
+        for z in scored:
             view = train_ds.domain_view(z)
             params, _ = baselines.fmm_train(view, k, t, train_cfg)
             weights = inference.PredictionWeights.common_only(1)
@@ -492,30 +526,33 @@ def _model_maes(
             mems = inference.memberships(params)
             users, items, truths = evals[z]
             preds = inference.predict_many(params, mats, mems, weights, 0, users, items)
-            out.append(mae(preds, truths))
+            out[z] = mae(preds, truths)
         return out
     if model == "nmf":
-        for z in range(n_domains):
+        for z in scored:
             matrix = baselines.domain_matrix(train_ds, z)
             factors = baselines.nmf_train(
                 matrix, rank=config.nmf_rank, iters=config.nmf_iters, seed=seed
             )
             users, items, truths = evals[z]
             preds = baselines.nmf_predict(factors, users, items, train_ds.n_levels)
-            out.append(mae(preds, truths))
+            out[z] = mae(preds, truths)
         return out
     raise DataError(f"unknown model {model!r}")
 
 
-def run_experiment(config: ExperimentConfig, log=None) -> ResultsReport:
+def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
     """Repeated Given-N evaluation of every configured model.
 
     Per repeat r the split sampling and initialization seed is
     ``base_seed + r``; the base dataset stays fixed unless
     ``resample_subsets`` asks for per-repeat resampling.  Training pools
     from all domains are combined; a leak assertion guards the protocol.
+    A (given-N, domain) split with no eval ratings scores nothing: its
+    cells get no rows, and ``note`` (if given) receives one line for it.
     """
     rows: list[ResultRow] = []
+    empty: set[tuple[int, int]] = set()
     dataset = _base_dataset(config, config.base_seed if not config.synthetic
                             else config.synthetic.seed)
     for repeat in range(config.n_repeats):
@@ -523,30 +560,42 @@ def run_experiment(config: ExperimentConfig, log=None) -> ResultsReport:
         if config.resample_subsets and repeat > 0:
             dataset = _base_dataset(config, seed)
         for given in config.given_n:
-            splits = [
-                given_n_split(dataset, z, config.n_train_users, given,
-                              seed=seed + 10007 * z)
+            parts = [
+                _given_n_positions(dataset, z, config.n_train_users, given,
+                                   seed=seed + 10007 * z)
                 for z in range(dataset.n_domains)
             ]
-            train_triples = [t for s in splits for t in s.train_pool]
-            eval_sets = [s.eval_set for s in splits]
-            _assert_no_leak(train_triples, [t for s in eval_sets for t in s])
-            train_ds = dataset.restrict(train_triples)
+            train_ds = dataset.restrict(positions=[train for train, _ in parts])
+            evals = [
+                tuple(col[z][ev] for col in (dataset.users, dataset.items, dataset.ratings))
+                for z, (_, ev) in enumerate(parts)
+            ]
+            _assert_no_leak(train_ds, evals)
+            for z, (users, _, _) in enumerate(evals):
+                if not len(users) and (given, z) not in empty:
+                    empty.add((given, z))
+                    if note is not None:
+                        note(f"note: given={given} domain={z} has no eval ratings")
+            if all(not len(users) for users, _, _ in evals):
+                continue
             for model in config.models:
-                maes = _model_maes(model, train_ds, eval_sets, config, seed)
+                maes = _model_maes(model, train_ds, evals, config, seed)
                 for z, value in enumerate(maes):
-                    rows.append(ResultRow(model, z, given, repeat, value))
+                    if value is not None:
+                        rows.append(ResultRow(model, z, given, repeat, value))
                 if log is not None:
                     log(f"repeat={repeat} given={given} model={model} "
-                        + " ".join(f"mae[d{z}]={v:.4f}" for z, v in enumerate(maes)))
+                        + " ".join(f"mae[d{z}]={v:.4f}" for z, v in enumerate(maes)
+                                   if v is not None))
     names = ([d.name for d in config.domains] if config.domains
              else [f"d{z}" for z in range(dataset.n_domains)])
-    return ResultsReport(rows=rows, domain_names=names)
+    return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))
 
 
 def report_table(report: ResultsReport, fmt: str = "plain") -> str:
     """Aggregated mean-MAE table: one row per (domain, model), one column
-    per Given-N setting, four decimal places."""
+    per Given-N setting, four decimal places; ``n/a`` where no repeat
+    scored the cell."""
     if not report.rows:
         raise DataError("cannot render an empty report")
     if fmt not in ("plain", "csv"):
@@ -556,7 +605,8 @@ def report_table(report: ResultsReport, fmt: str = "plain") -> str:
     body = []
     for z in report.domains:
         for model in report.models:
-            cells = [f"{report.mean(model, z, g):.4f}" for g in givens]
+            cells = [f"{report.mean(model, z, g):.4f}" if report.cell(model, z, g)
+                     else "n/a" for g in givens]
             body.append([report.domain_names[z], model] + cells)
     if fmt == "csv":
         lines = [",".join(header)] + [",".join(row) for row in body]

@@ -126,3 +126,59 @@ def random_dims(rng, max_clusters=3, max_entities=4, max_levels=5, n_domains=2):
         n_users=tuple(int(rng.integers(1, max_entities + 1)) for _ in range(n_domains)),
         n_items=tuple(int(rng.integers(1, max_entities + 1)) for _ in range(n_domains)),
     )
+
+
+def synth_reference(spec):
+    """``synth_generate`` as one ``rng.choice(p=...)`` call per draw per cell."""
+    from pclf import CrossDomainDataset, RatingTriple, memberships
+    from pclf.evaluate import _planted_params
+
+    dims = spec.dims
+    rng = np.random.default_rng(spec.seed)
+    params = _planted_params(spec, rng)
+    mems = memberships(params)
+    triples = []
+    for z in range(dims.n_domains):
+        m, n = dims.n_users[z], dims.n_items[z]
+        n_cells = int(round(spec.density * m * n))
+        flat = rng.choice(m * n, size=n_cells, replace=False)
+        users, items = flat // n, flat % n
+        use_common = rng.random(n_cells) < spec.w1[z]
+        for u, v, com in zip(users, items, use_common):
+            pu = mems.p_u[dims.user_offset(z) + u]
+            k = rng.choice(dims.n_user_clusters, p=pu)
+            if com or dims.n_specific_clusters[z] == 0:
+                t = rng.choice(dims.n_common_clusters, p=mems.p_vcom[dims.item_offset(z) + v])
+                table = params.rate_com[k, t]
+            else:
+                l = rng.choice(dims.n_specific_clusters[z], p=mems.p_vspe[z][v])
+                table = params.rate_spe[z][k, l]
+            level = int(rng.choice(dims.n_levels, p=table)) + 1
+            triples.append(RatingTriple(z, int(u), int(v), level))
+    dataset = CrossDomainDataset.from_indexed(
+        n_levels=dims.n_levels, triples=triples,
+        n_users=list(dims.n_users), n_items=list(dims.n_items),
+    )
+    return dataset, params
+
+
+def given_n_split_reference(dataset, domain, n_train_users, n_given, seed):
+    """``given_n_split`` grouping ``RatingTriple`` objects per user in a dict."""
+    from pclf import GivenNSplit, RatingTriple
+
+    z = domain
+    by_user = {}
+    for u, v, r in zip(dataset.users[z], dataset.items[z], dataset.ratings[z]):
+        by_user.setdefault(int(u), []).append(RatingTriple(z, int(u), int(v), int(r)))
+    rng = np.random.default_rng(seed)
+    train, evaluation = [], []
+    for u in sorted(by_user):
+        rows = by_user[u]
+        if u < n_train_users:
+            train.extend(rows)
+            continue
+        k = min(n_given, len(rows))
+        chosen = set(rng.choice(len(rows), size=k, replace=False).tolist())
+        for idx, t in enumerate(rows):
+            (train if idx in chosen else evaluation).append(t)
+    return GivenNSplit(train_pool=train, eval_set=evaluation, n_given=n_given, seed=seed)

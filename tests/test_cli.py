@@ -250,11 +250,13 @@ class TestPredict:
     ["predict", "--cell", "0,1,-1,2"],
     ["predict", "--cell", "0,-3,5"],
     ["predict", "--cell", "0,1,1,-2"],
+    ["predict", "--cell", "0,99999999999999999999,1"],
+    ["predict", "--cell", "99999999999999999999,1,0,1"],
     ["predict", "--complete", "9"],
     ["train", "--betas", "x"],
     ["train", "-L", "q"],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
-        "complete-domain", "betas", "L"])
+        "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     if argv[0] == "predict":
@@ -539,7 +541,10 @@ class TestSynthAndEvaluate:
     ("0,1,x", "cell must be"),
     ("0,-3,5", "indices must be >= 0"),
     ("0,2,1,-1", "indices must be >= 0"),
-], ids=["short", "not-int", "negative-user", "negative-item"])
+    ("0,99999999999999999999,1", "fit in 64 bits"),
+    ("0,1,0,-99999999999999999999", "indices must be >= 0"),
+], ids=["short", "not-int", "negative-user", "negative-item", "past-int64",
+        "below-int64"])
 def test_cells_file_error_names_line(trained, tmp_path, capsys, line, reason):
     _, ckpt = trained
     cells = tmp_path / "cells.txt"
@@ -548,6 +553,41 @@ def test_cells_file_error_names_line(trained, tmp_path, capsys, line, reason):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {cells}:3: ")
     assert reason in err[0]
+
+
+def test_non_utf8_cells_file_one_line_error(trained, tmp_path, capsys):
+    _, ckpt = trained
+    cells = tmp_path / "cells.txt"
+    cells.write_bytes(b"0,0,0\n0,1,\xff\n")
+    out = tmp_path / "preds.csv"
+    out.write_text("previous\n")
+    argv = ["predict", "--checkpoint", ckpt, "--cells", str(cells), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cells} is not UTF-8")
+    assert out.read_text() == "previous\n"
+
+
+def test_non_utf8_ratings_csv_one_line_error(trained, tmp_path, capsys):
+    dataset, ckpt = trained
+    ratings = os.path.join(dataset, "ratings.csv")
+    with open(ratings, "ab") as fh:
+        fh.write(b"0,1,\xff,3\r\n")
+    before = open(ckpt, "rb").read()
+    assert main(["train", "--dataset", dataset, "--out", ckpt]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {ratings} is not UTF-8")
+    assert open(ckpt, "rb").read() == before
+
+
+def test_non_utf8_ingest_input_one_line_error(tmp_path, capsys):
+    source = tmp_path / "ratings.tsv"
+    source.write_bytes(b"u1\ti1\t3\nu\xff\ti2\t4\n")
+    out = str(tmp_path / "dataset")
+    assert main(["ingest", "--input", str(source), "--scale", "1:5", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {source} is not UTF-8")
+    assert not os.path.exists(out)
 
 
 def _formatted(*columns) -> str:

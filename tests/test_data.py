@@ -20,7 +20,10 @@ from pclf import (
     save_dataset,
     select_subset,
 )
-from pclf.data import _parse_ratings_csv, _read_ratings_csv
+from pclf import ModelDims, SyntheticSpec, synth_generate
+from pclf.data import _given_n_positions, _parse_ratings_csv, _read_ratings_csv
+
+from oracles import given_n_split_reference
 
 
 class TestNormalizeScale:
@@ -311,6 +314,18 @@ class TestRoundTrip:
         for name in ("ratings.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_ratings_bytes_match_csv_writer(self, tmp_path, tiny_dataset):
+        import io
+
+        for ds in (tiny_dataset, tiny_dataset.restrict(tiny_dataset.triples()[:2])):
+            save_dataset(ds, str(tmp_path))
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(["domain", "user_idx", "item_idx", "rating"])
+            for t in ds.triples():
+                writer.writerow([t.domain, t.user, t.item, t.rating])
+            assert (tmp_path / "ratings.csv").read_bytes() == expected.getvalue().encode()
+
     @pytest.mark.parametrize("broken", ["ratings.csv", "manifest.json"])
     def test_failed_write_keeps_previous_file(self, tmp_path, tiny_dataset, monkeypatch,
                                               broken):
@@ -414,6 +429,62 @@ class TestRatingsReader:
                 return type(exc).__name__, str(exc)
 
         assert outcome(_read_ratings_csv) == outcome(_parse_ratings_csv)
+
+
+def _shuffled_dataset(counts, seed):
+    """One domain, user u with counts[u] ratings, stored in shuffled order."""
+    triples = [RatingTriple(0, u, j, (u * 7 + j) % 5 + 1)
+               for u, c in enumerate(counts) for j in range(c)]
+    order = np.random.default_rng(seed).permutation(len(triples))
+    return CrossDomainDataset.from_indexed(
+        n_levels=5, triples=[triples[i] for i in order],
+        n_users=[len(counts)], n_items=[max(counts)],
+    )
+
+
+class TestGivenNSplitReference:
+    """The columnar split against the per-user dict loop it replaced."""
+
+    @pytest.mark.parametrize("counts, n_train, n_given", [
+        ([5, 30, 12, 1, 9], 1, 10),
+        ([5, 30, 12, 1, 9], 0, 4),          # every user is a test user
+        ([8, 9, 10], 1, 0),                 # Given 0: test users keep nothing
+        ([8, 9, 10, 3], 2, 10),             # Given >= a user's count
+        ([4, 4, 4], 1, 4),                  # Given == every count: no eval rating
+        ([6, 0, 11, 0, 3, 14], 2, 5),       # users without ratings
+    ], ids=["mixed", "no-train-users", "given-0", "given-above-count", "given-equal",
+            "unrated-users"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_reference(self, counts, n_train, n_given, seed):
+        ds = _shuffled_dataset(counts, seed)
+        got = given_n_split(ds, 0, n_train, n_given, seed=seed)
+        want = given_n_split_reference(ds, 0, n_train, n_given, seed=seed)
+        assert got.train_pool == want.train_pool
+        assert got.eval_set == want.eval_set
+
+    def test_matches_reference_on_synthetic_domains(self):
+        dims = ModelDims(n_domains=2, n_user_clusters=3, n_common_clusters=2,
+                         n_specific_clusters=(2, 1), n_levels=5,
+                         n_users=(40, 30), n_items=(25, 35))
+        ds, _ = synth_generate(SyntheticSpec(dims=dims, w1=(0.5, 0.5), density=0.3, seed=2))
+        for z in range(2):
+            for n_given in (0, 3, 8, 40):
+                got = given_n_split(ds, z, 10, n_given, seed=7 + z)
+                want = given_n_split_reference(ds, z, 10, n_given, seed=7 + z)
+                assert got.train_pool == want.train_pool
+                assert got.eval_set == want.eval_set
+
+    def test_positions_restrict_like_triples(self):
+        ds = _shuffled_dataset([5, 30, 12, 1, 9], 1)
+        train, _ = _given_n_positions(ds, 0, 1, 4, seed=3)
+        by_positions = ds.restrict(positions=[train])
+        by_triples = ds.restrict(given_n_split(ds, 0, 1, 4, seed=3).train_pool)
+        for key in ("users", "items", "ratings"):
+            assert np.array_equal(getattr(by_positions, key)[0], getattr(by_triples, key)[0])
+
+    def test_positions_need_one_array_per_domain(self, tiny_dataset):
+        with pytest.raises(DataError, match="2 position arrays"):
+            tiny_dataset.restrict(positions=[np.arange(2)])
 
 
 class TestDatasetViews:

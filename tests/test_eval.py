@@ -12,7 +12,7 @@ from pclf.evaluate import (
     report_table,
 )
 
-from oracles import random_params
+from oracles import random_params, synth_reference
 
 
 class TestMae:
@@ -91,6 +91,103 @@ class TestSynthGenerate:
     def test_w1_per_domain(self):
         with pytest.raises(DataError):
             SyntheticSpec(dims=small_dims(), w1=(0.5,), density=0.5, seed=0)
+
+
+def _point_mass(params, level):
+    params.rate_com[:] = 0.0
+    params.rate_com[:, :, level - 1] = 1.0
+    for table in params.rate_spe:
+        table[:] = 0.0
+        table[:, :, level - 1] = 1.0
+    return params
+
+
+def _reference_spec(case):
+    """One SyntheticSpec per generator corner the columnar sampler must replay."""
+    if case == "no-specific-clusters":
+        dims = small_dims(l=(0, 2), m=(12, 9), n=(10, 14))
+        return SyntheticSpec(dims=dims, w1=(0.3, 0.6), density=0.5, seed=11)
+    if case == "w1-zero-and-one":
+        return SyntheticSpec(dims=small_dims(k=3, l=(2, 3)), w1=(0.0, 1.0), density=0.7, seed=12)
+    if case == "table-noise":
+        return SyntheticSpec(dims=small_dims(m=(20, 15), n=(18, 12)), w1=(0.5, 0.7),
+                             density=0.4, seed=13, table_noise=0.3, rating_sharpness=3.0,
+                             specific_sharpness=5.0)
+    if case == "supplied-params":
+        dims = small_dims(k=3, t=4, l=(1, 2), m=(9, 11), n=(13, 7))
+        params = random_params(np.random.default_rng(14), dims)
+        return SyntheticSpec(dims=dims, w1=(0.45, 0.55), density=0.6, seed=14, params=params)
+    if case == "full-density":
+        return SyntheticSpec(dims=small_dims(), w1=(0.5, 0.5), density=1.0, seed=15)
+    if case == "point-mass-tables":
+        dims = small_dims(l=(2, 0))
+        params = _point_mass(random_params(np.random.default_rng(16), dims), 4)
+        return SyntheticSpec(dims=dims, w1=(0.5, 0.5), density=0.8, seed=16, params=params)
+    dims = small_dims(k=6, t=4, l=(2, 2), m=(300, 300), n=(500, 500))
+    return SyntheticSpec(dims=dims, w1=(0.72, 0.72), density=0.05, seed=1,
+                         membership_concentration=0.06, rating_sharpness=3.5,
+                         specific_sharpness=5.0)
+
+
+class TestSynthReference:
+    """The columnar generator against the per-cell ``rng.choice`` loop."""
+
+    @pytest.mark.parametrize("case", [
+        "no-specific-clusters", "w1-zero-and-one", "table-noise", "supplied-params",
+        "full-density", "point-mass-tables", "planted-fixture",
+    ])
+    def test_matches_reference(self, case):
+        spec = _reference_spec(case)
+        got, got_params = synth_generate(spec)
+        want, want_params = synth_reference(spec)
+        for key in ("users", "items", "ratings"):
+            for a, b in zip(getattr(got, key), getattr(want, key)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.n_users == want.n_users and got.n_items == want.n_items
+        for name in ("prior_u", "prior_vcom", "cond_u", "cond_vcom", "rate_com"):
+            assert np.array_equal(getattr(got_params, name), getattr(want_params, name))
+        for name in ("prior_vspe", "cond_vspe", "rate_spe"):
+            for a, b in zip(getattr(got_params, name), getattr(want_params, name)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("off, raises", [(1e-6, True), (1e-9, False)])
+    def test_membership_row_off_one(self, monkeypatch, off, raises):
+        import pclf
+        from pclf import inference
+
+        real = inference.memberships
+
+        def skewed(params):
+            mems = real(params)
+            mems.p_u[3] *= 1.0 + off
+            return mems
+
+        monkeypatch.setattr(inference, "memberships", skewed)
+        monkeypatch.setattr(pclf, "memberships", skewed)
+        dims = small_dims()
+        spec = SyntheticSpec(dims=dims, w1=(0.5, 0.5), density=1.0, seed=17)
+        if raises:
+            with pytest.raises(ValueError):
+                synth_reference(spec)
+            with pytest.raises(ValueError):
+                synth_generate(spec)
+        else:
+            got, _ = synth_generate(spec)
+            assert got.triples() == synth_reference(spec)[0].triples()
+
+    @pytest.mark.parametrize("row, u, index", [
+        ([0.25, 0.25, 0.5], 0.25, 1),                  # a boundary goes right
+        ([0.5, 0.5 * (1 + 1e-9)], 0.4999999999, 1),   # cumsum / its last entry
+        ([0.0, 0.0, 1.0], 0.0, 2),                     # zero mass is never drawn
+    ], ids=["boundary", "normalized", "zero-mass"])
+    def test_replay_choice_index(self, row, u, index):
+        """The index ``Generator.choice`` takes for uniform ``u``:
+        ``searchsorted(cumsum / cumsum[-1], u, side="right")``."""
+        from pclf.evaluate import _replay_choice
+
+        cdf = np.cumsum(row)
+        assert np.searchsorted(cdf / cdf[-1], u, side="right") == index
+        assert _replay_choice(np.array([row]), np.array([u])).tolist() == [index]
 
 
 def _synthetic_config(**overrides):
@@ -186,11 +283,75 @@ class TestRunExperiment:
 
     def test_leak_assertion_fires_on_overlap(self):
         from pclf.evaluate import _assert_no_leak
-        from pclf import RatingTriple
+        from pclf import CrossDomainDataset, RatingTriple
 
         shared = RatingTriple(0, 1, 1, 3)
-        with pytest.raises(RuntimeError, match="leaked"):
-            _assert_no_leak([shared], [shared])
+        train_ds = CrossDomainDataset.from_indexed(5, [shared], n_users=[2], n_items=[2])
+        evals = [(np.array([shared.user]), np.array([shared.item]), np.array([shared.rating]))]
+        with pytest.raises(RuntimeError, match=r"leaked") as err:
+            _assert_no_leak(train_ds, evals)
+        assert str(shared) in str(err.value)
+
+    def test_leak_assertion_names_first_leak(self):
+        from pclf.evaluate import _assert_no_leak
+        from pclf import CrossDomainDataset, RatingTriple
+
+        train = [RatingTriple(0, 0, 1, 2), RatingTriple(1, 2, 0, 4), RatingTriple(1, 0, 2, 5)]
+        train_ds = CrossDomainDataset.from_indexed(5, train, n_users=[3, 3], n_items=[3, 3])
+        # domain 0 leaks nothing; domain 1 leaks (0, 2) and then (2, 0)
+        evals = [(np.array([1, 0]), np.array([0, 2]), np.array([1, 1])),
+                 (np.array([1, 0, 2]), np.array([1, 2, 0]), np.array([3, 1, 2]))]
+        _assert_no_leak(train_ds, [evals[0], tuple(a[:1] for a in evals[1])])
+        with pytest.raises(RuntimeError) as err:
+            _assert_no_leak(train_ds, evals)
+        assert str(RatingTriple(1, 0, 2, 1)) in str(err.value)
+
+
+class TestEmptyEvalSet:
+    """Given 15 on 15 items leaves every test user nothing to score."""
+
+    @staticmethod
+    def _config():
+        return _synthetic_config(given_n=[3, 15], models=["pclf", "nmf"],
+                                 nmf_rank=2, nmf_iters=5)
+
+    def test_cells_left_out_and_noted(self):
+        notes = []
+        report = run_experiment(self._config(), note=notes.append)
+        assert notes == ["note: given=15 domain=0 has no eval ratings",
+                         "note: given=15 domain=1 has no eval ratings"]
+        assert {(r.model, r.domain, r.given_n) for r in report.rows} == {
+            (m, z, 3) for m in ("pclf", "nmf") for z in (0, 1)}
+        table = report_table(report).splitlines()
+        assert table[0].split() == ["dataset", "model", "given3", "given15"]
+        assert all(line.split()[-1] == "n/a" for line in table[1:])
+        assert "n/a" not in raw_results_csv(report)
+
+    def test_cli_reports_note_and_table(self, tmp_path, capsys):
+        import json
+
+        from pclf.cli import main
+
+        config = {
+            "synthetic": {"Z": 2, "K": 2, "T": 2, "L": [2, 2], "R": 5, "M": [20, 20],
+                          "N": [15, 15], "w1": 0.5, "density": 0.4, "seed": 5},
+            "given_n": [3, 15], "n_train_users": 12, "dims": {"K": 2, "T": 2, "L": [2, 2]},
+            "models": ["pclf"], "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3},
+            "n_repeats": 2,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "results"
+        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "note: given=15 domain=0 has no eval ratings",
+            "note: given=15 domain=1 has no eval ratings",
+        ]
+        table = (out / "table.csv").read_text().splitlines()
+        assert table[0] == "dataset,model,given3,given15"
+        assert len(table) == 3 and all(line.endswith(",n/a") for line in table[1:])
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
 class TestReportTable:
