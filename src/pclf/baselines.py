@@ -97,11 +97,18 @@ def nmf_train(
     target = w * values
     eps = 1e-12
     objective = []
+    uv = u @ v.T   # each iteration's objective product is the next one's first
     for _ in range(iters):
-        u *= (target @ v) / ((w * (u @ v.T)) @ v + eps)
-        v *= (target.T @ u) / ((w * (u @ v.T)).T @ u + eps)
-        resid = w * (values - u @ v.T)
-        objective.append(float((resid * resid).sum()))
+        uv *= w
+        u *= (target @ v) / (uv @ v + eps)
+        uv = u @ v.T
+        uv *= w
+        v *= (target.T @ u) / (uv.T @ u + eps)
+        uv = u @ v.T
+        resid = values - uv
+        resid *= w
+        np.square(resid, out=resid)
+        objective.append(float(resid.sum()))
     return NmfFactors(u_factors=u, v_factors=v, rank=rank, objective=objective)
 
 

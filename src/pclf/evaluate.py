@@ -9,6 +9,7 @@ repeats the split/train/score cycle over seeds and aggregates per
 from __future__ import annotations
 
 import json
+import os
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +26,7 @@ from .data import (
     parse_ratings,
     select_subset,
 )
-from .em import ModelDims, PclfParams, TrainConfig, train
+from .em import ModelDims, ModelError, PclfParams, TrainConfig, train
 
 KNOWN_MODELS = ("pclf", "rmgm-like", "fmm", "nmf")
 
@@ -541,6 +542,44 @@ def _model_maes(
     raise DataError(f"unknown model {model!r}")
 
 
+def _fit_models(
+    config: ExperimentConfig,
+    train_ds: CrossDomainDataset,
+    evals: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    seed: int,
+    setting: str,
+) -> list[list[float | None]]:
+    """``_model_maes`` of every configured model, in config order, each
+    fitted in a worker process: one worker per usable CPU, at most one per
+    model.
+
+    Workers are forked, so they inherit the imported modules instead of
+    importing numpy again; the pool forks them before it starts its own
+    thread.  An exception raised in a worker reaches the caller with its
+    type and message; a worker that dies becomes a ``ModelError`` naming
+    ``setting`` and the models left without a result.
+    """
+    # imported here so that the other commands do not load them (2 MB RSS)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    n_workers = min(len(os.sched_getaffinity(0)), len(config.models))
+    with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_model_maes, model, train_ds, evals, config, seed)
+                   for model in config.models]
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            lost = [m for m, f in zip(config.models, futures)
+                    if isinstance(f.exception(), BrokenProcessPool)]
+            raise ModelError(f"a worker process died during {setting}; "
+                             f"models without a result: {', '.join(lost)}") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)   # start no queued fit after an error
+            raise
+
+
 def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
     """Repeated Given-N evaluation of every configured model.
 
@@ -550,6 +589,10 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     from all domains are combined; a leak assertion guards the protocol.
     A (given-N, domain) split with no eval ratings scores nothing: its
     cells get no rows, and ``note`` (if given) receives one line for it.
+    The models of one (repeat, given-N) setting are fitted in parallel
+    worker processes (``_fit_models``); rows and ``log`` lines keep the
+    config's model order, and ``log`` receives a setting's lines once all
+    its models are fitted.
     """
     rows: list[ResultRow] = []
     empty: set[tuple[int, int]] = set()
@@ -576,10 +619,10 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
                     empty.add((given, z))
                     if note is not None:
                         note(f"note: given={given} domain={z} has no eval ratings")
-            if all(not len(users) for users, _, _ in evals):
+            if not config.models or all(not len(users) for users, _, _ in evals):
                 continue
-            for model in config.models:
-                maes = _model_maes(model, train_ds, evals, config, seed)
+            for model, maes in zip(config.models, _fit_models(
+                    config, train_ds, evals, seed, f"repeat={repeat} given={given}")):
                 for z, value in enumerate(maes):
                     if value is not None:
                         rows.append(ResultRow(model, z, given, repeat, value))

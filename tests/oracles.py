@@ -182,3 +182,81 @@ def given_n_split_reference(dataset, domain, n_train_users, n_given, seed):
         for idx, t in enumerate(rows):
             (train if idx in chosen else evaluation).append(t)
     return GivenNSplit(train_pool=train, eval_set=evaluation, n_given=n_given, seed=seed)
+
+
+def nmf_reference(observed, rank, iters, seed, masked=True):
+    """``nmf_train`` computing ``u @ v.T`` afresh for each of its three uses
+    per iteration and masking into new arrays."""
+    from pclf import NmfFactors
+
+    observed = np.asarray(observed, dtype=float)
+    present = ~np.isnan(observed)
+    mask = present if masked else np.ones_like(present)
+    values = np.where(present, observed, 0.0)
+    m, n = observed.shape
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(max(values[present].mean(), 1.0) / rank)
+    u = rng.uniform(0.1, 1.0, size=(m, rank)) * scale
+    v = rng.uniform(0.1, 1.0, size=(n, rank)) * scale
+    w = mask.astype(float)
+    target = w * values
+    eps = 1e-12
+    objective = []
+    for _ in range(iters):
+        u *= (target @ v) / ((w * (u @ v.T)) @ v + eps)
+        v *= (target.T @ u) / ((w * (u @ v.T)).T @ u + eps)
+        resid = w * (values - u @ v.T)
+        objective.append(float((resid * resid).sum()))
+    return NmfFactors(u_factors=u, v_factors=v, rank=rank, objective=objective)
+
+
+def run_experiment_reference(config, log=None, note=None):
+    """``run_experiment`` fitting each model in turn in this process."""
+    from pclf.data import _given_n_positions
+    from pclf.evaluate import (
+        ResultRow,
+        ResultsReport,
+        _assert_no_leak,
+        _base_dataset,
+        _model_maes,
+    )
+
+    rows = []
+    empty = set()
+    dataset = _base_dataset(config, config.base_seed if not config.synthetic
+                            else config.synthetic.seed)
+    for repeat in range(config.n_repeats):
+        seed = config.base_seed + repeat
+        if config.resample_subsets and repeat > 0:
+            dataset = _base_dataset(config, seed)
+        for given in config.given_n:
+            parts = [
+                _given_n_positions(dataset, z, config.n_train_users, given,
+                                   seed=seed + 10007 * z)
+                for z in range(dataset.n_domains)
+            ]
+            train_ds = dataset.restrict(positions=[train for train, _ in parts])
+            evals = [
+                tuple(col[z][ev] for col in (dataset.users, dataset.items, dataset.ratings))
+                for z, (_, ev) in enumerate(parts)
+            ]
+            _assert_no_leak(train_ds, evals)
+            for z, (users, _, _) in enumerate(evals):
+                if not len(users) and (given, z) not in empty:
+                    empty.add((given, z))
+                    if note is not None:
+                        note(f"note: given={given} domain={z} has no eval ratings")
+            if all(not len(users) for users, _, _ in evals):
+                continue
+            for model in config.models:
+                maes = _model_maes(model, train_ds, evals, config, seed)
+                for z, value in enumerate(maes):
+                    if value is not None:
+                        rows.append(ResultRow(model, z, given, repeat, value))
+                if log is not None:
+                    log(f"repeat={repeat} given={given} model={model} "
+                        + " ".join(f"mae[d{z}]={v:.4f}" for z, v in enumerate(maes)
+                                   if v is not None))
+    names = ([d.name for d in config.domains] if config.domains
+             else [f"d{z}" for z in range(dataset.n_domains)])
+    return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))

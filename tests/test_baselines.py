@@ -26,6 +26,8 @@ from pclf import (
     train,
 )
 
+from oracles import nmf_reference
+
 
 def _single_domain_dataset(seed=0, n_users=25, n_items=20, density=0.4):
     dims = ModelDims(
@@ -207,6 +209,22 @@ class TestNmf:
         # zero-filling drags the reconstruction of observed cells down
         assert (filled.u_factors @ filled.v_factors.T)[0, 0] < \
                (masked.u_factors @ masked.v_factors.T)[0, 0]
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("case", range(12))
+    def test_matches_reference_loop(self, case, masked):
+        rng = np.random.default_rng(100 + case)
+        m, n = (1, 1) if case == 0 else rng.integers(1, 40, size=2)
+        density = (1.0, 0.02, 0.3, 0.7)[case % 4]
+        matrix = rng.integers(1, 6, size=(m, n)).astype(float)
+        matrix[rng.random((m, n)) >= density] = np.nan
+        matrix.flat[rng.integers(m * n)] = 3.0   # at least one observed cell
+        rank, iters = int(rng.integers(1, 8)), int(rng.integers(0, 40))
+        got = nmf_train(matrix, rank=rank, iters=iters, seed=case, masked=masked)
+        ref = nmf_reference(matrix, rank=rank, iters=iters, seed=case, masked=masked)
+        np.testing.assert_array_equal(got.u_factors, ref.u_factors)
+        np.testing.assert_array_equal(got.v_factors, ref.v_factors)
+        assert got.objective == ref.objective
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError, match="no observed"):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pclf import cli, load_checkpoint, load_dataset, nmf_predict
+from pclf import DataError, baselines, cli, load_checkpoint, load_dataset, nmf_predict
 from pclf.cli import _csv_rows, main
+from pclf.evaluate import KNOWN_MODELS
 
 
 @pytest.fixture
@@ -534,6 +535,55 @@ class TestSynthAndEvaluate:
         assert rc == 0
         results = open(f"{out}/results.csv").read().splitlines()
         assert len(results) == 1 + 2 * 2
+
+
+def _evaluate_small(tmp_path, models=KNOWN_MODELS):
+    """Run ``pclf evaluate`` on a small synthetic config with ``models``,
+    2 repeats and 2 Given-N values; return the exit code and the output
+    directory."""
+    config = {
+        "synthetic": {"Z": 2, "K": 2, "T": 2, "L": [1, 1], "R": 5, "M": [14, 14],
+                      "N": [10, 10], "w1": 0.6, "density": 0.5, "seed": 2},
+        "given_n": [2, 4], "n_train_users": 9, "dims": {"K": 2, "T": 2, "L": [1, 1]},
+        "models": list(models), "nmf_rank": 2, "nmf_iters": 5,
+        "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3}, "n_repeats": 2,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "results"
+    return main(["evaluate", "--config", str(cfg_path), "--out", str(out)]), out
+
+
+def test_evaluate_worker_error_one_line(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise DataError("matrix has no observed entries")
+
+    monkeypatch.setattr(baselines, "nmf_train", fail)
+    rc, out = _evaluate_small(tmp_path)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: matrix has no observed entries\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("one_cpu", [False, True])
+def test_evaluate_worker_death_one_line(tmp_path, monkeypatch, capsys, one_cpu):
+    monkeypatch.setattr(baselines, "nmf_train", lambda *args, **kwargs: os._exit(3))
+    if one_cpu:   # pclf is fitted, then nmf dies and fmm never starts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rc, out = _evaluate_small(tmp_path, models=["pclf", "nmf", "fmm"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a worker process died during "
+                                               "repeat=0 given=2; models without a result: ")
+    lost = err[0].rsplit(": ", 1)[1].split(", ")
+    assert lost == ["nmf", "fmm"] if one_cpu else "nmf" in lost
+    assert os.listdir(out) == []
+
+
+def test_evaluate_no_models_one_line(tmp_path, capsys):
+    rc, _ = _evaluate_small(tmp_path, models=[])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot render an empty report\n"
 
 
 @pytest.mark.parametrize("line, reason", [

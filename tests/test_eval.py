@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
-from pclf import DataError, ModelDims, SyntheticSpec, mae, run_experiment, synth_generate
+from pclf import (
+    DataError,
+    ModelDims,
+    ModelError,
+    SyntheticSpec,
+    baselines,
+    mae,
+    run_experiment,
+    synth_generate,
+)
 from pclf.evaluate import (
     KNOWN_MODELS,
     ExperimentConfig,
@@ -12,7 +23,7 @@ from pclf.evaluate import (
     report_table,
 )
 
-from oracles import random_params, synth_reference
+from oracles import random_params, run_experiment_reference, synth_reference
 
 
 class TestMae:
@@ -352,6 +363,44 @@ class TestEmptyEvalSet:
         assert table[0] == "dataset,model,given3,given15"
         assert len(table) == 3 and all(line.endswith(",n/a") for line in table[1:])
         assert len((out / "results.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+class TestWorkerPool:
+    """``run_experiment`` fits each setting's models in worker processes;
+    the serial loop in ``oracles`` is the reference."""
+
+    @staticmethod
+    def _config(**overrides):
+        # Given 15 on 15 items leaves nothing to score, which adds note lines
+        return _synthetic_config(given_n=[3, 15, 6], models=list(KNOWN_MODELS),
+                                 n_repeats=2, nmf_rank=3, nmf_iters=20, **overrides)
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_matches_serial_reference(self, monkeypatch, one_cpu, resample):
+        config = self._config(resample_subsets=resample)
+        expected_lines = []
+        expected = run_experiment_reference(config, log=expected_lines.append,
+                                            note=expected_lines.append)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        lines = []
+        report = run_experiment(config, log=lines.append, note=lines.append)
+        assert report.rows == expected.rows
+        assert lines == expected_lines
+        assert len(report.rows) == 2 * 2 * 4 * 2   # repeats x scored givens x models x domains
+        assert sum(line.startswith("note:") for line in lines) == 2
+
+    @pytest.mark.parametrize("error", [DataError, ModelError])
+    def test_worker_error_reaches_caller(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("nmf failed in a worker")
+
+        monkeypatch.setattr(baselines, "nmf_train", fail)
+        with pytest.raises(error) as raised:
+            run_experiment(self._config())
+        assert type(raised.value) is error
+        assert str(raised.value) == "nmf failed in a worker"
 
 
 class TestReportTable:
