@@ -81,6 +81,8 @@ def nmf_train(
     """
     if rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
+    if iters < 1:
+        raise DataError(f"iters must be >= 1, got {iters}")
     observed = np.asarray(observed, dtype=float)
     present = ~np.isnan(observed)
     if not present.any():

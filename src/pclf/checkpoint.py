@@ -77,6 +77,32 @@ def _dims_from_dict(obj: dict) -> ModelDims:
     )
 
 
+# the C encoder; json.dump always runs the pure-Python one
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _write_document(fh, doc: dict) -> None:
+    """Write ``doc`` plus a newline, byte for byte as
+    ``json.dump(doc, fh, sort_keys=True, separators=(",", ":"))`` would once
+    every array in ``doc["arrays"]`` were ``_array``'d.
+
+    Each array becomes a list and a string only while it is written, so at
+    most one of them is in memory at a time.
+    """
+    fh.write("{")
+    for i, key in enumerate(sorted(doc)):
+        fh.write(("," if i else "") + _encode(key) + ":")
+        if key == "arrays":
+            fh.write("{")
+            for j, name in enumerate(sorted(doc[key])):
+                fh.write(("," if j else "") + _encode(name) + ":")
+                fh.write(_encode(_array(doc[key][name])))
+            fh.write("}")
+        else:
+            fh.write(_encode(doc[key]))
+    fh.write("}\n")
+
+
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     if ckpt.model_kind not in MODEL_KINDS:
         raise CheckpointError(
@@ -96,8 +122,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         doc["rank"] = ckpt.factors.rank
         doc["n_levels"] = ckpt.n_levels
         doc["arrays"] = {
-            "u_factors": _array(ckpt.factors.u_factors),
-            "v_factors": _array(ckpt.factors.v_factors),
+            "u_factors": ckpt.factors.u_factors,
+            "v_factors": ckpt.factors.v_factors,
         }
         doc["objective"] = list(ckpt.factors.objective)
     else:
@@ -106,20 +132,19 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         p = ckpt.params
         doc["dims"] = _dims_dict(p.dims)
         doc["arrays"] = {
-            "prior_u": _array(p.prior_u),
-            "prior_vcom": _array(p.prior_vcom),
-            "cond_u": _array(p.cond_u),
-            "cond_vcom": _array(p.cond_vcom),
-            "rate_com": _array(p.rate_com),
+            "prior_u": p.prior_u,
+            "prior_vcom": p.prior_vcom,
+            "cond_u": p.cond_u,
+            "cond_vcom": p.cond_vcom,
+            "rate_com": p.rate_com,
         }
         for z in range(p.dims.n_domains):
-            doc["arrays"][f"prior_vspe_{z}"] = _array(p.prior_vspe[z])
-            doc["arrays"][f"cond_vspe_{z}"] = _array(p.cond_vspe[z])
-            doc["arrays"][f"rate_spe_{z}"] = _array(p.rate_spe[z])
+            doc["arrays"][f"prior_vspe_{z}"] = p.prior_vspe[z]
+            doc["arrays"][f"cond_vspe_{z}"] = p.cond_vspe[z]
+            doc["arrays"][f"rate_spe_{z}"] = p.rate_spe[z]
     # a failed write leaves the previous checkpoint intact
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        _write_document(fh, doc)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -128,6 +153,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             doc = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -184,6 +184,8 @@ class TrainConfig:
             raise ModelError("rel_ll_tol must be > 0")
         if self.smoothing_floor < 0:
             raise ModelError("smoothing_floor must be >= 0")
+        if self.max_iters_per_beta < 1:
+            raise ModelError("max_iters_per_beta must be >= 1")
         if self.min_iters_per_beta < 1:
             raise ModelError("min_iters_per_beta must be >= 1")
         object.__setattr__(self, "beta_schedule", sched)
@@ -312,26 +314,47 @@ def init_params(
     triple a preferred cluster pair and break the symmetry immediately.
     They are drawn and reduced ``INIT_CHUNK_ROWS`` triples at a time, which
     consumes the same random stream as one draw over the whole family.
+    One helper thread draws the next chunk into one of two buffers while
+    this thread reduces the last; it is joined before this returns.
     """
+    # imported here so that the commands that do not train do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_dims(dims, dataset)
     rng = np.random.default_rng(seed)
     families = _families(dims, dataset)
-    stats = []
-    for fam in families:
-        total = None
-        # at least one (possibly empty) chunk, so an empty family still has statistics
-        for lo in range(0, max(len(fam.ridx), 1), INIT_CHUNK_ROWS):
-            rows = slice(lo, lo + INIT_CHUNK_ROWS)
-            block = rng.gamma(
-                0.5, size=(len(fam.ridx[rows]), dims.n_user_clusters, fam.n_clusters)
-            )
+    k = dims.n_user_clusters
+    # (family, rows) per chunk in stream order; at least one (possibly
+    # empty) chunk per family, so an empty family still has statistics
+    chunks = [
+        (i, slice(lo, lo + INIT_CHUNK_ROWS))
+        for i, fam in enumerate(families)
+        for lo in range(0, max(len(fam.ridx), 1), INIT_CHUNK_ROWS)
+    ]
+    width = INIT_CHUNK_ROWS * k * max(fam.n_clusters for fam in families)
+    buffers = (np.empty(width), np.empty(width))
+
+    def draw(j):
+        i, rows = chunks[j]
+        n, c = len(families[i].ridx[rows]), families[i].n_clusters
+        block = buffers[j % 2][:n * k * c].reshape(n, k, c)
+        rng.standard_gamma(0.5, out=block)  # gamma(0.5)'s stream, without holding the GIL
+        return block
+
+    stats = [None] * len(families)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for j, (i, rows) in enumerate(chunks):
+            block = pending.result()
+            if j + 1 < len(chunks):  # the buffer it fills held chunk j - 1, reduced by now
+                pending = helper.submit(draw, j + 1)
+            fam = families[i]
             block /= block.sum(axis=(1, 2), keepdims=True)
             part = kernels.pair_stats(
                 block, fam.gu[rows], fam.items[rows], fam.ridx[rows],
                 dims.total_users, fam.n_items, dims.n_levels,
             )
-            total = part if total is None else [a + b for a, b in zip(total, part)]
-        stats.append(total)
+            stats[i] = part if stats[i] is None else [a + b for a, b in zip(stats[i], part)]
     return _params_from_stats(dims, families, stats, floor)
 
 

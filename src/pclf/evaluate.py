@@ -262,6 +262,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_repeats < 1:
             raise DataError("n_repeats must be >= 1")
+        if self.nmf_iters < 1:
+            raise DataError("nmf_iters must be >= 1")
         if any(n < 0 for n in self.given_n):
             raise DataError("given_n values must be >= 0")
         unknown = [m for m in self.models if m not in KNOWN_MODELS]
@@ -397,6 +399,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read experiment config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"experiment config {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"experiment config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

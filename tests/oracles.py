@@ -260,3 +260,75 @@ def run_experiment_reference(config, log=None, note=None):
     names = ([d.name for d in config.domains] if config.domains
              else [f"d{z}" for z in range(dataset.n_domains)])
     return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))
+
+
+def init_params_reference(dims, dataset, seed, floor=1e-10):
+    """``init_params`` drawing each chunk with ``rng.gamma`` and reducing it
+    before the next draw, on one thread."""
+    from pclf import em, kernels
+
+    rng = np.random.default_rng(seed)
+    families = em._families(dims, dataset)
+    stats = []
+    for fam in families:
+        total = None
+        for lo in range(0, max(len(fam.ridx), 1), em.INIT_CHUNK_ROWS):
+            rows = slice(lo, lo + em.INIT_CHUNK_ROWS)
+            block = rng.gamma(
+                0.5, size=(len(fam.ridx[rows]), dims.n_user_clusters, fam.n_clusters)
+            )
+            block /= block.sum(axis=(1, 2), keepdims=True)
+            part = kernels.pair_stats(
+                block, fam.gu[rows], fam.items[rows], fam.ridx[rows],
+                dims.total_users, fam.n_items, dims.n_levels,
+            )
+            total = part if total is None else [a + b for a, b in zip(total, part)]
+        stats.append(total)
+    return em._params_from_stats(dims, families, stats, floor)
+
+
+def checkpoint_bytes_reference(ckpt):
+    """The bytes ``save_checkpoint`` writes, from one ``json.dump`` of the
+    whole document with every array converted to a list first."""
+    import io
+    import json
+
+    from pclf.checkpoint import FORMAT_VERSION, _dims_dict
+
+    def array(arr):
+        return {"shape": list(arr.shape), "data": np.asarray(arr, dtype=float).ravel().tolist()}
+
+    doc = {
+        "format": FORMAT_VERSION,
+        "model_kind": ckpt.model_kind,
+        "seed": ckpt.seed,
+        "trace": [[t.beta, t.iteration, t.log_likelihood] for t in ckpt.trace],
+    }
+    if ckpt.default_w1 is not None:
+        doc["default_w1"] = [float(w) for w in ckpt.default_w1]
+    if ckpt.model_kind == "nmf":
+        doc["rank"] = ckpt.factors.rank
+        doc["n_levels"] = ckpt.n_levels
+        doc["arrays"] = {
+            "u_factors": array(ckpt.factors.u_factors),
+            "v_factors": array(ckpt.factors.v_factors),
+        }
+        doc["objective"] = list(ckpt.factors.objective)
+    else:
+        p = ckpt.params
+        doc["dims"] = _dims_dict(p.dims)
+        doc["arrays"] = {
+            "prior_u": array(p.prior_u),
+            "prior_vcom": array(p.prior_vcom),
+            "cond_u": array(p.cond_u),
+            "cond_vcom": array(p.cond_vcom),
+            "rate_com": array(p.rate_com),
+        }
+        for z in range(p.dims.n_domains):
+            doc["arrays"][f"prior_vspe_{z}"] = array(p.prior_vspe[z])
+            doc["arrays"][f"cond_vspe_{z}"] = array(p.cond_vspe[z])
+            doc["arrays"][f"rate_spe_{z}"] = array(p.rate_spe[z])
+    out = io.StringIO()
+    json.dump(doc, out, sort_keys=True, separators=(",", ":"))
+    out.write("\n")
+    return out.getvalue().encode("utf-8")

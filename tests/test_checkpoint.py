@@ -1,19 +1,25 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pclf import checkpoint
 from pclf import (
     Checkpoint,
     CheckpointError,
     ModelDims,
     NmfFactors,
+    PclfParams,
     TraceEntry,
     load_checkpoint,
     save_checkpoint,
 )
 
-from oracles import random_params
+from oracles import checkpoint_bytes_reference, random_params
 
 
 def _params():
@@ -68,11 +74,15 @@ class TestRoundTrip:
                                               params=_params()))
         before = path.read_bytes()
 
-        def broken_dump(doc, fh, **kwargs):
-            fh.write('{"format": "trunc')
-            raise OSError("disk full")
+        encode, calls = checkpoint._encode, []
 
-        monkeypatch.setattr(json, "dump", broken_dump)
+        def broken_encode(value):   # fails once the document is half written
+            calls.append(value)
+            if len(calls) == 6:
+                raise OSError("disk full")
+            return encode(value)
+
+        monkeypatch.setattr(checkpoint, "_encode", broken_encode)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(str(path), Checkpoint(model_kind="pclf", seed=2, trace=[],
                                                   params=_params()))
@@ -86,6 +96,80 @@ class TestRoundTrip:
         save_checkpoint(a, ckpt)
         save_checkpoint(b, ckpt)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+AWKWARD_FLOATS = [5e-324, 1e-300, 1e16, 0.1 + 0.2, -0.0, 1 / 3, 2.0 ** 53 + 2]
+floats = st.one_of(
+    st.sampled_from(AWKWARD_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def checkpoints(draw):
+    """Any checkpoint ``save_checkpoint`` accepts: a cluster model (some
+    domains without specific clusters) or NMF factors, arrays of any finite
+    floats, a trace that may be empty and ``default_w1`` that may be None."""
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(floats, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    kind = draw(st.sampled_from(["pclf", "fmm", "rmgm-like", "nmf"]))
+    trace = [TraceEntry(*entry) for entry in draw(st.lists(
+        st.tuples(floats, st.integers(0, 60), floats), max_size=4))]
+    seed = draw(st.integers(-2 ** 63, 2 ** 63))
+    if kind == "nmf":
+        m, n, rank = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        factors = NmfFactors(u_factors=array(m, rank), v_factors=array(n, rank), rank=rank,
+                             objective=draw(st.lists(floats, max_size=4)))
+        return Checkpoint(model_kind=kind, seed=seed, trace=trace, factors=factors,
+                          n_levels=draw(st.integers(2, 10)),
+                          default_w1=draw(st.none() | st.lists(floats, max_size=1)))
+    z = draw(st.integers(1, 3))
+    dims = ModelDims(
+        n_domains=z, n_user_clusters=draw(st.integers(1, 3)),
+        n_common_clusters=draw(st.integers(1, 3)),
+        n_specific_clusters=tuple(draw(st.lists(st.integers(0, 2), min_size=z, max_size=z))),
+        n_levels=draw(st.integers(2, 5)),
+        n_users=tuple(draw(st.lists(st.integers(1, 4), min_size=z, max_size=z))),
+        n_items=tuple(draw(st.lists(st.integers(1, 4), min_size=z, max_size=z))),
+    )
+    k, t, r = dims.n_user_clusters, dims.n_common_clusters, dims.n_levels
+    specific = list(zip(dims.n_specific_clusters, dims.n_items))
+    params = PclfParams(
+        dims=dims, prior_u=array(k), prior_vcom=array(t),
+        prior_vspe=[array(l) for l, _ in specific],
+        cond_u=array(k, dims.total_users), cond_vcom=array(t, dims.total_items),
+        cond_vspe=[array(l, n) for l, n in specific],
+        rate_com=array(k, t, r), rate_spe=[array(k, l, r) for l, _ in specific],
+    )
+    return Checkpoint(model_kind=kind, seed=seed, trace=trace, params=params,
+                      default_w1=draw(st.none() | st.lists(floats, min_size=z, max_size=z)))
+
+
+class TestWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(checkpoints())
+    def test_bytes_match_one_json_dump(self, ckpt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_checkpoint(path, ckpt)
+            with open(path, "rb") as fh:
+                assert fh.read() == checkpoint_bytes_reference(ckpt)
+
+    def test_awkward_floats_written_exactly(self, tmp_path):
+        params = _params()
+        params.cond_u[0, :4] = AWKWARD_FLOATS[:4]
+        trace = [TraceEntry(0.5, 0, 0.1 + 0.2), TraceEntry(1.0, 1, -1e16)]
+        ckpt = Checkpoint(model_kind="pclf", seed=0, trace=trace, params=params,
+                          default_w1=[5e-324, 1e-300])
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), ckpt)
+        blob = path.read_bytes()
+        assert blob == checkpoint_bytes_reference(ckpt)
+        assert b"[5e-324,1e-300,1e+16,0.30000000000000004," in blob
+        assert json.loads(blob)["arrays"]["cond_u"]["data"][:4] == AWKWARD_FLOATS[:4]
 
 
 class TestValidation:

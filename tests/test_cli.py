@@ -256,17 +256,38 @@ class TestPredict:
     ["predict", "--complete", "9"],
     ["train", "--betas", "x"],
     ["train", "-L", "q"],
+    ["train", "--max-iters", "0"],
+    ["train", "--max-iters", "-3"],
+    ["train", "--model", "nmf", "--nmf-iters", "0"],
+    ["evaluate", {"train": {"beta_schedule": [1.0], "max_iters_per_beta": 0}}],
+    ["evaluate", {"nmf_iters": 0}],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
-        "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L"])
+        "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
+        "max-iters-0", "max-iters-negative", "nmf-iters-0", "config-max-iters-0",
+        "config-nmf-iters-0"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
+    out = tmp_path / "m.json"
     if argv[0] == "predict":
-        argv = argv + ["--checkpoint", ckpt]
+        argv = argv + ["--checkpoint", ckpt, "--out", str(out)]
+    elif argv[0] == "train":
+        if "nmf" in argv:   # nmf trains one domain
+            dataset = str(tmp_path / "one-domain")
+            assert main(["synth", "--domains", "1", "--users", "12", "--items", "10",
+                         "--density", "0.3", "--out", dataset]) == 0
+            capsys.readouterr()
+        argv = argv + ["--dataset", dataset, "--out", str(out)]
     else:
-        argv = argv + ["--dataset", dataset, "--out", str(tmp_path / "m.json")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, **argv[1]}))
+        (tmp_path / "results").mkdir()
+        out = tmp_path / "results" / "results.csv"
+        argv = ["evaluate", "--config", str(config), "--out", str(out.parent)]
+    out.write_text("previous\n")
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert out.read_text() == "previous\n"
 
 
 @pytest.mark.parametrize("damage", [
@@ -537,17 +558,20 @@ class TestSynthAndEvaluate:
         assert len(results) == 1 + 2 * 2
 
 
+# a small synthetic experiment: every model, 2 repeats and 2 Given-N values
+SMALL_CONFIG = {
+    "synthetic": {"Z": 2, "K": 2, "T": 2, "L": [1, 1], "R": 5, "M": [14, 14],
+                  "N": [10, 10], "w1": 0.6, "density": 0.5, "seed": 2},
+    "given_n": [2, 4], "n_train_users": 9, "dims": {"K": 2, "T": 2, "L": [1, 1]},
+    "models": list(KNOWN_MODELS), "nmf_rank": 2, "nmf_iters": 5,
+    "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3}, "n_repeats": 2,
+}
+
+
 def _evaluate_small(tmp_path, models=KNOWN_MODELS):
-    """Run ``pclf evaluate`` on a small synthetic config with ``models``,
-    2 repeats and 2 Given-N values; return the exit code and the output
-    directory."""
-    config = {
-        "synthetic": {"Z": 2, "K": 2, "T": 2, "L": [1, 1], "R": 5, "M": [14, 14],
-                      "N": [10, 10], "w1": 0.6, "density": 0.5, "seed": 2},
-        "given_n": [2, 4], "n_train_users": 9, "dims": {"K": 2, "T": 2, "L": [1, 1]},
-        "models": list(models), "nmf_rank": 2, "nmf_iters": 5,
-        "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3}, "n_repeats": 2,
-    }
+    """Run ``pclf evaluate`` on ``SMALL_CONFIG`` with ``models``; return the
+    exit code and the output directory."""
+    config = {**SMALL_CONFIG, "models": list(models)}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "results"
@@ -628,6 +652,30 @@ def test_non_utf8_ratings_csv_one_line_error(trained, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {ratings} is not UTF-8")
     assert open(ckpt, "rb").read() == before
+
+
+def test_non_utf8_checkpoint_one_line_error(trained, tmp_path, capsys):
+    _, ckpt = trained
+    with open(ckpt, "r+b") as fh:
+        fh.seek(10)
+        fh.write(b"\xff")
+    out = tmp_path / "preds.csv"
+    out.write_text("previous\n")
+    for argv in (["predict", "--cell", "0,0,0", "--out", str(out)], ["inspect"]):
+        assert main(argv + ["--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} is not UTF-8")
+    assert out.read_text() == "previous\n"
+
+
+def test_non_utf8_config_one_line_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"given_n": [\xff]}')
+    out = tmp_path / "results"
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: experiment config {config} is not UTF-8")
+    assert not out.exists()
 
 
 def test_non_utf8_ingest_input_one_line_error(tmp_path, capsys):

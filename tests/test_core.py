@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,12 @@ from pclf import (
 )
 
 from conftest import random_dataset
-from oracles import dataset_log_likelihood, posterior_matrix, random_params
+from oracles import (
+    dataset_log_likelihood,
+    init_params_reference,
+    posterior_matrix,
+    random_params,
+)
 
 PROB_ATOL = 1e-12
 
@@ -110,6 +117,82 @@ class TestInitParams:
         )
         for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("chunk_rows", [7, 4096])
+    @pytest.mark.parametrize("specific", [(2, 3), (3, 0)], ids=["L", "L_z=0"])
+    def test_matches_serial_reference(self, monkeypatch, specific, chunk_rows, seed):
+        # families of widths 4, 2 and 3 (or 4 and 3); with 7 rows a chunk,
+        # 60 pooled and 30 per-domain triples end in partial chunks
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=3, n_common_clusters=4,
+            n_specific_clusters=specific, n_levels=5,
+            n_users=(10, 8), n_items=(7, 9),
+        )
+        ds = random_dataset(np.random.default_rng(seed + 100), dims, 30)
+        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", chunk_rows)
+        got = init_params(dims, ds, seed=seed)
+        want = init_params_reference(dims, ds, seed=seed)
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
+            assert np.array_equal(a, b), name
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # more threads than CPUs, each call with its own helper thread, and a
+        # switch every microsecond: a buffer refilled before its chunk was
+        # reduced would change the result
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=3, n_common_clusters=4,
+            n_specific_clusters=(2, 3), n_levels=5, n_users=(10, 8), n_items=(7, 9),
+        )
+        ds = random_dataset(np.random.default_rng(8), dims, 40)
+        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 5)
+        want = {seed: init_params_reference(dims, ds, seed=seed) for seed in range(6)}
+        got = {}
+
+        def run(seed):
+            got[seed] = init_params(dims, ds, seed=seed)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in want]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == sorted(want)
+        for seed in want:
+            for (name, a), (_, b) in zip(param_arrays(got[seed]), param_arrays(want[seed])):
+                assert np.array_equal(a, b), (seed, name)
+
+    def test_failed_draw_reaches_caller(self, tiny_dataset, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        class SecondDrawFails:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_gamma(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 2:
+                    raise DrawError("no entropy left")
+                return self.rng.standard_gamma(*args, **kwargs)
+
+        dims = ModelDims.from_dataset(tiny_dataset, 3, 2, (2, 2))
+        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 2)  # 7 pooled triples: 4 chunks
+        threads = threading.active_count()
+        init_params(dims, tiny_dataset, seed=0)
+        assert threading.active_count() == threads
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(em.np.random, "default_rng",
+                            lambda seed: SecondDrawFails(default_rng(seed)))
+        with pytest.raises(DrawError, match="no entropy left"):
+            init_params(dims, tiny_dataset, seed=0)
+        assert threading.active_count() == threads
 
     def test_dims_mismatch(self, tiny_dataset):
         wrong = ModelDims(
@@ -458,3 +541,6 @@ class TestTrain:
             TrainConfig(beta_schedule=(0.0, 1.0))
         with pytest.raises(ModelError):
             TrainConfig(rel_ll_tol=0.0)
+        for iters in (0, -1):
+            with pytest.raises(ModelError, match="max_iters_per_beta"):
+                TrainConfig(max_iters_per_beta=iters)
