@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -425,8 +424,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = evaluate.synthetic_spec_from_dict(json.load(fh))
+        spec = evaluate.load_synthetic_spec(args.spec)
     else:
         z = args.domains
         dims = ModelDims(

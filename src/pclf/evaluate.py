@@ -262,6 +262,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_repeats < 1:
             raise DataError("n_repeats must be >= 1")
+        if self.nmf_rank < 1:
+            raise DataError("nmf_rank must be >= 1")
         if self.nmf_iters < 1:
             raise DataError("nmf_iters must be >= 1")
         if any(n < 0 for n in self.given_n):
@@ -271,6 +273,13 @@ class ExperimentConfig:
             raise DataError(f"unknown models {unknown}; known: {list(KNOWN_MODELS)}")
         if (self.synthetic is None) == (not self.domains):
             raise DataError("config needs exactly one of 'domains' or 'synthetic'")
+        n_domains = self.synthetic.dims.n_domains if self.synthetic else len(self.domains)
+        if self.weights is not None and (
+                not isinstance(self.weights, (list, tuple)) or len(self.weights) != n_domains
+                or not all(isinstance(w, (int, float)) and 0.0 <= w <= 1.0
+                           for w in self.weights)):
+            raise DataError(f"weights needs one value in [0, 1] per domain ({n_domains}), "
+                            f"got {self.weights!r}")
 
 
 _CONFIG_KEYS = {
@@ -297,7 +306,12 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
 
 
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
+    if not isinstance(raw, dict):
+        raise DataError("synthetic spec must be a JSON object")
     _reject_unknown(raw, _SYNTH_KEYS, "synthetic spec")
+    for key in ("Z", "K", "T", "L", "M", "N", "density"):
+        if key not in raw:
+            raise DataError(f"synthetic spec is missing key {key!r}")
     z = int(raw["Z"])
     dims = ModelDims(
         n_domains=z,
@@ -393,17 +407,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; a file that cannot be read, is not
+    UTF-8 or is not JSON raises ``DataError`` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise DataError(f"cannot read experiment config {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"experiment config {path} is not UTF-8 text: {exc.reason}") from None
+        raise DataError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
-        raise DataError(f"experiment config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_dict(_read_json(path, "experiment config"))
+
+
+def load_synthetic_spec(path: str) -> SyntheticSpec:
+    return synthetic_spec_from_dict(_read_json(path, "synthetic spec"))
 
 
 @dataclass(frozen=True)
@@ -487,23 +510,27 @@ def _assert_no_leak(train_ds: CrossDomainDataset, evals) -> None:
             raise RuntimeError(f"evaluation triple {t} leaked into the training pool")
 
 
+_POOLED = ("pclf", "rmgm-like")   # fitted on every domain's training ratings at once
+
+
 def _model_maes(
     model: str,
     train_ds: CrossDomainDataset,
     evals: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     config: ExperimentConfig,
     seed: int,
-) -> list[float | None]:
-    """Train one model and return its MAE on each domain's eval set, given
-    as (users, items, ratings) arrays; None for a domain with no eval
-    ratings."""
+    domain: int | None = None,
+) -> dict[int, float]:
+    """Fit one model and return its MAE per scored domain, given each
+    domain's eval set as (users, items, ratings) arrays.  pclf and
+    rmgm-like are fitted on the pooled training set and score every domain
+    with eval ratings; fmm and nmf are fitted on ``domain`` alone and
+    score it."""
     k = int(config.dims["K"])
     t = int(config.dims["T"])
     train_cfg = replace(config.train, seed=seed)
     n_domains = train_ds.n_domains
-    scored = [z for z in range(n_domains) if len(evals[z][0])]
-    out: list[float | None] = [None] * n_domains
-    if model in ("pclf", "rmgm-like"):
+    if model in _POOLED:
         if model == "pclf":
             l = config.dims["L"]
             dims = ModelDims.from_dataset(
@@ -517,88 +544,101 @@ def _model_maes(
             weights = inference.PredictionWeights.common_only(n_domains)
         mats = inference.cluster_rating_matrices(params)
         mems = inference.memberships(params)
-        for z in scored:
-            users, items, truths = evals[z]
-            preds = inference.predict_many(params, mats, mems, weights, z, users, items)
-            out[z] = mae(preds, truths)
-        return out
+        return {
+            z: mae(inference.predict_many(params, mats, mems, weights, z, users, items), truths)
+            for z, (users, items, truths) in enumerate(evals) if len(users)
+        }
+    users, items, truths = evals[domain]
     if model == "fmm":
-        for z in scored:
-            view = train_ds.domain_view(z)
-            params, _ = baselines.fmm_train(view, k, t, train_cfg)
-            weights = inference.PredictionWeights.common_only(1)
-            mats = inference.cluster_rating_matrices(params)
-            mems = inference.memberships(params)
-            users, items, truths = evals[z]
-            preds = inference.predict_many(params, mats, mems, weights, 0, users, items)
-            out[z] = mae(preds, truths)
-        return out
-    if model == "nmf":
-        for z in scored:
-            matrix = baselines.domain_matrix(train_ds, z)
-            factors = baselines.nmf_train(
-                matrix, rank=config.nmf_rank, iters=config.nmf_iters, seed=seed
-            )
-            users, items, truths = evals[z]
-            preds = baselines.nmf_predict(factors, users, items, train_ds.n_levels)
-            out[z] = mae(preds, truths)
-        return out
-    raise DataError(f"unknown model {model!r}")
+        params, _ = baselines.fmm_train(train_ds.domain_view(domain), k, t, train_cfg)
+        preds = inference.predict_many(
+            params, inference.cluster_rating_matrices(params), inference.memberships(params),
+            inference.PredictionWeights.common_only(1), 0, users, items,
+        )
+    elif model == "nmf":
+        factors = baselines.nmf_train(
+            baselines.domain_matrix(train_ds, domain),
+            rank=config.nmf_rank, iters=config.nmf_iters, seed=seed,
+        )
+        preds = baselines.nmf_predict(factors, users, items, train_ds.n_levels)
+    else:
+        raise DataError(f"unknown model {model!r}")
+    return {domain: mae(preds, truths)}
 
 
-def _fit_models(
-    config: ExperimentConfig,
-    train_ds: CrossDomainDataset,
-    evals: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    seed: int,
-    setting: str,
-) -> list[list[float | None]]:
-    """``_model_maes`` of every configured model, in config order, each
-    fitted in a worker process: one worker per usable CPU, at most one per
-    model.
+def _fits(models: list[str], evals) -> list[tuple[str, int | None]]:
+    """A split's fits as ``_model_maes`` (model, domain) arguments, in
+    config order: one per pooled model, one per scored domain for the
+    others; none if no domain has eval ratings."""
+    scored = [z for z, (users, _, _) in enumerate(evals) if len(users)]
+    if not scored:
+        return []
+    return [(model, z) for model in models
+            for z in ((None,) if model in _POOLED else scored)]
 
-    Workers are forked, so they inherit the imported modules instead of
-    importing numpy again; the pool forks them before it starts its own
-    thread.  An exception raised in a worker reaches the caller with its
-    type and message; a worker that dies becomes a ``ModelError`` naming
-    ``setting`` and the models left without a result.
-    """
-    # imported here so that the other commands do not load them (2 MB RSS)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    n_workers = min(len(os.sched_getaffinity(0)), len(config.models))
-    with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_model_maes, model, train_ds, evals, config, seed)
-                   for model in config.models]
+# (setter, getter) of the OpenBLAS thread count: numpy's scipy-openblas
+# wheels, older ILP64 wheels, then plain builds
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_threads():
+    """The ctypes (setter, getter) of the thread count of the OpenBLAS this
+    process has loaded, or None if it has loaded none."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].rstrip("\n") for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
         try:
-            return [f.result() for f in futures]
-        except BrokenProcessPool as exc:
-            lost = [m for m, f in zip(config.models, futures)
-                    if isinstance(f.exception(), BrokenProcessPool)]
-            raise ModelError(f"a worker process died during {setting}; "
-                             f"models without a result: {', '.join(lost)}") from exc
-        except BaseException:
-            pool.shutdown(cancel_futures=True)   # start no queued fit after an error
-            raise
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
 
 
-def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
-    """Repeated Given-N evaluation of every configured model.
+def _one_blas_thread() -> None:
+    """Worker initializer: run BLAS on one thread, so that n workers do not
+    run n x n BLAS threads and every product gives the same bits whatever
+    the CPU count.  Without an OpenBLAS setter the count is left as is."""
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[0](1)
 
-    Per repeat r the split sampling and initialization seed is
-    ``base_seed + r``; the base dataset stays fixed unless
-    ``resample_subsets`` asks for per-repeat resampling.  Training pools
-    from all domains are combined; a leak assertion guards the protocol.
-    A (given-N, domain) split with no eval ratings scores nothing: its
-    cells get no rows, and ``note`` (if given) receives one line for it.
-    The models of one (repeat, given-N) setting are fitted in parallel
-    worker processes (``_fit_models``); rows and ``log`` lines keep the
-    config's model order, and ``log`` receives a setting's lines once all
-    its models are fitted.
-    """
-    rows: list[ResultRow] = []
+
+@dataclass
+class _Setting:
+    """One (repeat, Given-N) split: its training pool, eval sets, note
+    lines and fits."""
+
+    repeat: int
+    given: int
+    seed: int
+    train_ds: CrossDomainDataset
+    evals: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    notes: list[str]
+    fits: list[tuple[str, int | None]]
+
+
+def _settings(config: ExperimentConfig) -> tuple[list[_Setting], int]:
+    """Every (repeat, Given-N) setting in config order, split and checked
+    for leaks, and the number of domains."""
+    settings = []
     empty: set[tuple[int, int]] = set()
     dataset = _base_dataset(config, config.base_seed if not config.synthetic
                             else config.synthetic.seed)
@@ -618,24 +658,76 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
                 for z, (_, ev) in enumerate(parts)
             ]
             _assert_no_leak(train_ds, evals)
+            notes = []
             for z, (users, _, _) in enumerate(evals):
                 if not len(users) and (given, z) not in empty:
                     empty.add((given, z))
-                    if note is not None:
-                        note(f"note: given={given} domain={z} has no eval ratings")
-            if not config.models or all(not len(users) for users, _, _ in evals):
-                continue
-            for model, maes in zip(config.models, _fit_models(
-                    config, train_ds, evals, seed, f"repeat={repeat} given={given}")):
-                for z, value in enumerate(maes):
-                    if value is not None:
-                        rows.append(ResultRow(model, z, given, repeat, value))
-                if log is not None:
-                    log(f"repeat={repeat} given={given} model={model} "
-                        + " ".join(f"mae[d{z}]={v:.4f}" for z, v in enumerate(maes)
-                                   if v is not None))
+                    notes.append(f"note: given={given} domain={z} has no eval ratings")
+            settings.append(_Setting(repeat, given, seed, train_ds, evals, notes,
+                                     _fits(config.models, evals)))
+    return settings, dataset.n_domains
+
+
+def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
+    """Repeated Given-N evaluation of every configured model.
+
+    Per repeat r the split sampling and initialization seed is
+    ``base_seed + r``; the base dataset stays fixed unless
+    ``resample_subsets`` asks for per-repeat resampling.  Training pools
+    from all domains are combined; a leak assertion guards the protocol.
+    A (given-N, domain) split with no eval ratings scores nothing: its
+    cells get no rows, and ``note`` (if given) receives one line for it.
+
+    Every setting is split before any model is fitted.  Each fit
+    (``_fits``) is then one task for one pool of worker processes: one
+    worker per usable CPU and at most one per fit, each running BLAS on
+    one thread.  Workers are forked, so they inherit the imported modules
+    instead of importing numpy again; the pool forks them before it starts
+    its own thread.  Results are read in config order: rows, ``note`` and
+    ``log`` lines keep it, and ``log`` receives a setting's lines once all
+    its models are fitted.  The first exception raised in a fit, in config
+    order, reaches the caller with its type and message, and no queued fit
+    starts after it.  A worker that dies becomes a ``ModelError`` naming
+    the first setting left without a result and its models without one.
+    """
+    # imported here so that the other commands do not load them (2 MB RSS)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    settings, n_domains = _settings(config)
+    rows: list[ResultRow] = []
+    n_workers = max(1, min(len(os.sched_getaffinity(0)), sum(len(s.fits) for s in settings)))
+    with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        futures = [[pool.submit(_model_maes, model, s.train_ds, s.evals, config, s.seed, z)
+                    for model, z in s.fits] for s in settings]
+        try:
+            for s, fits in zip(settings, futures):
+                if note is not None:
+                    for line in s.notes:
+                        note(line)
+                maes: dict[str, dict[int, float]] = {}
+                for (model, _), future in zip(s.fits, fits):
+                    maes.setdefault(model, {}).update(future.result())
+                for model, per_domain in maes.items():
+                    rows.extend(ResultRow(model, z, s.given, s.repeat, value)
+                                for z, value in per_domain.items())
+                    if log is not None:
+                        log(f"repeat={s.repeat} given={s.given} model={model} "
+                            + " ".join(f"mae[d{z}]={v:.4f}" for z, v in per_domain.items()))
+        except BrokenProcessPool as exc:
+            # results are read in config order, so ``s`` is the first
+            # setting with a broken future
+            lost = dict.fromkeys(model for (model, _), future in zip(s.fits, fits)
+                                 if isinstance(future.exception(), BrokenProcessPool))
+            raise ModelError(f"a worker process died during repeat={s.repeat} given={s.given}; "
+                             f"models without a result: {', '.join(lost)}") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)   # start no queued fit after an error
+            raise
     names = ([d.name for d in config.domains] if config.domains
-             else [f"d{z}" for z in range(dataset.n_domains)])
+             else [f"d{z}" for z in range(n_domains)])
     return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))
 
 

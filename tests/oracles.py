@@ -211,7 +211,8 @@ def nmf_reference(observed, rank, iters, seed, masked=True):
 
 
 def run_experiment_reference(config, log=None, note=None):
-    """``run_experiment`` fitting each model in turn in this process."""
+    """``run_experiment`` fitting each model in turn in this process, and
+    splitting each setting just before its fits."""
     from pclf.data import _given_n_positions
     from pclf.evaluate import (
         ResultRow,
@@ -248,15 +249,19 @@ def run_experiment_reference(config, log=None, note=None):
                         note(f"note: given={given} domain={z} has no eval ratings")
             if all(not len(users) for users, _, _ in evals):
                 continue
+            scored = [z for z, (users, _, _) in enumerate(evals) if len(users)]
             for model in config.models:
-                maes = _model_maes(model, train_ds, evals, config, seed)
-                for z, value in enumerate(maes):
-                    if value is not None:
-                        rows.append(ResultRow(model, z, given, repeat, value))
+                if model in ("pclf", "rmgm-like"):   # one fit scores every domain
+                    maes = _model_maes(model, train_ds, evals, config, seed)
+                else:                                # one fit per scored domain
+                    maes = {}
+                    for z in scored:
+                        maes.update(_model_maes(model, train_ds, evals, config, seed, z))
+                for z, value in maes.items():
+                    rows.append(ResultRow(model, z, given, repeat, value))
                 if log is not None:
                     log(f"repeat={repeat} given={given} model={model} "
-                        + " ".join(f"mae[d{z}]={v:.4f}" for z, v in enumerate(maes)
-                                   if v is not None))
+                        + " ".join(f"mae[d{z}]={v:.4f}" for z, v in maes.items()))
     names = ([d.name for d in config.domains] if config.domains
              else [f"d{z}" for z in range(dataset.n_domains)])
     return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))

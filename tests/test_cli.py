@@ -261,14 +261,33 @@ class TestPredict:
     ["train", "--model", "nmf", "--nmf-iters", "0"],
     ["evaluate", {"train": {"beta_schedule": [1.0], "max_iters_per_beta": 0}}],
     ["evaluate", {"nmf_iters": 0}],
+    ["evaluate", {"nmf_rank": 0}],
+    ["evaluate", {"weights": [0.5]}],
+    ["evaluate", {"weights": [0.5, 1.5]}],
+    ["evaluate", {"synthetic": {"Z": 1}}],
+    ["synth", {"Z": 1}],
+    ["synth", None],
+    ["synth", b'{"Z": 1, "K": "\xff"}'],
+    ["synth", b'{"Z": 1'],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "config-max-iters-0",
-        "config-nmf-iters-0"])
+        "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
+        "config-weights-above-1", "config-synthetic-missing-key", "spec-missing-key",
+        "spec-unreadable", "spec-not-utf8", "spec-not-json"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"
-    if argv[0] == "predict":
+    if argv[0] == "synth":   # the spec's text, bytes, or None for a missing file
+        spec = tmp_path / "spec.json"
+        if isinstance(argv[1], bytes):
+            spec.write_bytes(argv[1])
+        elif argv[1] is not None:
+            spec.write_text(json.dumps(argv[1]))
+        (tmp_path / "data").mkdir()
+        out = tmp_path / "data" / "ratings.csv"
+        argv = ["synth", "--spec", str(spec), "--out", str(out.parent)]
+    elif argv[0] == "predict":
         argv = argv + ["--checkpoint", ckpt, "--out", str(out)]
     elif argv[0] == "train":
         if "nmf" in argv:   # nmf trains one domain

@@ -1,4 +1,6 @@
+import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -201,7 +203,7 @@ class TestSynthReference:
         assert _replay_choice(np.array([row]), np.array([u])).tolist() == [index]
 
 
-def _synthetic_config(**overrides):
+def _synthetic_raw(**overrides):
     raw = {
         "synthetic": {
             "Z": 2, "K": 2, "T": 2, "L": [2, 2], "R": 5,
@@ -218,7 +220,11 @@ def _synthetic_config(**overrides):
         "base_seed": 0,
     }
     raw.update(overrides)
-    return config_from_dict(raw)
+    return raw
+
+
+def _synthetic_config(**overrides):
+    return config_from_dict(_synthetic_raw(**overrides))
 
 
 class TestExperimentConfig:
@@ -261,6 +267,27 @@ class TestExperimentConfig:
     def test_dims_missing_key_named(self):
         with pytest.raises(DataError, match="'T'"):
             _synthetic_config(dims={"K": 2, "L": [1, 1]})
+
+    @pytest.mark.parametrize("nmf_rank", [0, -2])
+    def test_nmf_rank_below_one(self, nmf_rank):
+        with pytest.raises(DataError, match="nmf_rank must be >= 1"):
+            _synthetic_config(nmf_rank=nmf_rank)
+
+    @pytest.mark.parametrize("weights", [[0.5], [0.5, 0.5, 0.5], [0.5, 1.5], [-0.1, 0.5],
+                                         [0.5, "a"], 0.5])
+    def test_weights_one_per_domain_in_unit_interval(self, weights):
+        with pytest.raises(DataError, match=r"weights needs one value in \[0, 1\] per domain"):
+            _synthetic_config(weights=weights)
+
+    @pytest.mark.parametrize("key", ["Z", "K", "T", "L", "M", "N", "density"])
+    def test_synthetic_missing_key_named(self, key):
+        from pclf.evaluate import synthetic_spec_from_dict
+
+        raw = {"Z": 2, "K": 2, "T": 2, "L": [1, 1], "M": [20, 20], "N": [15, 15],
+               "density": 0.4}
+        del raw[key]
+        with pytest.raises(DataError, match=f"synthetic spec is missing key '{key}'"):
+            synthetic_spec_from_dict(raw)
 
 
 class TestRunExperiment:
@@ -390,6 +417,83 @@ class TestWorkerPool:
         assert lines == expected_lines
         assert len(report.rows) == 2 * 2 * 4 * 2   # repeats x scored givens x models x domains
         assert sum(line.startswith("note:") for line in lines) == 2
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_one_scored_domain_matches_serial_reference(self, monkeypatch, one_cpu):
+        # Given 15 leaves domain 0 (15 items) nothing to score, so fmm and
+        # nmf fit domain 1 alone
+        config = _synthetic_config(
+            synthetic={"Z": 2, "K": 2, "T": 2, "L": [2, 2], "R": 5, "M": [20, 20],
+                       "N": [15, 40], "w1": 0.5, "density": 0.4, "seed": 5},
+            given_n=[15], models=list(KNOWN_MODELS), n_repeats=2, nmf_rank=3, nmf_iters=20,
+        )
+        expected_lines = []
+        expected = run_experiment_reference(config, log=expected_lines.append,
+                                            note=expected_lines.append)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        lines = []
+        report = run_experiment(config, log=lines.append, note=lines.append)
+        assert report.rows == expected.rows
+        assert lines == expected_lines
+        assert {(r.model, r.domain) for r in report.rows} == {(m, 1) for m in KNOWN_MODELS}
+        assert len(report.rows) == 2 * 4   # repeats x models, domain 1 only
+        assert lines[0] == "note: given=15 domain=0 has no eval ratings"
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        from pclf.evaluate import _openblas_threads
+
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS thread-count setter in this process")
+        set_threads, get_threads = threads
+        nmf_train = baselines.nmf_train
+
+        def nmf_train_on_one_thread(*args, **kwargs):
+            if get_threads() != 1:
+                raise ModelError(f"nmf ran on {get_threads()} BLAS threads")
+            return nmf_train(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "nmf_train", nmf_train_on_one_thread)
+        before = get_threads()
+        set_threads(2)   # workers inherit two threads even on one CPU
+        try:
+            report = run_experiment(self._config())
+        finally:
+            set_threads(before)
+        assert len([r for r in report.rows if r.model == "nmf"]) == 2 * 2 * 2
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_worker_death_in_later_setting_named(self, tmp_path, monkeypatch, capsys,
+                                                 one_cpu):
+        from pclf.cli import main
+
+        raw = _synthetic_raw(given_n=[3, 15, 6], models=list(KNOWN_MODELS), n_repeats=2,
+                             nmf_rank=3, nmf_iters=20)
+        nmf_train = baselines.nmf_train
+
+        def die_in_repeat_one(*args, seed, **kwargs):
+            if seed == raw["base_seed"] + 1:
+                time.sleep(0.5)   # let the other worker finish repeat 0's fits
+                os._exit(3)
+            return nmf_train(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(baselines, "nmf_train", die_in_repeat_one)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "results"
+        assert main(["evaluate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[:1] == ["note: given=15 domain=0 has no eval ratings"]
+        assert err[-1].startswith("error: a worker process died during repeat=1 given=3; "
+                                  "models without a result: ")
+        lost = err[-1].rsplit(": ", 1)[1].split(", ")
+        assert "nmf" in lost and lost == [m for m in KNOWN_MODELS if m in lost]
+        if one_cpu:   # pclf, rmgm-like and fmm are fitted, then nmf dies
+            assert lost == ["nmf"]
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("error", [DataError, ModelError])
     def test_worker_error_reaches_caller(self, monkeypatch, error):
