@@ -18,7 +18,8 @@ from .data import atomic_write
 from .em import ModelDims, ModelError, PclfParams, TraceEntry
 
 FORMAT_VERSION = "pclf-model-v1"
-MODEL_KINDS = ("pclf", "fmm", "rmgm-like", "nmf")
+# every model kind; its order is evaluate's default model order
+KNOWN_MODELS = ("pclf", "rmgm-like", "fmm", "nmf")
 
 
 class CheckpointError(ValueError):
@@ -104,9 +105,9 @@ def _write_document(fh, doc: dict) -> None:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    if ckpt.model_kind not in MODEL_KINDS:
+    if ckpt.model_kind not in KNOWN_MODELS:
         raise CheckpointError(
-            f"model_kind {ckpt.model_kind!r} not in {list(MODEL_KINDS)}"
+            f"model_kind {ckpt.model_kind!r} not in {list(KNOWN_MODELS)}"
         )
     doc = {
         "format": FORMAT_VERSION,
@@ -165,7 +166,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"checkpoint version mismatch: expected {FORMAT_VERSION!r}, found {found!r}"
         )
     kind = doc.get("model_kind")
-    if kind not in MODEL_KINDS:
+    if kind not in KNOWN_MODELS:
         raise CheckpointError(f"unknown model_kind {kind!r}")
     try:
         trace = [TraceEntry(beta=float(b), iteration=int(i), log_likelihood=float(ll))

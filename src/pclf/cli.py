@@ -34,7 +34,7 @@ from .data import (
     select_subset,
     text_lines,
 )
-from .em import ModelDims, ModelError, TrainConfig, train
+from .em import ModelDims, ModelError, TrainConfig
 
 
 def _parse_scale(text: str, levels: int) -> ScaleSpec:
@@ -96,69 +96,37 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_betas(text: str) -> tuple[float, ...]:
-    return tuple(_parse_numbers(text, float, "--betas"))
-
-
 def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
     z = dataset.n_domains
     config = TrainConfig(
-        beta_schedule=_parse_betas(args.betas),
+        beta_schedule=tuple(_parse_numbers(args.betas, float, "--betas")),
         max_iters_per_beta=args.max_iters,
         min_iters_per_beta=args.min_iters,
         rel_ll_tol=args.tol,
         smoothing_floor=args.floor,
         seed=args.seed,
     )
-    if args.model == "nmf":
-        if z != 1:
-            raise ModelError(f"nmf trains one domain at a time, got {z} domains")
-        factors = baselines.nmf_train(
-            baselines.domain_matrix(dataset, 0),
-            rank=args.rank, iters=args.nmf_iters, seed=args.seed,
-        )
-        ckpt = Checkpoint(model_kind="nmf", seed=args.seed, trace=[],
-                          factors=factors, n_levels=dataset.n_levels)
-        save_checkpoint(args.out, ckpt)
-        print(f"model=nmf rank={args.rank} objective={factors.objective[-1]:.6f}")
-        return 0
-
-    if args.model == "pclf":
-        specific = _parse_list(args.specific_clusters, z, "-L/--specific-clusters")
-        dims = ModelDims.from_dataset(
-            dataset, args.user_clusters, args.common_clusters, tuple(specific)
-        )
-        params, trace = train(dataset, dims, config)
-        # a domain without specific clusters predicts from the common part only
-        default_w1 = [args.w1 if l_z > 0 else 1.0 for l_z in specific]
-    elif args.model == "fmm":
-        params, trace = baselines.fmm_train(
-            dataset, args.user_clusters, args.common_clusters, config
-        )
-        default_w1 = [1.0]
-    elif args.model == "rmgm-like":
-        params, trace = baselines.common_only_train(
-            dataset, args.user_clusters, args.common_clusters, config
-        )
-        default_w1 = [1.0] * z
-    else:
-        raise ModelError(f"unknown model {args.model!r}")
-
-    ckpt = Checkpoint(model_kind=args.model, seed=args.seed, trace=trace,
-                      params=params, default_w1=default_w1)
+    ckpt = evaluate.fit(
+        args.model, dataset, args.user_clusters, args.common_clusters,
+        _parse_list(args.specific_clusters, z, "-L/--specific-clusters"), config,
+        [args.w1] * z, args.rank, args.nmf_iters,
+    )
     save_checkpoint(args.out, ckpt)
-    d = params.dims
+    if ckpt.factors is not None:
+        print(f"model=nmf rank={args.rank} objective={ckpt.factors.objective[-1]:.6f}")
+        return 0
+    d = ckpt.params.dims
     print(
         f"model={args.model} K={d.n_user_clusters} T={d.n_common_clusters} "
         f"L={','.join(str(x) for x in d.n_specific_clusters)}"
     )
     per_beta: dict[float, int] = {}
-    for entry in trace:
+    for entry in ckpt.trace:
         per_beta[entry.beta] = entry.iteration + 1
     for beta, iters in per_beta.items():
         print(f"beta={beta:g} iterations={iters}")
-    print(f"final_log_likelihood={trace[-1].log_likelihood:.6f}")
+    print(f"final_log_likelihood={ckpt.trace[-1].log_likelihood:.6f}")
     return 0
 
 
@@ -520,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--dataset", required=True, help="canonical dataset directory")
-    p.add_argument("--model", default="pclf", choices=["pclf", "fmm", "rmgm-like", "nmf"])
+    p.add_argument("--model", default="pclf", choices=evaluate.KNOWN_MODELS)
     p.add_argument("-K", "--user-clusters", type=int, default=20)
     p.add_argument("-T", "--common-clusters", type=int, default=10)
     p.add_argument("-L", "--specific-clusters", default="15",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, inference
+from .checkpoint import KNOWN_MODELS, Checkpoint
 from .data import (
     CrossDomainDataset,
     DataError,
@@ -27,8 +28,6 @@ from .data import (
     select_subset,
 )
 from .em import ModelDims, ModelError, PclfParams, TrainConfig, train
-
-KNOWN_MODELS = ("pclf", "rmgm-like", "fmm", "nmf")
 
 
 def mae(predictions, truths) -> float:
@@ -246,7 +245,7 @@ class ExperimentConfig:
 
     given_n: list[int]
     n_train_users: int
-    dims: dict                      # {"K": int, "T": int, "L": [int, ...]}
+    dims: dict                      # {"K": int, "T": int, "L": int or [int, ...]}
     models: list[str]
     domains: list[DomainSource] = field(default_factory=list)
     synthetic: SyntheticSpec | None = None
@@ -280,57 +279,100 @@ class ExperimentConfig:
                            for w in self.weights)):
             raise DataError(f"weights needs one value in [0, 1] per domain ({n_domains}), "
                             f"got {self.weights!r}")
+        k, t, l = (self.dims.get(key) for key in ("K", "T", "L"))
+        if not all(_is(c, int) and c >= 1 for c in (k, t)):
+            raise DataError(f"dims K and T must be integers >= 1, got K={k!r} T={t!r}")
+        if not (_is(l, int) and l >= 0
+                or _is(l, [int]) and len(l) == n_domains and min(l, default=0) >= 0):
+            raise DataError(f"dims L needs one integer >= 0, or one per domain ({n_domains}), "
+                            f"got {l!r}")
 
 
-_CONFIG_KEYS = {
-    "given_n", "n_train_users", "dims", "models", "domains", "synthetic",
-    "subset", "weights", "train", "nmf_rank", "nmf_iters", "n_repeats",
-    "base_seed", "resample_subsets",
+# the JSON type of every key a config section may hold: int, float (any
+# number), bool, str, dict, None (null) or object (anything); [type] is a
+# list of that type, and a tuple lists alternatives
+_CONFIG_TYPES = {
+    "given_n": [int], "n_train_users": int, "dims": dict, "models": [str],
+    "domains": [dict], "synthetic": (dict, None), "subset": (dict, None),
+    "weights": object, "train": dict, "nmf_rank": int, "nmf_iters": int,
+    "n_repeats": int, "base_seed": int, "resample_subsets": bool,
 }
-_DOMAIN_KEYS = {"path", "scale", "name", "delimiter", "columns", "skip_header"}
-_SYNTH_KEYS = {
-    "Z", "K", "T", "L", "R", "M", "N", "w1", "density", "seed",
-    "membership_concentration", "rating_sharpness", "specific_sharpness",
-    "table_noise",
+_DOMAIN_TYPES = {"path": str, "scale": dict, "name": str, "delimiter": str,
+                 "columns": [int], "skip_header": bool}
+_SYNTH_TYPES = {
+    "Z": int, "K": int, "T": int, "L": [int], "R": int, "M": [int], "N": [int],
+    "w1": (float, [float]), "density": float, "seed": int,
+    "membership_concentration": float, "rating_sharpness": float,
+    "specific_sharpness": (float, None), "table_noise": float,
 }
-_TRAIN_KEYS = {
-    "beta_schedule", "max_iters_per_beta", "min_iters_per_beta",
-    "rel_ll_tol", "smoothing_floor", "seed",
+_TRAIN_TYPES = {
+    "beta_schedule": [float], "max_iters_per_beta": int, "min_iters_per_beta": int,
+    "rel_ll_tol": float, "smoothing_floor": float, "seed": int,
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               dict: "an object", None: "null"}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    for key in mapping:
-        if key not in allowed:
+def _is(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``, spelled as in ``_CONFIG_TYPES``."""
+    if isinstance(kind, tuple):
+        return any(_is(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
+    if kind is None:
+        return value is None
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_describe(k) for k in kind)
+    if isinstance(kind, list):
+        return f"a list, each {_describe(kind[0])}"
+    return _TYPE_NAMES[kind]
+
+
+def _checked(mapping, types: dict, where: str, required=()) -> dict:
+    """``mapping``, once it is a JSON object with every ``required`` key,
+    no key outside ``types`` and values of the types ``types`` gives;
+    else ``DataError`` names the first fault."""
+    if not isinstance(mapping, dict):
+        raise DataError(f"{where} must be a JSON object")
+    for key, value in mapping.items():
+        if key not in types:
             raise DataError(f"unknown key {key!r} in {where}")
+        if not _is(value, types[key]):
+            raise DataError(f"{key!r} in {where} must be {_describe(types[key])}, "
+                            f"got {json.dumps(value)}")
+    for key in required:
+        if key not in mapping:
+            raise DataError(f"{where} is missing key {key!r}")
+    return mapping
 
 
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
-    if not isinstance(raw, dict):
-        raise DataError("synthetic spec must be a JSON object")
-    _reject_unknown(raw, _SYNTH_KEYS, "synthetic spec")
-    for key in ("Z", "K", "T", "L", "M", "N", "density"):
-        if key not in raw:
-            raise DataError(f"synthetic spec is missing key {key!r}")
-    z = int(raw["Z"])
+    _checked(raw, _SYNTH_TYPES, "synthetic spec", ("Z", "K", "T", "L", "M", "N", "density"))
+    z = raw["Z"]
     dims = ModelDims(
         n_domains=z,
-        n_user_clusters=int(raw["K"]),
-        n_common_clusters=int(raw["T"]),
-        n_specific_clusters=tuple(int(x) for x in raw["L"]),
-        n_levels=int(raw.get("R", 5)),
-        n_users=tuple(int(x) for x in raw["M"]),
-        n_items=tuple(int(x) for x in raw["N"]),
+        n_user_clusters=raw["K"],
+        n_common_clusters=raw["T"],
+        n_specific_clusters=tuple(raw["L"]),
+        n_levels=raw.get("R", 5),
+        n_users=tuple(raw["M"]),
+        n_items=tuple(raw["N"]),
     )
     w1 = raw.get("w1", 0.5)
-    if isinstance(w1, (int, float)):
+    if not isinstance(w1, list):
         w1 = [w1] * z
     specific_sharpness = raw.get("specific_sharpness")
     return SyntheticSpec(
         dims=dims,
         w1=tuple(float(x) for x in w1),
         density=float(raw["density"]),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         membership_concentration=float(raw.get("membership_concentration", 0.15)),
         rating_sharpness=float(raw.get("rating_sharpness", 2.0)),
         specific_sharpness=(
@@ -341,57 +383,52 @@ def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Parse a config mapping, rejecting unknown keys by name.
+    """Parse a config mapping, rejecting unknown keys by name and values
+    of the wrong JSON type.
 
     Omitted keys fall back to the protocol defaults: Given-N settings
     (5, 10, 15), dims K=20 / T=10 / L=15 per domain, prediction weight
     0.35 and 10 repeats, so a config only needs its data source and the
     training-user count.
     """
-    _reject_unknown(raw, _CONFIG_KEYS, "experiment config")
+    _checked(raw, _CONFIG_TYPES, "experiment config", ("n_train_users",))
     domains = []
     for i, d in enumerate(raw.get("domains", [])):
-        _reject_unknown(d, _DOMAIN_KEYS, f"domains[{i}]")
-        smin, smax = d["scale"]["min"], d["scale"]["max"]
-        levels = d["scale"].get("target_levels", 5)
+        _checked(d, _DOMAIN_TYPES, f"domains[{i}]", ("path", "scale"))
+        if len(d.get("columns", (0, 1, 2))) != 3:
+            raise DataError(f"'columns' in domains[{i}] needs 3 entries, got {d['columns']}")
+        scale = _checked(d["scale"], {"min": float, "max": float, "target_levels": int},
+                         f"domains[{i}] scale", ("min", "max"))
         domains.append(DomainSource(
             path=d["path"],
-            scale=ScaleSpec(smin, smax, levels),
+            scale=ScaleSpec(scale["min"], scale["max"], scale.get("target_levels", 5)),
             name=d.get("name", f"d{i}"),
             delimiter=d.get("delimiter", "\t"),
             columns=tuple(d.get("columns", (0, 1, 2))),
-            skip_header=bool(d.get("skip_header", False)),
+            skip_header=d.get("skip_header", False),
         ))
     synthetic = None
-    if "synthetic" in raw and raw["synthetic"] is not None:
+    if raw.get("synthetic") is not None:
         synthetic = synthetic_spec_from_dict(raw["synthetic"])
-    train_raw = raw.get("train", {})
-    _reject_unknown(train_raw, _TRAIN_KEYS, "train config")
+    train_raw = _checked(raw.get("train", {}), _TRAIN_TYPES, "train config")
     defaults = TrainConfig()
     train_cfg = TrainConfig(
         beta_schedule=tuple(train_raw.get("beta_schedule", defaults.beta_schedule)),
-        max_iters_per_beta=int(train_raw.get("max_iters_per_beta", defaults.max_iters_per_beta)),
-        min_iters_per_beta=int(
-            train_raw.get("min_iters_per_beta", defaults.min_iters_per_beta)
-        ),
+        max_iters_per_beta=train_raw.get("max_iters_per_beta", defaults.max_iters_per_beta),
+        min_iters_per_beta=train_raw.get("min_iters_per_beta", defaults.min_iters_per_beta),
         rel_ll_tol=float(train_raw.get("rel_ll_tol", defaults.rel_ll_tol)),
         smoothing_floor=float(train_raw.get("smoothing_floor", defaults.smoothing_floor)),
-        seed=int(train_raw.get("seed", 0)),
+        seed=train_raw.get("seed", 0),
     )
-    if "subset" in raw and raw["subset"] is not None:
-        _reject_unknown(
-            raw["subset"],
-            {"n_users", "n_items", "min_user_ratings", "min_item_ratings"},
-            "subset",
-        )
-    dims = raw.get("dims", {"K": 20, "T": 10, "L": 15})
-    _reject_unknown(dims, {"K", "T", "L"}, "dims")
-    for key in ("K", "T", "L"):
-        if key not in dims:
-            raise DataError(f"dims is missing key {key!r}")
+    if raw.get("subset") is not None:
+        _checked(raw["subset"], dict.fromkeys(
+            ("n_users", "n_items", "min_user_ratings", "min_item_ratings"), int),
+            "subset", ("n_users", "n_items"))
+    dims = _checked(raw.get("dims", {"K": 20, "T": 10, "L": 15}),
+                    {"K": int, "T": int, "L": (int, [int])}, "dims", ("K", "T", "L"))
     return ExperimentConfig(
-        given_n=[int(n) for n in raw.get("given_n", (5, 10, 15))],
-        n_train_users=int(raw["n_train_users"]),
+        given_n=list(raw.get("given_n", (5, 10, 15))),
+        n_train_users=raw["n_train_users"],
         dims=dims,
         models=list(raw.get("models", KNOWN_MODELS)),
         domains=domains,
@@ -399,11 +436,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         subset=raw.get("subset"),
         weights=raw.get("weights"),
         train=train_cfg,
-        nmf_rank=int(raw.get("nmf_rank", 20)),
-        nmf_iters=int(raw.get("nmf_iters", 200)),
-        n_repeats=int(raw.get("n_repeats", 10)),
-        base_seed=int(raw.get("base_seed", 0)),
-        resample_subsets=bool(raw.get("resample_subsets", False)),
+        nmf_rank=raw.get("nmf_rank", 20),
+        nmf_iters=raw.get("nmf_iters", 200),
+        n_repeats=raw.get("n_repeats", 10),
+        base_seed=raw.get("base_seed", 0),
+        resample_subsets=raw.get("resample_subsets", False),
     )
 
 
@@ -510,7 +547,39 @@ def _assert_no_leak(train_ds: CrossDomainDataset, evals) -> None:
             raise RuntimeError(f"evaluation triple {t} leaked into the training pool")
 
 
-_POOLED = ("pclf", "rmgm-like")   # fitted on every domain's training ratings at once
+def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
+        n_common_clusters: int, n_specific_clusters, config: TrainConfig, w1,
+        nmf_rank: int, nmf_iters: int) -> Checkpoint:
+    """Fit a model of ``kind`` on ``dataset``, as ``pclf train`` does.
+
+    Every kind but nmf is the cluster-level model: pclf with
+    ``n_specific_clusters`` (an int, or one per domain); rmgm-like with
+    none in any domain; fmm the same on a single-domain dataset.  The
+    checkpoint's ``default_w1`` takes domain z's weight from ``w1`` (one per
+    domain), except that a domain without specific clusters gets w1 = 1.
+    nmf factorizes the one domain's rating matrix with ``nmf_rank`` and
+    ``nmf_iters``, seeded with ``config.seed``.
+    """
+    if kind == "nmf":
+        if dataset.n_domains != 1:
+            raise ModelError(f"nmf trains one domain at a time, got {dataset.n_domains} domains")
+        factors = baselines.nmf_train(baselines.domain_matrix(dataset, 0),
+                                      rank=nmf_rank, iters=nmf_iters, seed=config.seed)
+        return Checkpoint(model_kind=kind, seed=config.seed, trace=[], factors=factors,
+                          n_levels=dataset.n_levels)
+    k, t = n_user_clusters, n_common_clusters
+    if kind == "pclf":
+        params, trace = train(dataset, ModelDims.from_dataset(dataset, k, t, n_specific_clusters),
+                              config)
+    elif kind == "rmgm-like":
+        params, trace = baselines.common_only_train(dataset, k, t, config)
+    elif kind == "fmm":
+        params, trace = baselines.fmm_train(dataset, k, t, config)
+    else:
+        raise ModelError(f"unknown model {kind!r}")
+    default_w1 = [w1[z] if l_z else 1.0 for z, l_z in enumerate(params.dims.n_specific_clusters)]
+    return Checkpoint(model_kind=kind, seed=config.seed, trace=trace, params=params,
+                      default_w1=default_w1)
 
 
 def _model_maes(
@@ -526,44 +595,29 @@ def _model_maes(
     rmgm-like are fitted on the pooled training set and score every domain
     with eval ratings; fmm and nmf are fitted on ``domain`` alone and
     score it."""
-    k = int(config.dims["K"])
-    t = int(config.dims["T"])
-    train_cfg = replace(config.train, seed=seed)
-    n_domains = train_ds.n_domains
-    if model in _POOLED:
-        if model == "pclf":
-            l = config.dims["L"]
-            dims = ModelDims.from_dataset(
-                train_ds, k, t, l if isinstance(l, int) else tuple(int(x) for x in l)
-            )
-            params, _ = train(train_ds, dims, train_cfg)
-            w1 = config.weights if config.weights is not None else [inference.DEFAULT_W1] * n_domains
-            weights = inference.PredictionWeights(w1=tuple(w1))
-        else:
-            params, _ = baselines.common_only_train(train_ds, k, t, train_cfg)
-            weights = inference.PredictionWeights.common_only(n_domains)
-        mats = inference.cluster_rating_matrices(params)
-        mems = inference.memberships(params)
-        return {
-            z: mae(inference.predict_many(params, mats, mems, weights, z, users, items), truths)
-            for z, (users, items, truths) in enumerate(evals) if len(users)
-        }
-    users, items, truths = evals[domain]
-    if model == "fmm":
-        params, _ = baselines.fmm_train(train_ds.domain_view(domain), k, t, train_cfg)
-        preds = inference.predict_many(
-            params, inference.cluster_rating_matrices(params), inference.memberships(params),
-            inference.PredictionWeights.common_only(1), 0, users, items,
-        )
-    elif model == "nmf":
-        factors = baselines.nmf_train(
-            baselines.domain_matrix(train_ds, domain),
-            rank=config.nmf_rank, iters=config.nmf_iters, seed=seed,
-        )
-        preds = baselines.nmf_predict(factors, users, items, train_ds.n_levels)
-    else:
-        raise DataError(f"unknown model {model!r}")
-    return {domain: mae(preds, truths)}
+    w1 = config.weights if config.weights is not None else [inference.DEFAULT_W1] * len(evals)
+    ckpt = fit(model, train_ds if domain is None else train_ds.domain_view(domain),
+               config.dims["K"], config.dims["T"], config.dims["L"],
+               replace(config.train, seed=seed), w1, config.nmf_rank, config.nmf_iters)
+    if ckpt.factors is None:
+        params = ckpt.params
+        mats, mems = inference.cluster_rating_matrices(params), inference.memberships(params)
+        weights = inference.PredictionWeights(w1=tuple(ckpt.default_w1))
+    maes = {}
+    for z in range(len(evals)) if domain is None else [domain]:
+        users, items, truths = evals[z]
+        if not len(users):
+            continue
+        if ckpt.factors is not None:
+            preds = baselines.nmf_predict(ckpt.factors, users, items, train_ds.n_levels)
+        else:   # a one-domain fit holds ``domain`` as its domain 0
+            preds = inference.predict_many(params, mats, mems, weights,
+                                           z if domain is None else 0, users, items)
+        maes[z] = mae(preds, truths)
+    return maes
+
+
+_POOLED = ("pclf", "rmgm-like")   # fitted on every domain's training ratings at once
 
 
 def _fits(models: list[str], evals) -> list[tuple[str, int | None]]:

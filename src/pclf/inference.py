@@ -105,43 +105,33 @@ def memberships(params: PclfParams) -> MembershipVectors:
     )
 
 
-def user_table(params: PclfParams, mems: MembershipVectors, domain: int,
-               users=None) -> np.ndarray:
+def user_table(params: PclfParams, mems: MembershipVectors, domain: int) -> np.ndarray:
     """One domain's user memberships, (M_z + 1, K); the last row is the
-    uniform membership every unseen user gets.  Given ``users``, only
-    their rows, with the uniform row for an index outside [0, M_z)."""
+    uniform membership every unseen user gets."""
     dims = params.dims
     start = dims.user_offset(domain)
-    return _rows(mems.p_u[start:start + dims.n_users[domain]], users)
+    return _rows(mems.p_u[start:start + dims.n_users[domain]])
 
 
 def item_table(params: PclfParams, mats: ClusterRatingMatrices, mems: MembershipVectors,
-               domain: int, w1: float, items=None) -> np.ndarray:
+               domain: int, w1: float) -> np.ndarray:
     """Expected rating of each item of ``domain`` per user cluster,
     ``w1 * p_vcom S_com^T + (1 - w1) * p_vspe S_spe^T``, (N_z + 1, K); the
-    last row is built from the uniform memberships of an unseen item.
-    Given ``items``, only their rows, as ``user_table`` does."""
+    last row is built from the uniform memberships of an unseen item."""
     dims = params.dims
     start = dims.item_offset(domain)
-    common = _rows(mems.p_vcom[start:start + dims.n_items[domain]], items) @ mats.s_com.T
+    common = _rows(mems.p_vcom[start:start + dims.n_items[domain]]) @ mats.s_com.T
     if dims.n_specific_clusters[domain] == 0 and w1 != 1.0:
         raise ModelError(f"domain {domain} has no specific clusters; predictions require w1 = 1")
     if w1 == 1.0:
         return common
-    specific = _rows(mems.p_vspe[domain], items) @ mats.s_spe[domain].T
+    specific = _rows(mems.p_vspe[domain]) @ mats.s_spe[domain].T
     return w1 * common + (1.0 - w1) * specific
 
 
-def _rows(table: np.ndarray, index) -> np.ndarray:
-    """``table``'s rows at ``index`` (default: every row, then one more),
-    with the uniform row for an index outside [0, len(table))."""
-    if index is None:
-        return np.vstack([table, np.full((1, table.shape[1]), 1.0 / table.shape[1])])
-    index = np.asarray(index)
-    inside = (index >= 0) & (index < len(table))
-    rows = table[np.where(inside, index, 0)]
-    rows[~inside] = 1.0 / table.shape[1]
-    return rows
+def _rows(table: np.ndarray) -> np.ndarray:
+    """``table`` with the uniform row appended."""
+    return np.vstack([table, np.full((1, table.shape[1]), 1.0 / table.shape[1])])
 
 
 def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: MembershipVectors,
@@ -157,41 +147,20 @@ def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: Members
     """
     dims = params.dims
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 4)
-    _check_domains(dims, np.unique(cells[:, [0, 2]]).tolist())
+    for d in np.unique(cells[:, [0, 2]]).tolist():
+        if not 0 <= d < dims.n_domains:
+            raise ModelError(f"domain {d} out of range: the model has {dims.n_domains}")
     blocks = cells[:, 0] * dims.n_domains + cells[:, 2]
     out = np.empty(len(cells))
     for block in np.unique(blocks).tolist():
         du, dv = divmod(block, dims.n_domains)
         rows = blocks == block
-        w1 = _cell_w1(weights, du, dv, mix_specific)
+        w1 = weights.w1[dv] if du == dv or mix_specific else 1.0
         users = _table_rows(cells[rows, 1], dims.n_users[du])
         items = _table_rows(cells[rows, 3], dims.n_items[dv])
         out[rows] = np.einsum("ij,ij->i", user_table(params, mems, du)[users],
                               item_table(params, mats, mems, dv, w1)[items])
     return out
-
-
-def _predict_one(params: PclfParams, mats: ClusterRatingMatrices, mems: MembershipVectors,
-                 weights: PredictionWeights | None, user: tuple[int, int],
-                 item: tuple[int, int], mix_specific: bool = False) -> float:
-    """One cell as ``predict_cells`` scores it, from its own user row and
-    item row alone (equal to within rounding)."""
-    (du, u), (dv, v) = user, item
-    _check_domains(params.dims, (du, dv))
-    w1 = _cell_w1(weights, du, dv, mix_specific)
-    value = user_table(params, mems, du, [u])[0] @ item_table(params, mats, mems, dv, w1, [v])[0]
-    _warn_unseen(params.dims, user, item)
-    return float(value)
-
-
-def _check_domains(dims: ModelDims, domains) -> None:
-    for d in domains:
-        if not 0 <= d < dims.n_domains:
-            raise ModelError(f"domain {d} out of range: the model has {dims.n_domains}")
-
-
-def _cell_w1(weights: PredictionWeights | None, du: int, dv: int, mix_specific: bool) -> float:
-    return weights.w1[dv] if du == dv or mix_specific else 1.0
 
 
 def _table_rows(index: np.ndarray, size: int) -> np.ndarray:
@@ -203,8 +172,9 @@ def _warn_unseen(dims: ModelDims, user: tuple[int, int], item: tuple[int, int]) 
     for kind, (domain, index), sizes in (("user", user, dims.n_users),
                                          ("item", item, dims.n_items)):
         if not 0 <= index < sizes[domain]:
+            # stacklevel 3 names the caller of predict or predict_cross
             warnings.warn(f"{kind} {index} unseen in domain {domain}; using uniform membership",
-                          stacklevel=4)
+                          stacklevel=3)
 
 
 def predict(
@@ -221,7 +191,9 @@ def predict(
     Unseen users or items fall back to uniform memberships (with a
     warning), which averages the expected ratings over their clusters.
     """
-    return _predict_one(params, mats, mems, weights, (domain, user), (domain, item))
+    value = predict_cells(params, mats, mems, weights, [[domain, user, domain, item]])[0]
+    _warn_unseen(params.dims, (domain, user), (domain, item))
+    return float(value)
 
 
 def predict_many(
@@ -267,7 +239,9 @@ def predict_cross(
         raise ModelError("predict_cross requires distinct user and item domains")
     if mix_specific and weights is None:
         raise ModelError("mix_specific=True needs the item domain's weights")
-    return _predict_one(params, mats, mems, weights, user, item, mix_specific)
+    value = predict_cells(params, mats, mems, weights, [[*user, *item]], mix_specific)[0]
+    _warn_unseen(params.dims, user, item)
+    return float(value)
 
 
 def complete_matrix(

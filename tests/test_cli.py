@@ -6,9 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pclf import DataError, baselines, cli, load_checkpoint, load_dataset, nmf_predict
+from pclf import (
+    DataError,
+    TrainConfig,
+    baselines,
+    cli,
+    evaluate,
+    load_checkpoint,
+    load_dataset,
+    nmf_predict,
+    save_checkpoint,
+)
 from pclf.cli import _csv_rows, main
 from pclf.evaluate import KNOWN_MODELS
+
+# a small synthetic experiment: every model, 2 repeats and 2 Given-N values
+SMALL_CONFIG = {
+    "synthetic": {"Z": 2, "K": 2, "T": 2, "L": [1, 1], "R": 5, "M": [14, 14],
+                  "N": [10, 10], "w1": 0.6, "density": 0.5, "seed": 2},
+    "given_n": [2, 4], "n_train_users": 9, "dims": {"K": 2, "T": 2, "L": [1, 1]},
+    "models": list(KNOWN_MODELS), "nmf_rank": 2, "nmf_iters": 5,
+    "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3}, "n_repeats": 2,
+}
 
 
 @pytest.fixture
@@ -265,6 +284,12 @@ class TestPredict:
     ["evaluate", {"weights": [0.5]}],
     ["evaluate", {"weights": [0.5, 1.5]}],
     ["evaluate", {"synthetic": {"Z": 1}}],
+    ["evaluate", {"nmf_rank": "x"}],
+    ["evaluate", {"given_n": 5}],
+    ["evaluate", {"n_repeats": None}],
+    ["evaluate", {"train": {"beta_schedule": 1.0}}],
+    ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "L": 2}}],
+    ["evaluate", {"dims": {"K": "a", "T": 2, "L": [1, 1]}}],
     ["synth", {"Z": 1}],
     ["synth", None],
     ["synth", b'{"Z": 1, "K": "\xff"}'],
@@ -273,7 +298,9 @@ class TestPredict:
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "config-max-iters-0",
         "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
-        "config-weights-above-1", "config-synthetic-missing-key", "spec-missing-key",
+        "config-weights-above-1", "config-synthetic-missing-key", "config-nmf-rank-string",
+        "config-given-n-not-list", "config-n-repeats-null", "config-beta-schedule-number",
+        "config-synthetic-L-int", "config-dims-K-string", "spec-missing-key",
         "spec-unreadable", "spec-not-utf8", "spec-not-json"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
@@ -356,6 +383,48 @@ def test_no_specific_clusters_default_w1_predicts(rating_files, tmp_path, capsys
     assert main(["predict", "--checkpoint", ckpt, "--cell", "1,1,1", "--out", out]) == 0
     assert main(["predict", "--checkpoint", ckpt, "--complete", "1", "--out", out]) == 0
     assert "w1=0.35,1" in open(out).readline()
+
+
+@pytest.mark.parametrize("kind", KNOWN_MODELS)
+def test_fit_writes_the_checkpoint_train_writes(rating_files, tmp_path, capsys, kind):
+    """``evaluate.fit`` then ``save_checkpoint`` writes the bytes of
+    ``pclf train --model <kind>`` on the same data and settings."""
+    if kind in ("fmm", "nmf"):   # single-domain models
+        dataset = str(tmp_path / "one-domain")
+        assert main(["ingest", "--input", rating_files[0], "--scale", "1:5",
+                     "--out", dataset]) == 0
+    else:
+        dataset, _ = _ingest(rating_files, tmp_path, capsys)
+    ds = load_dataset(dataset)
+    specific = [2, 0][:ds.n_domains]
+    cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main([
+        "train", "--dataset", dataset, "--model", kind, "-K", "3", "-T", "2",
+        "-L", ",".join(map(str, specific)), "--betas", "0.7,1.0", "--max-iters", "3",
+        "--seed", "4", "--w1", "0.4", "--rank", "2", "--nmf-iters", "7", "--out", str(cli_out),
+    ]) == 0
+    config = TrainConfig(beta_schedule=(0.7, 1.0), max_iters_per_beta=3, seed=4)
+    ckpt = evaluate.fit(kind, ds, 3, 2, specific, config, [0.4] * ds.n_domains, 2, 7)
+    save_checkpoint(str(lib_out), ckpt)
+    assert lib_out.read_bytes() == cli_out.read_bytes()
+
+
+@pytest.mark.parametrize("model", ["pclf", "rmgm-like"])
+def test_evaluate_no_specific_clusters_scores_with_w1_one(tmp_path, capsys, model):
+    """A pooled model with no specific clusters in domain 1 scores that
+    domain with w1 = 1, whatever ``weights`` gives it."""
+    outputs = []
+    for weights in ([0.3, 0.0], [0.3, 1.0]):
+        config = {**SMALL_CONFIG, "dims": {"K": 2, "T": 2, "L": [2, 0]},
+                  "models": [model], "weights": weights}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / f"results-{weights[1]}"
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs.append((out / "results.csv").read_text())
+    rows = [line.split(",") for line in outputs[0].splitlines()[1:]]
+    assert {(m, int(z)) for m, z, *_ in rows} == {(model, 0), (model, 1)}
+    assert outputs[0] == outputs[1]
 
 
 def test_failed_weight_check_leaves_output_untouched(rating_files, tmp_path, capsys):
@@ -575,16 +644,6 @@ class TestSynthAndEvaluate:
         assert rc == 0
         results = open(f"{out}/results.csv").read().splitlines()
         assert len(results) == 1 + 2 * 2
-
-
-# a small synthetic experiment: every model, 2 repeats and 2 Given-N values
-SMALL_CONFIG = {
-    "synthetic": {"Z": 2, "K": 2, "T": 2, "L": [1, 1], "R": 5, "M": [14, 14],
-                  "N": [10, 10], "w1": 0.6, "density": 0.5, "seed": 2},
-    "given_n": [2, 4], "n_train_users": 9, "dims": {"K": 2, "T": 2, "L": [1, 1]},
-    "models": list(KNOWN_MODELS), "nmf_rank": 2, "nmf_iters": 5,
-    "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3}, "n_repeats": 2,
-}
 
 
 def _evaluate_small(tmp_path, models=KNOWN_MODELS):

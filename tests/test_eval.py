@@ -279,6 +279,50 @@ class TestExperimentConfig:
         with pytest.raises(DataError, match=r"weights needs one value in \[0, 1\] per domain"):
             _synthetic_config(weights=weights)
 
+    @pytest.mark.parametrize("key, value", [
+        ("nmf_rank", "x"), ("nmf_iters", 2.5), ("given_n", 5), ("given_n", [5, True]),
+        ("n_repeats", None), ("n_train_users", "12"), ("models", "pclf"),
+        ("resample_subsets", 1), ("train", {"beta_schedule": 1.0}),
+        ("train", {"seed": 1.0}), ("dims", {"K": "a", "T": 2, "L": [2, 2]}),
+        ("dims", {"K": 2, "T": 2, "L": "2"}), ("subset", [1]),
+    ])
+    def test_wrong_json_type_named(self, key, value):
+        with pytest.raises(DataError, match=r"must be (a|an|true) "):
+            _synthetic_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [("L", 2), ("w1", "0.5"), ("density", None),
+                                            ("M", [20, 20.0]), ("specific_sharpness", [1])])
+    def test_synthetic_wrong_json_type_named(self, key, value):
+        raw = _synthetic_raw()
+        with pytest.raises(DataError, match=f"'{key}' in synthetic spec must be"):
+            config_from_dict({**raw, "synthetic": {**raw["synthetic"], key: value}})
+
+    @pytest.mark.parametrize("domain, message", [
+        ({"path": "r.tsv"}, "missing key 'scale'"),
+        ({"path": "r.tsv", "scale": {"min": 1}}, "missing key 'max'"),
+        ({"path": "r.tsv", "scale": {"min": 1, "max": "5"}}, "'max' in domains\\[0\\] scale"),
+        ({"path": "r.tsv", "scale": {"min": 1, "max": 5}, "columns": [0, 1]}, "3 entries"),
+    ])
+    def test_domain_source_checked(self, domain, message):
+        with pytest.raises(DataError, match=message):
+            config_from_dict({"domains": [domain], "n_train_users": 3})
+
+    @pytest.mark.parametrize("dims, message", [
+        ({"K": 0, "T": 2, "L": 1}, "K and T must be integers >= 1"),
+        ({"K": 2, "T": -1, "L": 1}, "K and T must be integers >= 1"),
+        ({"K": 2, "T": 2, "L": -1}, "L needs one integer >= 0"),
+        ({"K": 2, "T": 2, "L": [1]}, "L needs one integer >= 0"),
+        ({"K": 2, "T": 2, "L": [1, -1]}, "L needs one integer >= 0"),
+        ({"K": 2, "T": 2, "L": [1, 1, 1]}, "L needs one integer >= 0"),
+    ])
+    def test_dims_out_of_range(self, dims, message):
+        with pytest.raises(DataError, match=message):
+            _synthetic_config(dims=dims)
+
+    def test_dims_without_specific_clusters_accepted(self):
+        assert _synthetic_config(dims={"K": 2, "T": 2, "L": [2, 0]}).dims["L"] == [2, 0]
+        assert _synthetic_config(dims={"K": 2, "T": 2, "L": 0}).dims["L"] == 0
+
     @pytest.mark.parametrize("key", ["Z", "K", "T", "L", "M", "N", "density"])
     def test_synthetic_missing_key_named(self, key):
         from pclf.evaluate import synthetic_spec_from_dict

@@ -185,6 +185,21 @@ class TestPredict:
         pv = mems.p_vcom[dims.item_offset(0)]
         assert value == pytest.approx(float(pu @ mats.s_com @ pv), abs=1e-12)
 
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_unseen_warning_names_the_caller(self, cross):
+        """The unseen-entity warning points at the line that called predict
+        or predict_cross, not at a line inside the package."""
+        dims, params, mats, mems = _prediction_bundle(seed=5)
+        weights = PredictionWeights.uniform(2)
+        if cross:
+            call = lambda: predict_cross(params, mats, mems, (0, 99), (1, 0))  # noqa: E731
+        else:
+            call = lambda: predict(params, mats, mems, weights, 0, 99, 0)  # noqa: E731
+        with pytest.warns(UserWarning, match="user 99 unseen in domain 0") as record:
+            call()
+        assert len(record) == 1
+        assert (record[0].filename, record[0].lineno) == (__file__, call.__code__.co_firstlineno)
+
     def test_no_specific_requires_w1_one(self):
         dims = two_domain_dims(l=(0, 0))
         params = random_params(np.random.default_rng(6), dims)
