@@ -70,14 +70,12 @@ def nmf_train(
     rank: int = 20,
     iters: int = 200,
     seed: int = 0,
-    masked: bool = True,
 ) -> NmfFactors:
     """Multiplicative-update NMF on the observed cells of a rating matrix.
 
-    ``observed`` is dense with NaN for missing entries.  With
-    ``masked=True`` (default) the squared error is taken over observed
-    cells only; ``masked=False`` treats missing cells as zeros instead.
-    The recorded objective is non-increasing across iterations.
+    ``observed`` is dense with NaN for missing entries; the squared error
+    is taken over observed cells only.  The recorded objective is
+    non-increasing across iterations.
     """
     if rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
@@ -87,7 +85,6 @@ def nmf_train(
     present = ~np.isnan(observed)
     if not present.any():
         raise DataError("matrix has no observed entries")
-    mask = present if masked else np.ones_like(present)
     values = np.where(present, observed, 0.0)
     m, n = observed.shape
     rng = np.random.default_rng(seed)
@@ -95,17 +92,16 @@ def nmf_train(
     u = rng.uniform(0.1, 1.0, size=(m, rank)) * scale
     v = rng.uniform(0.1, 1.0, size=(n, rank)) * scale
 
-    w = mask.astype(float)
-    target = w * values
+    w = present.astype(float)   # values is already 0 where w is
     eps = 1e-12
     objective = []
     uv = u @ v.T   # each iteration's objective product is the next one's first
     for _ in range(iters):
         uv *= w
-        u *= (target @ v) / (uv @ v + eps)
+        u *= (values @ v) / (uv @ v + eps)
         uv = u @ v.T
         uv *= w
-        v *= (target.T @ u) / (uv.T @ u + eps)
+        v *= (values.T @ u) / (uv.T @ u + eps)
         uv = u @ v.T
         resid = values - uv
         resid *= w

@@ -9,17 +9,21 @@ separators), so identical models produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .baselines import NmfFactors
-from .data import atomic_write
+from .data import _checked, atomic_write, read_json
 from .em import ModelDims, ModelError, PclfParams, TraceEntry
 
 FORMAT_VERSION = "pclf-model-v1"
 # every model kind; its order is evaluate's default model order
 KNOWN_MODELS = ("pclf", "rmgm-like", "fmm", "nmf")
+# the JSON type of every key a checkpoint may hold, as ``data._is`` spells it
+_HEADER_TYPES = {"format": str, "model_kind": str, "seed": int, "trace": [list],
+                 "default_w1": [float], "dims": dict, "arrays": dict, "rank": int,
+                 "n_levels": int, "objective": [float]}
 
 
 class CheckpointError(ValueError):
@@ -46,24 +50,13 @@ def _unarray(arrays: dict, name: str) -> np.ndarray:
     if name not in arrays:
         raise CheckpointError(f"checkpoint array {name!r} is missing")
     try:
-        arr = np.array(arrays[name]["data"], dtype=float).reshape(arrays[name]["shape"])
+        entry = _checked(arrays[name], {"shape": [int], "data": list}, name, ("shape", "data"))
+        arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint array {name!r} is malformed: {exc!r}") from None
     if not np.isfinite(arr).all():
         raise CheckpointError(f"checkpoint array {name!r} has non-finite values")
     return arr
-
-
-def _dims_dict(dims: ModelDims) -> dict:
-    return {
-        "n_domains": dims.n_domains,
-        "n_user_clusters": dims.n_user_clusters,
-        "n_common_clusters": dims.n_common_clusters,
-        "n_specific_clusters": list(dims.n_specific_clusters),
-        "n_levels": dims.n_levels,
-        "n_users": list(dims.n_users),
-        "n_items": list(dims.n_items),
-    }
 
 
 def _dims_from_dict(obj: dict) -> ModelDims:
@@ -131,7 +124,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         if ckpt.params is None:
             raise CheckpointError(f"{ckpt.model_kind} checkpoints need params")
         p = ckpt.params
-        doc["dims"] = _dims_dict(p.dims)
+        doc["dims"] = asdict(p.dims)
         doc["arrays"] = {
             "prior_u": p.prior_u,
             "prior_vcom": p.prior_vcom,
@@ -149,15 +142,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "checkpoint", CheckpointError)
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     found = doc.get("format")
@@ -169,14 +154,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     if kind not in KNOWN_MODELS:
         raise CheckpointError(f"unknown model_kind {kind!r}")
     try:
+        _checked(doc, _HEADER_TYPES, "checkpoint")
         trace = [TraceEntry(beta=float(b), iteration=int(i), log_likelihood=float(ll))
                  for b, i, ll in doc.get("trace", [])]
-        seed = int(doc["seed"])
+        seed = doc["seed"]
         default_w1 = doc.get("default_w1")
         if default_w1 is not None:
             default_w1 = [float(w) for w in default_w1]
         if kind == "nmf":
-            rank, n_levels = int(doc["rank"]), int(doc["n_levels"])
+            rank, n_levels = doc["rank"], doc["n_levels"]
         else:
             dims = _dims_from_dict(doc["dims"])
     except KeyError as exc:

@@ -30,11 +30,12 @@ from .data import (
     load_dataset,
     parse_ratings,
     read_int_rows,
+    read_json,
     save_dataset,
     select_subset,
     text_lines,
 )
-from .em import ModelDims, ModelError, TrainConfig
+from .em import ModelError, TrainConfig
 
 
 def _parse_scale(text: str, levels: int) -> ScaleSpec:
@@ -87,13 +88,17 @@ def cmd_ingest(args) -> int:
         per_domain.append((raw, scale))
     dataset = build_dataset(per_domain)
     save_dataset(dataset, args.out)
+    _print_summary(dataset)
+    return 0
+
+
+def _print_summary(dataset) -> None:
     print(f"domains={dataset.n_domains} levels={dataset.n_levels}")
     for z in range(dataset.n_domains):
         print(
             f"domain {z}: users={dataset.n_users[z]} items={dataset.n_items[z]} "
             f"ratings={dataset.n_ratings[z]}"
         )
-    return 0
 
 
 def cmd_train(args) -> int:
@@ -392,24 +397,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        spec = evaluate.load_synthetic_spec(args.spec)
+        spec = evaluate.synthetic_spec_from_dict(read_json(args.spec, "synthetic spec", DataError))
     else:
         z = args.domains
-        dims = ModelDims(
-            n_domains=z,
-            n_user_clusters=args.user_clusters,
-            n_common_clusters=args.common_clusters,
-            n_specific_clusters=tuple(_parse_list(args.specific_clusters, z, "-L")),
-            n_levels=args.levels,
-            n_users=tuple(_parse_list(args.users, z, "--users")),
-            n_items=tuple(_parse_list(args.items, z, "--items")),
-        )
-        spec = evaluate.SyntheticSpec(
-            dims=dims,
-            w1=tuple(_parse_list(args.w1, z, "--w1", float)),
-            density=args.density,
-            seed=args.seed,
-        )
+        spec = evaluate.synthetic_spec_from_dict({
+            "Z": z, "K": args.user_clusters, "T": args.common_clusters,
+            "L": _parse_list(args.specific_clusters, z, "-L"), "R": args.levels,
+            "M": _parse_list(args.users, z, "--users"), "N": _parse_list(args.items, z, "--items"),
+            "w1": _parse_list(args.w1, z, "--w1", float), "density": args.density,
+            "seed": args.seed,
+        })
     dataset, true_params = evaluate.synth_generate(spec)
     save_dataset(dataset, args.out)
     if args.params_out:
@@ -417,12 +414,7 @@ def cmd_synth(args) -> int:
             model_kind="pclf", seed=spec.seed, trace=[], params=true_params,
             default_w1=list(spec.w1),
         ))
-    print(f"domains={dataset.n_domains} levels={dataset.n_levels}")
-    for z in range(dataset.n_domains):
-        print(
-            f"domain {z}: users={dataset.n_users[z]} items={dataset.n_items[z]} "
-            f"ratings={dataset.n_ratings[z]}"
-        )
+    _print_summary(dataset)
     return 0
 
 
@@ -493,18 +485,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", "--common-clusters", type=int, default=10)
     p.add_argument("-L", "--specific-clusters", default="15",
                    help="specific clusters per domain, e.g. 15 or 15,15")
-    p.add_argument("--betas", default="0.5,0.6,0.7,0.8,0.9,1.0",
+    p.add_argument("--betas", default=",".join(map(str, TrainConfig.beta_schedule)),
                    help="ascending inverse-temperature schedule ending at 1.0")
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--min-iters", type=int, default=10,
+    p.add_argument("--max-iters", type=int, default=TrainConfig.max_iters_per_beta)
+    p.add_argument("--min-iters", type=int, default=TrainConfig.min_iters_per_beta,
                    help="iterations per beta before the tolerance is consulted")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--floor", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=TrainConfig.rel_ll_tol)
+    p.add_argument("--floor", type=float, default=TrainConfig.smoothing_floor)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--w1", type=float, default=inference.DEFAULT_W1,
                    help="default prediction weight stored in the checkpoint")
-    p.add_argument("--rank", type=int, default=20, help="nmf rank")
-    p.add_argument("--nmf-iters", type=int, default=200)
+    p.add_argument("--rank", type=int, default=evaluate.ExperimentConfig.nmf_rank,
+                   help="nmf rank")
+    p.add_argument("--nmf-iters", type=int, default=evaluate.ExperimentConfig.nmf_iters)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 

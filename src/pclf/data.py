@@ -449,6 +449,8 @@ def _given_n_positions(
 
 
 DATASET_FORMAT = "pclf-dataset-v1"
+_MANIFEST_TYPES = {"format": str, "n_domains": int, "n_levels": int, "n_users": [int],
+                   "n_items": [int], "n_ratings": [int], "user_ids": [[str]], "item_ids": [[str]]}
 RATINGS_HEADER = ["domain", "user_idx", "item_idx", "rating"]
 
 
@@ -493,21 +495,73 @@ def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str, what: str, error: type[Exception]):
+    """The JSON document in ``path``; a file that cannot be read, is not
+    UTF-8 or is not JSON raises ``error`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               dict: "an object", list: "a list", None: "null"}
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``: int, float (any
+    number), bool, str, dict, list, None (null) or object (anything);
+    [type] is a list of that type, and a tuple lists alternatives."""
+    if isinstance(kind, tuple):
+        return any(_is(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
+    if kind is None:
+        return value is None
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_describe(k) for k in kind)
+    if isinstance(kind, list):
+        return f"a list, each {_describe(kind[0])}"
+    return _TYPE_NAMES[kind]
+
+
+def _checked(mapping, types: dict, where: str, required=()) -> dict:
+    """``mapping``, once it is a JSON object with every ``required`` key,
+    no key outside ``types`` and values of the types ``types`` gives;
+    else ``DataError`` names the first fault."""
+    if not isinstance(mapping, dict):
+        raise DataError(f"{where} must be a JSON object")
+    for key, value in mapping.items():
+        if key not in types:
+            raise DataError(f"unknown key {key!r} in {where}")
+        if not _is(value, types[key]):
+            raise DataError(f"{key!r} in {where} must be {_describe(types[key])}, "
+                            f"got {json.dumps(value)}")
+    for key in required:
+        if key not in mapping:
+            raise DataError(f"{where} is missing key {key!r}")
+    return mapping
+
+
 def load_dataset(directory: str) -> CrossDomainDataset:
     manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"dataset manifest {manifest_path} is not valid JSON: {exc}") from exc
+    manifest = read_json(manifest_path, "dataset manifest", DataError)
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != DATASET_FORMAT:
         raise DataError(f"unsupported dataset format {fmt!r}, expected {DATASET_FORMAT!r}")
-    for key in ("n_levels", "n_users", "n_items", "user_ids", "item_ids"):
-        if key not in manifest:
-            raise DataError(f"dataset manifest {manifest_path} lacks {key!r}")
+    _checked(manifest, _MANIFEST_TYPES, f"dataset manifest {manifest_path}",
+             ("n_levels", "n_users", "n_items", "user_ids", "item_ids"))
     ds = CrossDomainDataset.from_indexed(
         n_levels=manifest["n_levels"],
         triples=_read_ratings_csv(os.path.join(directory, "ratings.csv")),

@@ -8,7 +8,7 @@ repeats the split/train/score cycle over seeds and aggregates per
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import statistics
 from dataclasses import dataclass, field, replace
@@ -22,9 +22,12 @@ from .data import (
     DataError,
     RatingTriple,
     ScaleSpec,
+    _checked,
     _given_n_positions,
+    _is,
     build_dataset,
     parse_ratings,
+    read_json,
     select_subset,
 )
 from .em import ModelDims, ModelError, PclfParams, TrainConfig, train
@@ -241,12 +244,15 @@ class DomainSource:
 
 @dataclass
 class ExperimentConfig:
-    """Everything the Given-N harness needs for one experiment."""
+    """Everything the Given-N harness needs for one experiment.  Besides
+    ``n_train_users`` it needs a data source, ``domains`` or ``synthetic``;
+    the other fields default to the standard protocol, and ``weights``
+    None means 0.35 per domain."""
 
-    given_n: list[int]
     n_train_users: int
-    dims: dict                      # {"K": int, "T": int, "L": int or [int, ...]}
-    models: list[str]
+    given_n: list[int] = field(default_factory=lambda: [5, 10, 15])
+    dims: dict = field(default_factory=lambda: {"K": 20, "T": 10, "L": 15})  # L: int or per domain
+    models: list[str] = field(default_factory=lambda: list(KNOWN_MODELS))
     domains: list[DomainSource] = field(default_factory=list)
     synthetic: SyntheticSpec | None = None
     subset: dict | None = None      # n_users/n_items/min_user_ratings/min_item_ratings
@@ -286,11 +292,13 @@ class ExperimentConfig:
                 or _is(l, [int]) and len(l) == n_domains and min(l, default=0) >= 0):
             raise DataError(f"dims L needs one integer >= 0, or one per domain ({n_domains}), "
                             f"got {l!r}")
+        if self.synthetic is not None:   # the user counts are known before any data is made
+            m = min(self.synthetic.dims.n_users)
+            if not 0 <= self.n_train_users < m:
+                raise DataError(f"n_train_users must be in [0, {m}), got {self.n_train_users}")
 
 
-# the JSON type of every key a config section may hold: int, float (any
-# number), bool, str, dict, None (null) or object (anything); [type] is a
-# list of that type, and a tuple lists alternatives
+# the JSON type of every key a config section may hold, as ``data._is`` spells it
 _CONFIG_TYPES = {
     "given_n": [int], "n_train_users": int, "dims": dict, "models": [str],
     "domains": [dict], "synthetic": (dict, None), "subset": (dict, None),
@@ -309,161 +317,56 @@ _TRAIN_TYPES = {
     "beta_schedule": [float], "max_iters_per_beta": int, "min_iters_per_beta": int,
     "rel_ll_tol": float, "smoothing_floor": float, "seed": int,
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               dict: "an object", None: "null"}
-
-
-def _is(value, kind) -> bool:
-    """Whether ``value`` has the JSON type ``kind``, spelled as in ``_CONFIG_TYPES``."""
-    if isinstance(kind, tuple):
-        return any(_is(value, k) for k in kind)
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
-    if kind is None:
-        return value is None
-    if isinstance(value, bool) and kind in (int, float):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _describe(kind) -> str:
-    if isinstance(kind, tuple):
-        return " or ".join(_describe(k) for k in kind)
-    if isinstance(kind, list):
-        return f"a list, each {_describe(kind[0])}"
-    return _TYPE_NAMES[kind]
-
-
-def _checked(mapping, types: dict, where: str, required=()) -> dict:
-    """``mapping``, once it is a JSON object with every ``required`` key,
-    no key outside ``types`` and values of the types ``types`` gives;
-    else ``DataError`` names the first fault."""
-    if not isinstance(mapping, dict):
-        raise DataError(f"{where} must be a JSON object")
-    for key, value in mapping.items():
-        if key not in types:
-            raise DataError(f"unknown key {key!r} in {where}")
-        if not _is(value, types[key]):
-            raise DataError(f"{key!r} in {where} must be {_describe(types[key])}, "
-                            f"got {json.dumps(value)}")
-    for key in required:
-        if key not in mapping:
-            raise DataError(f"{where} is missing key {key!r}")
-    return mapping
-
-
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
-    _checked(raw, _SYNTH_TYPES, "synthetic spec", ("Z", "K", "T", "L", "M", "N", "density"))
-    z = raw["Z"]
+    """A synthetic spec from its JSON mapping: ``Z``, ``K``, ``T``, ``L``,
+    ``R`` (default 5), ``M`` and ``N`` are the model dims; ``w1`` (default
+    0.5) is one weight or one per domain; every other key is the
+    ``SyntheticSpec`` field of that name."""
+    rest = dict(_checked(raw, _SYNTH_TYPES, "synthetic spec",
+                         ("Z", "K", "T", "L", "M", "N", "density")))
+    z = rest.pop("Z")
     dims = ModelDims(
         n_domains=z,
-        n_user_clusters=raw["K"],
-        n_common_clusters=raw["T"],
-        n_specific_clusters=tuple(raw["L"]),
-        n_levels=raw.get("R", 5),
-        n_users=tuple(raw["M"]),
-        n_items=tuple(raw["N"]),
+        n_user_clusters=rest.pop("K"),
+        n_common_clusters=rest.pop("T"),
+        n_specific_clusters=tuple(rest.pop("L")),
+        n_levels=rest.pop("R", 5),
+        n_users=tuple(rest.pop("M")),
+        n_items=tuple(rest.pop("N")),
     )
-    w1 = raw.get("w1", 0.5)
-    if not isinstance(w1, list):
-        w1 = [w1] * z
-    specific_sharpness = raw.get("specific_sharpness")
-    return SyntheticSpec(
-        dims=dims,
-        w1=tuple(float(x) for x in w1),
-        density=float(raw["density"]),
-        seed=raw.get("seed", 0),
-        membership_concentration=float(raw.get("membership_concentration", 0.15)),
-        rating_sharpness=float(raw.get("rating_sharpness", 2.0)),
-        specific_sharpness=(
-            float(specific_sharpness) if specific_sharpness is not None else None
-        ),
-        table_noise=float(raw.get("table_noise", 0.0)),
-    )
+    w1 = rest.pop("w1", 0.5)
+    return SyntheticSpec(dims=dims, w1=tuple(w1) if isinstance(w1, list) else (w1,) * z, **rest)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a config mapping, rejecting unknown keys by name and values
-    of the wrong JSON type.
-
-    Omitted keys fall back to the protocol defaults: Given-N settings
-    (5, 10, 15), dims K=20 / T=10 / L=15 per domain, prediction weight
-    0.35 and 10 repeats, so a config only needs its data source and the
-    training-user count.
-    """
-    _checked(raw, _CONFIG_TYPES, "experiment config", ("n_train_users",))
+    of the wrong JSON type.  Every key is the ``ExperimentConfig`` field of
+    that name, and an omitted key takes the field's default."""
+    fields = dict(_checked(raw, _CONFIG_TYPES, "experiment config", ("n_train_users",)))
     domains = []
-    for i, d in enumerate(raw.get("domains", [])):
+    for i, d in enumerate(fields.get("domains", [])):
         _checked(d, _DOMAIN_TYPES, f"domains[{i}]", ("path", "scale"))
         if len(d.get("columns", (0, 1, 2))) != 3:
             raise DataError(f"'columns' in domains[{i}] needs 3 entries, got {d['columns']}")
         scale = _checked(d["scale"], {"min": float, "max": float, "target_levels": int},
                          f"domains[{i}] scale", ("min", "max"))
-        domains.append(DomainSource(
-            path=d["path"],
-            scale=ScaleSpec(scale["min"], scale["max"], scale.get("target_levels", 5)),
-            name=d.get("name", f"d{i}"),
-            delimiter=d.get("delimiter", "\t"),
-            columns=tuple(d.get("columns", (0, 1, 2))),
-            skip_header=d.get("skip_header", False),
-        ))
-    synthetic = None
-    if raw.get("synthetic") is not None:
-        synthetic = synthetic_spec_from_dict(raw["synthetic"])
-    train_raw = _checked(raw.get("train", {}), _TRAIN_TYPES, "train config")
-    defaults = TrainConfig()
-    train_cfg = TrainConfig(
-        beta_schedule=tuple(train_raw.get("beta_schedule", defaults.beta_schedule)),
-        max_iters_per_beta=train_raw.get("max_iters_per_beta", defaults.max_iters_per_beta),
-        min_iters_per_beta=train_raw.get("min_iters_per_beta", defaults.min_iters_per_beta),
-        rel_ll_tol=float(train_raw.get("rel_ll_tol", defaults.rel_ll_tol)),
-        smoothing_floor=float(train_raw.get("smoothing_floor", defaults.smoothing_floor)),
-        seed=train_raw.get("seed", 0),
-    )
-    if raw.get("subset") is not None:
-        _checked(raw["subset"], dict.fromkeys(
+        domains.append(DomainSource(**{**d, "scale": ScaleSpec(**scale)}))
+    fields["domains"] = domains
+    if fields.get("synthetic") is not None:
+        fields["synthetic"] = synthetic_spec_from_dict(fields["synthetic"])
+    if "train" in fields:
+        fields["train"] = TrainConfig(**_checked(fields["train"], _TRAIN_TYPES, "train config"))
+    if fields.get("subset") is not None:
+        _checked(fields["subset"], dict.fromkeys(
             ("n_users", "n_items", "min_user_ratings", "min_item_ratings"), int),
             "subset", ("n_users", "n_items"))
-    dims = _checked(raw.get("dims", {"K": 20, "T": 10, "L": 15}),
-                    {"K": int, "T": int, "L": (int, [int])}, "dims", ("K", "T", "L"))
-    return ExperimentConfig(
-        given_n=list(raw.get("given_n", (5, 10, 15))),
-        n_train_users=raw["n_train_users"],
-        dims=dims,
-        models=list(raw.get("models", KNOWN_MODELS)),
-        domains=domains,
-        synthetic=synthetic,
-        subset=raw.get("subset"),
-        weights=raw.get("weights"),
-        train=train_cfg,
-        nmf_rank=raw.get("nmf_rank", 20),
-        nmf_iters=raw.get("nmf_iters", 200),
-        n_repeats=raw.get("n_repeats", 10),
-        base_seed=raw.get("base_seed", 0),
-        resample_subsets=raw.get("resample_subsets", False),
-    )
-
-
-def _read_json(path: str, what: str):
-    """The JSON document in ``path``; a file that cannot be read, is not
-    UTF-8 or is not JSON raises ``DataError`` naming ``what``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if "dims" in fields:
+        _checked(fields["dims"], {"K": int, "T": int, "L": (int, [int])}, "dims", ("K", "T", "L"))
+    return ExperimentConfig(**fields)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    return config_from_dict(_read_json(path, "experiment config"))
-
-
-def load_synthetic_spec(path: str) -> SyntheticSpec:
-    return synthetic_spec_from_dict(_read_json(path, "synthetic spec"))
+    return config_from_dict(read_json(path, "experiment config", DataError))
 
 
 @dataclass(frozen=True)
@@ -522,14 +425,7 @@ def _base_dataset(config: ExperimentConfig, seed: int) -> CrossDomainDataset:
             scale=src.scale, skip_header=src.skip_header,
         )
         if config.subset:
-            raw = select_subset(
-                raw,
-                n_users=config.subset["n_users"],
-                n_items=config.subset["n_items"],
-                min_user_ratings=config.subset.get("min_user_ratings", 0),
-                min_item_ratings=config.subset.get("min_item_ratings", 0),
-                seed=seed,
-            )
+            raw = select_subset(raw, **config.subset, seed=seed)
         per_domain.append((raw, src.scale))
     return build_dataset(per_domain)
 
@@ -556,27 +452,41 @@ def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
     ``n_specific_clusters`` (an int, or one per domain); rmgm-like with
     none in any domain; fmm the same on a single-domain dataset.  The
     checkpoint's ``default_w1`` takes domain z's weight from ``w1`` (one per
-    domain), except that a domain without specific clusters gets w1 = 1.
-    nmf factorizes the one domain's rating matrix with ``nmf_rank`` and
-    ``nmf_iters``, seeded with ``config.seed``.
+    domain, each in [0, 1]), except that a domain without specific clusters
+    gets w1 = 1.  nmf factorizes the one domain's rating matrix with
+    ``nmf_rank`` and ``nmf_iters``, seeded with ``config.seed``.
+
+    BLAS runs on one thread during the fit, so that every product gives
+    the same bits whatever the CPU count; the previous count is restored.
+    The count belongs to the process, so fits on concurrent threads of
+    one process would race on it.
     """
-    if kind == "nmf":
-        if dataset.n_domains != 1:
-            raise ModelError(f"nmf trains one domain at a time, got {dataset.n_domains} domains")
-        factors = baselines.nmf_train(baselines.domain_matrix(dataset, 0),
-                                      rank=nmf_rank, iters=nmf_iters, seed=config.seed)
-        return Checkpoint(model_kind=kind, seed=config.seed, trace=[], factors=factors,
-                          n_levels=dataset.n_levels)
+    inference.PredictionWeights(w1=tuple(w1))   # rejects a weight outside [0, 1]
+    if kind == "nmf" and dataset.n_domains != 1:
+        raise ModelError(f"nmf trains one domain at a time, got {dataset.n_domains} domains")
     k, t = n_user_clusters, n_common_clusters
-    if kind == "pclf":
-        params, trace = train(dataset, ModelDims.from_dataset(dataset, k, t, n_specific_clusters),
-                              config)
-    elif kind == "rmgm-like":
-        params, trace = baselines.common_only_train(dataset, k, t, config)
-    elif kind == "fmm":
-        params, trace = baselines.fmm_train(dataset, k, t, config)
-    else:
-        raise ModelError(f"unknown model {kind!r}")
+    threads = _openblas_threads()
+    if threads is not None:
+        before = threads[1]()
+        threads[0](1)
+    try:
+        if kind == "nmf":
+            factors = baselines.nmf_train(baselines.domain_matrix(dataset, 0),
+                                          rank=nmf_rank, iters=nmf_iters, seed=config.seed)
+            return Checkpoint(model_kind=kind, seed=config.seed, trace=[], factors=factors,
+                              n_levels=dataset.n_levels)
+        if kind == "pclf":
+            dims = ModelDims.from_dataset(dataset, k, t, n_specific_clusters)
+            params, trace = train(dataset, dims, config)
+        elif kind == "rmgm-like":
+            params, trace = baselines.common_only_train(dataset, k, t, config)
+        elif kind == "fmm":
+            params, trace = baselines.fmm_train(dataset, k, t, config)
+        else:
+            raise ModelError(f"unknown model {kind!r}")
+    finally:
+        if threads is not None:
+            threads[0](before)
     default_w1 = [w1[z] if l_z else 1.0 for z, l_z in enumerate(params.dims.n_specific_clusters)]
     return Checkpoint(model_kind=kind, seed=config.seed, trace=trace, params=params,
                       default_w1=default_w1)
@@ -641,9 +551,11 @@ _OPENBLAS_THREAD_FUNCTIONS = (
 )
 
 
+@functools.cache
 def _openblas_threads():
     """The ctypes (setter, getter) of the thread count of the OpenBLAS this
-    process has loaded, or None if it has loaded none."""
+    process has loaded, or None if it has loaded none; looked up once per
+    process."""
     import ctypes
 
     try:
@@ -668,8 +580,8 @@ def _openblas_threads():
 
 def _one_blas_thread() -> None:
     """Worker initializer: run BLAS on one thread, so that n workers do not
-    run n x n BLAS threads and every product gives the same bits whatever
-    the CPU count.  Without an OpenBLAS setter the count is left as is."""
+    run n x n BLAS threads, in ``fit`` or while they score.  Without an
+    OpenBLAS setter the count is left as is."""
     threads = _openblas_threads()
     if threads is not None:
         threads[0](1)
@@ -780,8 +692,8 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
         except BaseException:
             pool.shutdown(cancel_futures=True)   # start no queued fit after an error
             raise
-    names = ([d.name for d in config.domains] if config.domains
-             else [f"d{z}" for z in range(n_domains)])
+    names = [(config.domains[z].name if config.domains else "") or f"d{z}"
+             for z in range(n_domains)]
     return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))
 
 

@@ -184,21 +184,20 @@ def given_n_split_reference(dataset, domain, n_train_users, n_given, seed):
     return GivenNSplit(train_pool=train, eval_set=evaluation, n_given=n_given, seed=seed)
 
 
-def nmf_reference(observed, rank, iters, seed, masked=True):
+def nmf_reference(observed, rank, iters, seed):
     """``nmf_train`` computing ``u @ v.T`` afresh for each of its three uses
     per iteration and masking into new arrays."""
     from pclf import NmfFactors
 
     observed = np.asarray(observed, dtype=float)
     present = ~np.isnan(observed)
-    mask = present if masked else np.ones_like(present)
     values = np.where(present, observed, 0.0)
     m, n = observed.shape
     rng = np.random.default_rng(seed)
     scale = np.sqrt(max(values[present].mean(), 1.0) / rank)
     u = rng.uniform(0.1, 1.0, size=(m, rank)) * scale
     v = rng.uniform(0.1, 1.0, size=(n, rank)) * scale
-    w = mask.astype(float)
+    w = present.astype(float)
     target = w * values
     eps = 1e-12
     objective = []
@@ -298,7 +297,7 @@ def checkpoint_bytes_reference(ckpt):
     import io
     import json
 
-    from pclf.checkpoint import FORMAT_VERSION, _dims_dict
+    from pclf.checkpoint import FORMAT_VERSION
 
     def array(arr):
         return {"shape": list(arr.shape), "data": np.asarray(arr, dtype=float).ravel().tolist()}
@@ -321,7 +320,16 @@ def checkpoint_bytes_reference(ckpt):
         doc["objective"] = list(ckpt.factors.objective)
     else:
         p = ckpt.params
-        doc["dims"] = _dims_dict(p.dims)
+        d = p.dims
+        doc["dims"] = {
+            "n_domains": d.n_domains,
+            "n_user_clusters": d.n_user_clusters,
+            "n_common_clusters": d.n_common_clusters,
+            "n_specific_clusters": list(d.n_specific_clusters),
+            "n_levels": d.n_levels,
+            "n_users": list(d.n_users),
+            "n_items": list(d.n_items),
+        }
         doc["arrays"] = {
             "prior_u": array(p.prior_u),
             "prior_vcom": array(p.prior_vcom),

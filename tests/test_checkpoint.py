@@ -212,7 +212,8 @@ class TestValidation:
          "'prior_u' has non-finite"),
         (lambda arrays: arrays["prior_u"]["data"].__setitem__(0, 2.0),
          "prior_u: distribution off"),
-    ], ids=["missing", "shape", "nan", "unnormalized"])
+        (lambda arrays: arrays["prior_u"].update(shape=None), "'prior_u' is malformed"),
+    ], ids=["missing", "shape", "nan", "unnormalized", "shape-null"])
     def test_corrupt_array_named(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
         save_checkpoint(str(path), Checkpoint(
@@ -232,10 +233,12 @@ class TestValidation:
         ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, "x", 2.0]]), "malformed header"),
         ("pclf", lambda doc: doc.pop("arrays"), "'arrays' is missing"),
         ("pclf", lambda doc: doc.__setitem__("default_w1", ["x"]), "malformed header"),
+        ("pclf", lambda doc: doc.__setitem__("default_w1", None), "malformed header"),
+        ("pclf", lambda doc: doc.__setitem__("seed", True), "malformed header"),
         ("nmf", lambda doc: doc.pop("rank"), "field 'rank' is missing"),
         ("nmf", lambda doc: doc.pop("n_levels"), "field 'n_levels' is missing"),
     ], ids=["dims", "dims-field", "seed", "trace-short", "trace-value", "arrays",
-            "default-w1", "nmf-rank", "nmf-levels"])
+            "default-w1", "default-w1-null", "seed-true", "nmf-rank", "nmf-levels"])
     def test_corrupt_header_named(self, tmp_path, kind, corrupt, message):
         path = tmp_path / "model.json"
         if kind == "nmf":

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -278,6 +282,8 @@ class TestPredict:
     ["train", "--max-iters", "0"],
     ["train", "--max-iters", "-3"],
     ["train", "--model", "nmf", "--nmf-iters", "0"],
+    ["train", "--w1", "1.5"],
+    ["train", "--w1", "-0.1"],
     ["evaluate", {"train": {"beta_schedule": [1.0], "max_iters_per_beta": 0}}],
     ["evaluate", {"nmf_iters": 0}],
     ["evaluate", {"nmf_rank": 0}],
@@ -296,7 +302,8 @@ class TestPredict:
     ["synth", b'{"Z": 1'],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
-        "max-iters-0", "max-iters-negative", "nmf-iters-0", "config-max-iters-0",
+        "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
+        "config-max-iters-0",
         "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
         "config-weights-above-1", "config-synthetic-missing-key", "config-nmf-rank-string",
         "config-given-n-not-list", "config-n-repeats-null", "config-beta-schedule-number",
@@ -553,6 +560,20 @@ class TestSynthAndEvaluate:
         assert ds.n_domains == 2
         assert load_checkpoint(str(tmp_path / "true.json")).model_kind == "pclf"
 
+    def test_synth_flags_match_spec(self, tmp_path, capsys):
+        flags = ["--domains", "2", "-K", "3", "-T", "2", "-L", "2,1", "--levels", "4",
+                 "--users", "20,15", "--items", "12", "--density", "0.4", "--w1", "0.3,1",
+                 "--seed", "6"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"Z": 2, "K": 3, "T": 2, "L": [2, 1], "R": 4, "M": [20, 15],
+                                    "N": [12, 12], "density": 0.4, "w1": [0.3, 1], "seed": 6}))
+        for name, source in (("flags", flags), ("spec", ["--spec", str(spec)])):
+            assert main(["synth", *source, "--out", str(tmp_path / name),
+                         "--params-out", str(tmp_path / name / "true.json")]) == 0
+        assert capsys.readouterr().out.count("domain 1: users=15 items=12") == 2
+        for f in ("ratings.csv", "manifest.json", "true.json"):
+            assert (tmp_path / "flags" / f).read_bytes() == (tmp_path / "spec" / f).read_bytes()
+
     def test_evaluate_minimal_config(self, tmp_path, capsys):
         config = {
             "synthetic": {
@@ -654,6 +675,17 @@ def _evaluate_small(tmp_path, models=KNOWN_MODELS):
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "results"
     return main(["evaluate", "--config", str(cfg_path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("n_train_users", [30, 14, -1])
+def test_evaluate_n_train_users_checked_before_out(tmp_path, capsys, n_train_users):
+    config = tmp_path / "config.json"   # 14 users per domain
+    config.write_text(json.dumps({**SMALL_CONFIG, "n_train_users": n_train_users}))
+    out = tmp_path / "results"
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: n_train_users must be in [0, 14), got {n_train_users}\n"
+    assert not out.exists()
 
 
 def test_evaluate_worker_error_one_line(tmp_path, monkeypatch, capsys):
@@ -764,6 +796,97 @@ def test_non_utf8_ingest_input_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {source} is not UTF-8")
     assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def json_documents(tmp_path_factory):
+    """A directory with a valid experiment config, synthetic spec,
+    dataset (``dataset/manifest.json``) and checkpoint."""
+    root = tmp_path_factory.mktemp("documents")
+    (root / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    (root / "spec.json").write_text(json.dumps(SMALL_CONFIG["synthetic"]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--users", "12", "--items", "10", "--density", "0.3",
+                     "--out", str(root / "dataset")]) == 0
+        assert main(["train", "--dataset", str(root / "dataset"), "-K", "3", "-T", "2",
+                     "-L", "2", "--betas", "1.0", "--max-iters", "2",
+                     "--out", str(root / "checkpoint.json")]) == 0
+    return root
+
+
+def _json_kind(value):
+    """The JSON type of ``value``, with integers and floats both numbers."""
+    return float if isinstance(value, int) and not isinstance(value, bool) else type(value)
+
+
+def _key_paths(doc, prefix=()):
+    """The key path of every value in ``doc`` reached through objects only."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# bytes that no JSON text holds unescaped: control characters other than
+# whitespace, and (in an ASCII document) any byte above 0x7f
+_BAD_BYTES = bytes(b for b in range(256) if b < 0x20 and b not in b"\t\n\r" or b > 0x7f)
+_NON_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"]
+_VALUES = [None, True, 1.5, "x", ["x"], {"x": 1}]
+
+
+@st.composite
+def _corrupted(draw, text: bytes) -> bytes:
+    """``text``, an ASCII JSON object, made invalid: cut before its closing
+    brace, one byte replaced by one that JSON never holds, a non-UTF-8
+    sequence inserted, or one value at a key replaced by one of another
+    JSON type."""
+    how = draw(st.sampled_from(["truncate", "byte", "non-utf8", "type"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, text.rindex(b"}") - 1))]
+    i = draw(st.integers(0, len(text) - 1))
+    if how == "byte":
+        return text[:i] + bytes([draw(st.sampled_from(_BAD_BYTES))]) + text[i + 1:]
+    if how == "non-utf8":
+        return text[:i] + draw(st.sampled_from(_NON_UTF8)) + text[i:]
+    doc = json.loads(text)
+    *parents, key = draw(st.sampled_from(list(_key_paths(doc))))
+    parent = doc
+    for name in parents:
+        parent = parent[name]
+    parent[key] = draw(st.sampled_from(
+        [v for v in _VALUES if _json_kind(v) is not _json_kind(parent[key])]))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["config", "spec", "manifest", "checkpoint"]), data=st.data())
+def test_corrupt_json_document_one_line_error(json_documents, kind, data):
+    dataset = json_documents / "dataset"
+    original = dataset / "manifest.json" if kind == "manifest" else json_documents / f"{kind}.json"
+    text = data.draw(_corrupted(original.read_bytes()), label="document")
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out", "out.csv")
+        os.mkdir(os.path.dirname(out))
+        if kind == "manifest":
+            shutil.copy(dataset / "ratings.csv", tmp)
+            doc = os.path.join(tmp, "manifest.json")
+        with open(doc, "wb") as fh:
+            fh.write(text)
+        with open(out, "w") as fh:
+            fh.write("previous\n")
+        argv = {"config": ["evaluate", "--config", doc, "--out", os.path.dirname(out)],
+                "spec": ["synth", "--spec", doc, "--out", os.path.dirname(out)],
+                "manifest": ["train", "--dataset", tmp, "--out", out],
+                "checkpoint": ["predict", "--checkpoint", doc, "--cell", "0,0,0",
+                               "--out", out]}[kind]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        with open(out) as fh:
+            assert fh.read() == "previous\n"
+        assert os.listdir(os.path.dirname(out)) == ["out.csv"]
 
 
 def _formatted(*columns) -> str:

@@ -298,6 +298,15 @@ class TestRoundTrip:
         with pytest.raises(DataError, match="pclf-dataset-v1"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("key, value", [("n_levels", "5"), ("n_domains", None),
+                                            ("user_ids", [[1]]), ("n_items", 3)])
+    def test_load_rejects_wrong_json_type(self, tmp_path, tiny_dataset, key, value):
+        save_dataset(tiny_dataset, str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        with pytest.raises(DataError, match=f"'{key}' in dataset manifest .* must be"):
+            load_dataset(str(tmp_path))
+
     @pytest.mark.parametrize("row", ["0,1,x,3", "0,1,2"])
     def test_load_malformed_row_names_line(self, tmp_path, tiny_dataset, row):
         save_dataset(tiny_dataset, str(tmp_path))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import time
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from pclf import (
+    CrossDomainDataset,
     DataError,
     ModelDims,
     ModelError,
     SyntheticSpec,
+    TrainConfig,
     baselines,
     mae,
     run_experiment,
@@ -446,6 +449,35 @@ class TestWorkerPool:
         return _synthetic_config(given_n=[3, 15, 6], models=list(KNOWN_MODELS),
                                  n_repeats=2, nmf_rank=3, nmf_iters=20, **overrides)
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_fit_runs_one_blas_thread_and_restores_the_count(self, monkeypatch, fails):
+        from pclf.evaluate import _openblas_threads, fit
+
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS thread-count setter in this process")
+        set_threads, get_threads = threads
+        seen = []
+
+        def nmf_train(*args, **kwargs):
+            seen.append(get_threads())
+            if fails:
+                raise DataError("matrix has no observed entries")
+            return baselines.NmfFactors(np.ones((2, 1)), np.ones((2, 1)), rank=1)
+
+        monkeypatch.setattr(baselines, "nmf_train", nmf_train)
+        dataset = CrossDomainDataset.from_indexed(5, np.array([[0, 0, 0, 3], [0, 1, 1, 4]]),
+                                                  [2], [2])
+        before = get_threads()
+        set_threads(2)
+        try:
+            with contextlib.suppress(DataError):
+                fit("nmf", dataset, 2, 2, 1, TrainConfig(), [0.5], 1, 5)
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert seen == [1] and after == 2
+
     @pytest.mark.parametrize("one_cpu", [False, True])
     @pytest.mark.parametrize("resample", [False, True])
     def test_matches_serial_reference(self, monkeypatch, one_cpu, resample):
@@ -491,14 +523,16 @@ class TestWorkerPool:
         if threads is None:
             pytest.skip("no OpenBLAS thread-count setter in this process")
         set_threads, get_threads = threads
-        nmf_train = baselines.nmf_train
 
-        def nmf_train_on_one_thread(*args, **kwargs):
-            if get_threads() != 1:
-                raise ModelError(f"nmf ran on {get_threads()} BLAS threads")
-            return nmf_train(*args, **kwargs)
+        def on_one_thread(function):   # nmf_predict scores outside fit
+            def run(*args, **kwargs):
+                if get_threads() != 1:
+                    raise ModelError(f"nmf ran on {get_threads()} BLAS threads")
+                return function(*args, **kwargs)
+            return run
 
-        monkeypatch.setattr(baselines, "nmf_train", nmf_train_on_one_thread)
+        for name in ("nmf_train", "nmf_predict"):
+            monkeypatch.setattr(baselines, name, on_one_thread(getattr(baselines, name)))
         before = get_threads()
         set_threads(2)   # workers inherit two threads even on one CPU
         try:
