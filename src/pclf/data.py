@@ -560,8 +560,19 @@ def load_dataset(directory: str) -> CrossDomainDataset:
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != DATASET_FORMAT:
         raise DataError(f"unsupported dataset format {fmt!r}, expected {DATASET_FORMAT!r}")
-    _checked(manifest, _MANIFEST_TYPES, f"dataset manifest {manifest_path}",
+    where = f"dataset manifest {manifest_path}"
+    _checked(manifest, _MANIFEST_TYPES, where,
              ("n_levels", "n_users", "n_items", "user_ids", "item_ids"))
+    n_domains = manifest.get("n_domains", len(manifest["n_users"]))
+    for key in ("n_users", "n_items", "user_ids", "item_ids"):
+        if len(manifest[key]) != n_domains:
+            raise DataError(f"{key!r} in {where} needs one entry per domain ({n_domains}), "
+                            f"got {len(manifest[key])}")
+    for ids, counts in (("user_ids", "n_users"), ("item_ids", "n_items")):
+        for z, (names, n) in enumerate(zip(manifest[ids], manifest[counts])):
+            if len(names) != n:
+                raise DataError(f"{ids!r} in {where} has {len(names)} entries for domain {z}, "
+                                f"where {counts!r} says {n}")
     ds = CrossDomainDataset.from_indexed(
         n_levels=manifest["n_levels"],
         triples=_read_ratings_csv(os.path.join(directory, "ratings.csv")),

@@ -11,6 +11,7 @@ raised toward 1 to dodge poor local maxima.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,47 +245,49 @@ class _Family:
     Slot 0 is the common family over the pooled triples, with global item
     indices; slot z + 1 is domain z's specific family over that domain's
     triples, with domain-local item indices.  ``gu`` is the global user
-    index and ``ridx`` the rating level minus one.
+    index and ``ridx`` the rating level minus one, out of ``n_levels``.
     """
 
     slot: int
     n_clusters: int
     n_items: int
+    n_levels: int
     gu: np.ndarray
     items: np.ndarray
     ridx: np.ndarray
 
-    def log_tables(self, params: PclfParams):
-        """(log_wu (K, users), log_wv (C, items), log_rate (K, C, R)), per entity."""
+    def item_tables(self, params: PclfParams):
+        """(log_wv (C, items), log_rate (K, C, R)), per entity."""
         prior = (params.prior_vcom, *params.prior_vspe)[self.slot]
         cond = (params.cond_vcom, *params.cond_vspe)[self.slot]
         rate = (params.rate_com, *params.rate_spe)[self.slot]
-        return (
-            _log_weights(params.prior_u, params.cond_u), _log_weights(prior, cond), _log(rate),
-        )
+        return _log_weights(prior, cond), _log(rate)
 
     def kernel_inputs(self, params: PclfParams):
         """(log_wu, log_wv, log_rate, ridx) for the log-space kernels, gathered per triple."""
-        log_wu, log_wv, log_rate = self.log_tables(params)
+        log_wu = _log_weights(params.prior_u, params.cond_u)
+        log_wv, log_rate = self.item_tables(params)
         return (
             np.ascontiguousarray(log_wu[:, self.gu].T),
             np.ascontiguousarray(log_wv[:, self.items].T),
             log_rate, self.ridx,
         )
 
-    def factorized_inputs(self, params: PclfParams):
-        """Arguments of the factorized kernels, before ``beta``."""
-        return (*self.log_tables(params), self.gu, self.items, self.ridx)
+    @functools.cached_property
+    def layout(self):
+        """``kernels.level_layout`` of ``ridx``, built on first use and then kept."""
+        return kernels.level_layout(self.ridx, self.n_levels)
 
 
 def _families(dims: ModelDims, dataset: CrossDomainDataset) -> list[_Family]:
     """The pooled common family, then one specific family per domain with L_z > 0."""
     gu, gv, r = dataset.pooled()
-    families = [_Family(0, dims.n_common_clusters, dims.total_items, gu, gv, r - 1)]
+    levels = dims.n_levels
+    families = [_Family(0, dims.n_common_clusters, dims.total_items, levels, gu, gv, r - 1)]
     for z, l_z in enumerate(dims.n_specific_clusters):
         if l_z > 0:
             families.append(_Family(
-                z + 1, l_z, dims.n_items[z], dataset.users[z] + dims.user_offset(z),
+                z + 1, l_z, dims.n_items[z], levels, dataset.users[z] + dims.user_offset(z),
                 dataset.items[z], dataset.ratings[z] - 1,
             ))
     return families
@@ -445,6 +448,28 @@ def _params_from_stats(dims: ModelDims, families, stats, floor: float) -> PclfPa
     )
 
 
+def _pass(params: PclfParams, families, beta=None):
+    """One factorized pass over ``families`` on one shared user table,
+    yielding each family's ``kernels.pair_pass`` at ``beta`` or, with
+    ``beta`` None, its ``kernels.pair_log_normalizers``."""
+    log_wu = _log_weights(params.prior_u, params.cond_u)
+    users = kernels.tempered(log_wu, 1.0 if beta is None else beta)
+    for fam in families:
+        args = (log_wu, *fam.item_tables(params), fam.gu, fam.items, fam.ridx)
+        if beta is None:
+            yield kernels.pair_log_normalizers(*args, layout=fam.layout, users=users)
+        else:
+            yield kernels.pair_pass(*args, beta, layout=fam.layout, users=users)
+
+
+def _total(normalizers) -> float:
+    """The log-likelihood from each family's per-triple log normalizers."""
+    total = 0.0  # plain adds in family order (sum() compensates on Python >= 3.12)
+    for z in normalizers:
+        total += float(z.sum())
+    return total
+
+
 def log_likelihood(params: PclfParams, dataset: CrossDomainDataset) -> float:
     """Sum of the common-component and specific-component data log-likelihoods.
 
@@ -452,10 +477,7 @@ def log_likelihood(params: PclfParams, dataset: CrossDomainDataset) -> float:
     M-step floor is positive).
     """
     _check_dims(params.dims, dataset)
-    total = 0.0  # plain adds in family order (sum() compensates on Python >= 3.12)
-    for fam in _families(params.dims, dataset):
-        total += float(kernels.pair_log_normalizers(*fam.factorized_inputs(params)).sum())
-    return total
+    return _total(_pass(params, _families(params.dims, dataset)))
 
 
 def train(
@@ -474,7 +496,13 @@ def train(
     iteration, log-likelihood) trace.
 
     Each iteration is ``m_step(e_step(...))`` computed by the factorized
-    ``kernels.pair_pass``, without the responsibility tensors.
+    ``kernels.pair_pass``, without the responsibility tensors.  Each
+    family's level layout is built once per fit, and each pass builds one
+    user table for all families.  At beta = 1 the normalizers of the next
+    iteration's pass are the log-likelihood terms of the current
+    parameters, so when another iteration can follow, that pass replaces
+    the normalizers-only one and its statistics carry into the next
+    iteration.
     """
     _check_dims(dims, dataset)
     params = init_params(dims, dataset, config.seed, floor=config.smoothing_floor)
@@ -482,13 +510,19 @@ def train(
     trace: list[TraceEntry] = []
     for beta in config.beta_schedule:
         prev = None
+        carried = None  # this beta's statistics of the current params, if made already
         for it in range(config.max_iters_per_beta):
-            stats = [
-                kernels.pair_pass(*fam.factorized_inputs(params), beta)[:5]
-                for fam in families
-            ]
+            stats = carried or [p[:5] for p in _pass(params, families, beta)]
             params = _params_from_stats(dims, families, stats, config.smoothing_floor)
-            ll = log_likelihood(params, dataset)
+            carried = None
+            if beta == 1.0 and it + 1 < config.max_iters_per_beta:
+                carried, normalizers = [], []
+                for *part, z in _pass(params, families, beta):
+                    carried.append(part)
+                    normalizers.append(z)
+                ll = _total(normalizers)
+            else:
+                ll = _total(_pass(params, families))
             trace.append(TraceEntry(beta=beta, iteration=it, log_likelihood=ll))
             if (
                 prev is not None

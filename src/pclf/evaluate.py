@@ -296,6 +296,8 @@ class ExperimentConfig:
             m = min(self.synthetic.dims.n_users)
             if not 0 <= self.n_train_users < m:
                 raise DataError(f"n_train_users must be in [0, {m}), got {self.n_train_users}")
+        elif self.n_train_users < 0:
+            raise DataError(f"n_train_users must be >= 0, got {self.n_train_users}")
 
 
 # the JSON type of every key a config section may hold, as ``data._is`` spells it

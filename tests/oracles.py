@@ -266,10 +266,62 @@ def run_experiment_reference(config, log=None, note=None):
     return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))
 
 
+def pair_stats_reference(resp, gu, gv, ridx, n_users, n_items, n_levels):
+    """``kernels.pair_stats`` from one ``np.bincount`` per statistic column,
+    each adding its triples in index order, and ``resp.sum`` over the
+    cluster axes."""
+    s, n_uc, n_ic = resp.shape
+    cluster_u = resp.sum(axis=(0, 2))
+    cluster_v = resp.sum(axis=(0, 1))
+    ru = resp.sum(axis=2)
+    rv = resp.sum(axis=1)
+    by_user = np.stack([
+        np.bincount(gu, weights=ru[:, k], minlength=n_users) for k in range(n_uc)
+    ])
+    by_item = np.stack([
+        np.bincount(gv, weights=rv[:, c], minlength=n_items) for c in range(n_ic)
+    ])
+    flat = resp.reshape(s, n_uc * n_ic)
+    by_level = np.stack([
+        np.bincount(ridx, weights=flat[:, i], minlength=n_levels)
+        for i in range(n_uc * n_ic)
+    ]).reshape(n_uc, n_ic, n_levels)
+    return cluster_u, cluster_v, by_user, by_item, by_level
+
+
+def train_reference(dataset, dims, config):
+    """``em.train`` as one ``kernels.pair_pass`` per family and iteration
+    followed by a separate ``kernels.pair_log_normalizers`` pass, every
+    table, order and layout rebuilt on each call."""
+    from pclf import em, kernels
+
+    def inputs(params, fam):
+        return (em._log_weights(params.prior_u, params.cond_u), *fam.item_tables(params),
+                fam.gu, fam.items, fam.ridx)
+
+    params = em.init_params(dims, dataset, config.seed, floor=config.smoothing_floor)
+    families = em._families(dims, dataset)
+    trace = []
+    for beta in config.beta_schedule:
+        prev = None
+        for it in range(config.max_iters_per_beta):
+            stats = [kernels.pair_pass(*inputs(params, fam), beta)[:5] for fam in families]
+            params = em._params_from_stats(dims, families, stats, config.smoothing_floor)
+            ll = 0.0
+            for fam in families:
+                ll += float(kernels.pair_log_normalizers(*inputs(params, fam)).sum())
+            trace.append((beta, it, ll))
+            if prev is not None and it + 1 >= config.min_iters_per_beta \
+                    and abs(ll - prev) <= config.rel_ll_tol * abs(prev):
+                break
+            prev = ll
+    return params, trace
+
+
 def init_params_reference(dims, dataset, seed, floor=1e-10):
     """``init_params`` drawing each chunk with ``rng.gamma`` and reducing it
-    before the next draw, on one thread."""
-    from pclf import em, kernels
+    with ``pair_stats_reference`` before the next draw, on one thread."""
+    from pclf import em
 
     rng = np.random.default_rng(seed)
     families = em._families(dims, dataset)
@@ -282,7 +334,7 @@ def init_params_reference(dims, dataset, seed, floor=1e-10):
                 0.5, size=(len(fam.ridx[rows]), dims.n_user_clusters, fam.n_clusters)
             )
             block /= block.sum(axis=(1, 2), keepdims=True)
-            part = kernels.pair_stats(
+            part = pair_stats_reference(
                 block, fam.gu[rows], fam.items[rows], fam.ridx[rows],
                 dims.total_users, fam.n_items, dims.n_levels,
             )

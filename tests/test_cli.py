@@ -677,6 +677,20 @@ def _evaluate_small(tmp_path, models=KNOWN_MODELS):
     return main(["evaluate", "--config", str(cfg_path), "--out", str(out)]), out
 
 
+def test_evaluate_file_domain_negative_n_train_users_before_out(tmp_path, capsys):
+    ratings = tmp_path / "ratings.tsv"
+    ratings.write_text("".join(f"u{u}\ti{u % 3}\t{1 + u % 5}\n" for u in range(6)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "domains": [{"path": str(ratings), "scale": {"min": 1, "max": 5}}],
+        "n_train_users": -1, "given_n": [1], "dims": {"K": 2, "T": 2, "L": 1},
+    }))
+    out = tmp_path / "results"
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_train_users must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_train_users", [30, 14, -1])
 def test_evaluate_n_train_users_checked_before_out(tmp_path, capsys, n_train_users):
     config = tmp_path / "config.json"   # 14 users per domain
@@ -835,12 +849,25 @@ _VALUES = [None, True, 1.5, "x", ["x"], {"x": 1}]
 
 
 @st.composite
-def _corrupted(draw, text: bytes) -> bytes:
+def _corrupted(draw, text: bytes, lists=()) -> bytes:
     """``text``, an ASCII JSON object, made invalid: cut before its closing
     brace, one byte replaced by one that JSON never holds, a non-UTF-8
-    sequence inserted, or one value at a key replaced by one of another
-    JSON type."""
-    how = draw(st.sampled_from(["truncate", "byte", "non-utf8", "type"]))
+    sequence inserted, one value at a key replaced by one of another JSON
+    type, or, given the keys of ``lists``, one entry dropped from or added
+    to one of those lists or to a list in one of them."""
+    how = draw(st.sampled_from(["truncate", "byte", "non-utf8", "type"]
+                               + ["resize"] * bool(lists)))
+    if how == "resize":
+        doc = json.loads(text)
+        key = draw(st.sampled_from(lists))
+        parent, at = doc, key
+        if isinstance(doc[key][0], list) and draw(st.booleans()):
+            parent, at = doc[key], draw(st.integers(0, len(doc[key]) - 1))
+        if draw(st.booleans()):
+            parent[at] = parent[at][:-1]
+        else:
+            parent[at] = parent[at] + parent[at][-1:]
+        return json.dumps(doc).encode()
     if how == "truncate":
         return text[:draw(st.integers(0, text.rindex(b"}") - 1))]
     i = draw(st.integers(0, len(text) - 1))
@@ -863,7 +890,8 @@ def _corrupted(draw, text: bytes) -> bytes:
 def test_corrupt_json_document_one_line_error(json_documents, kind, data):
     dataset = json_documents / "dataset"
     original = dataset / "manifest.json" if kind == "manifest" else json_documents / f"{kind}.json"
-    text = data.draw(_corrupted(original.read_bytes()), label="document")
+    lists = ("n_users", "n_items", "user_ids", "item_ids") if kind == "manifest" else ()
+    text = data.draw(_corrupted(original.read_bytes(), lists), label="document")
     with tempfile.TemporaryDirectory() as tmp:
         doc, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out", "out.csv")
         os.mkdir(os.path.dirname(out))

@@ -27,6 +27,7 @@ from oracles import (
     init_params_reference,
     posterior_matrix,
     random_params,
+    train_reference,
 )
 
 PROB_ATOL = 1e-12
@@ -133,6 +134,29 @@ class TestInitParams:
         monkeypatch.setattr(em, "INIT_CHUNK_ROWS", chunk_rows)
         got = init_params(dims, ds, seed=seed)
         want = init_params_reference(dims, ds, seed=seed)
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("empty_domain", [False, True], ids=["rated", "domain-1-empty"])
+    def test_wide_families_match_serial_reference(self, monkeypatch, empty_domain):
+        # families 9 x 8, 9 x 1 and 9 x 10 wide; at 7 rows a chunk, 86 pooled
+        # and 43 per-domain triples end in chunks of 2 and 1 rows, and an
+        # empty domain's family is one chunk of 0 rows
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=9, n_common_clusters=8,
+            n_specific_clusters=(1, 10), n_levels=5,
+            n_users=(10, 8), n_items=(7, 9),
+        )
+        ds = random_dataset(np.random.default_rng(31), dims, 43)
+        if empty_domain:
+            ds = CrossDomainDataset.from_indexed(
+                n_levels=5, n_users=[10, 8], n_items=[7, 9],
+                triples=np.column_stack([np.zeros(43, np.int64), ds.users[0],
+                                         ds.items[0], ds.ratings[0]]),
+            )
+        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 7)
+        got = init_params(dims, ds, seed=2)
+        want = init_params_reference(dims, ds, seed=2)
         for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
             assert np.array_equal(a, b), name
 
@@ -531,6 +555,50 @@ class TestTrain:
         assert got.dims == params.dims
         for (name, a), (_, b) in zip(param_arrays(got), param_arrays(params)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("specific", [(2, 3), (2, 0)])
+    @pytest.mark.parametrize("case", ["plain-em", "tol-stop", "one-iter"])
+    def test_carried_pass_matches_reference_loop(self, monkeypatch, specific, case):
+        # train() takes the beta = 1 log-likelihood from the next iteration's
+        # pass; the reference makes every pass and normalizer pass afresh
+        config = {
+            # the carry starts at iteration 1 and runs to the cap
+            "plain-em": TrainConfig(beta_schedule=(1.0,), max_iters_per_beta=6,
+                                    min_iters_per_beta=6, seed=4),
+            # beta = 1 stops on the tolerance mid-phase, dropping the carry
+            "tol-stop": TrainConfig(beta_schedule=(0.5, 1.0), max_iters_per_beta=8,
+                                    min_iters_per_beta=2, rel_ll_tol=2e-3, seed=4),
+            # one iteration per beta: nothing is carried
+            "one-iter": TrainConfig(beta_schedule=(0.5, 0.8, 1.0), max_iters_per_beta=1,
+                                    min_iters_per_beta=1, seed=4),
+        }[case]
+        rng = np.random.default_rng(21)
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=3, n_common_clusters=2,
+            n_specific_clusters=specific, n_levels=5,
+            n_users=(14, 11), n_items=(9, 12),
+        )
+        ds = random_dataset(rng, dims, 70)
+        want_params, want = train_reference(ds, dims, config)
+        calls = {"pair_pass": 0, "pair_log_normalizers": 0}
+        for name in calls:
+            def counted(*args, _kernel=getattr(kernels, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(kernels, name, counted)
+        got, trace = train(ds, dims, config)
+        assert [(t.beta, t.iteration, t.log_likelihood) for t in trace] == want
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want_params)):
+            assert np.array_equal(a, b), name
+        # one pass per iteration, and one normalizers-only pass per iteration
+        # that no further beta = 1 iteration can follow
+        n_fam = 1 + sum(l > 0 for l in specific)
+        at_one = [t for t in trace if t.beta == 1.0]
+        assert calls["pair_pass"] == n_fam * (len(trace) + (case == "tol-stop"))
+        assert calls["pair_log_normalizers"] == n_fam * (
+            len(trace) - len(at_one) + (at_one[-1].iteration + 1 == config.max_iters_per_beta))
+        if case == "tol-stop":
+            assert 2 <= len(at_one) < config.max_iters_per_beta
 
     def test_config_validation(self):
         with pytest.raises(ModelError):

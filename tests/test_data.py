@@ -307,6 +307,28 @@ class TestRoundTrip:
         with pytest.raises(DataError, match=f"'{key}' in dataset manifest .* must be"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("key, edit, message", [
+        ("n_items", lambda v: v[:1], "'n_items' in dataset manifest .* needs one entry per "
+                                     r"domain \(2\), got 1"),
+        ("n_users", lambda v: v + v[:1], "'n_users' in dataset manifest .* needs one entry "
+                                         r"per domain \(2\), got 3"),
+        ("user_ids", lambda v: v[:1], "'user_ids' .* per domain"),
+        ("n_domains", lambda v: 3, "'n_users' .* per domain \\(3\\), got 2"),
+        ("item_ids", lambda v: [v[0], v[1][1:]],
+         "'item_ids' in dataset manifest .* has [0-9]+ entries for domain 1, "
+         "where 'n_items' says [0-9]+"),
+        ("user_ids", lambda v: [v[0] + ["extra"], v[1]],
+         "'user_ids' .* entries for domain 0, where 'n_users' says"),
+    ], ids=["n_items-short", "n_users-long", "user_ids-short", "n_domains",
+            "item_ids-entry-short", "user_ids-entry-long"])
+    def test_load_rejects_list_lengths(self, tmp_path, tiny_dataset, key, edit, message):
+        save_dataset(tiny_dataset, str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, key: edit(doc[key])}))
+        with pytest.raises(DataError, match=message):
+            load_dataset(str(tmp_path))
+
     @pytest.mark.parametrize("row", ["0,1,x,3", "0,1,2"])
     def test_load_malformed_row_names_line(self, tmp_path, tiny_dataset, row):
         save_dataset(tiny_dataset, str(tmp_path))

@@ -3,7 +3,7 @@ import pytest
 
 from pclf import kernels
 
-from oracles import posterior_matrix
+from oracles import pair_stats_reference, posterior_matrix
 
 
 def _random_inputs(seed, s=30, k=3, c=4, levels=5):
@@ -71,6 +71,38 @@ class TestKernelCorrectness:
         assert by_item.sum() == pytest.approx(s, abs=1e-9)
         assert by_level.sum() == pytest.approx(s, abs=1e-9)
         np.testing.assert_allclose(by_level.sum(axis=2), resp.sum(axis=0), atol=1e-9)
+
+
+class TestPairStats:
+    """``pair_stats`` gives the bits, shapes and memory order of the
+    per-column reference: a reordered sum or an F-ordered array would
+    change the M step's normalization and every checkpoint byte after it."""
+
+    # numpy sums 8 or more contiguous terms pairwise, so C < 8 and C >= 8
+    # differ in ru; a length-1 cluster axis makes the tensor sums contiguous
+    @pytest.mark.parametrize("k, c", [(3, 2), (4, 7), (3, 8), (5, 13), (20, 15),
+                                      (1, 9), (9, 1), (1, 1)])
+    @pytest.mark.parametrize("s", [0, 1, 2, 37, 600])
+    def test_matches_reference(self, k, c, s):
+        rng = np.random.default_rng(1000 * k + 10 * c + s)
+        levels, n_u, n_v = 5, 13, 17
+        # unnormalized, so that a changed sum order shows in the last bits
+        resp = rng.standard_gamma(0.5, size=(s, k, c))
+        gu = rng.integers(0, n_u, size=s)
+        gv = rng.integers(0, n_v, size=s)
+        ridx = rng.choice([0, 1, 3, 4], size=s)  # level 2 holds no triple
+        got = kernels.pair_stats(resp, gu, gv, ridx, n_u, n_v, levels)
+        want = pair_stats_reference(resp, gu, gv, ridx, n_u, n_v, levels)
+        assert len(got) == 5
+        for name, have, ref in zip(
+            ("cluster_u", "cluster_v", "by_user", "by_item", "by_level"), got, want
+        ):
+            assert have.shape == ref.shape, name
+            assert have.flags.c_contiguous, name
+            if s:  # an empty chunk's bincounts are int64 zeros, which normalize alike
+                assert have.dtype == ref.dtype, name
+            np.testing.assert_array_equal(have, ref, err_msg=name)
+        assert not got[4][:, :, 2].any()
 
 
 def _entity_inputs(seed, s=60, k=3, c=4, levels=5, n_users=9, n_items=11):
