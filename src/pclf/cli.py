@@ -381,9 +381,9 @@ def cmd_evaluate(args) -> int:
     config = evaluate.load_config(args.config)
     if args.repeats is not None:
         config.n_repeats = args.repeats
-    os.makedirs(args.out, exist_ok=True)
     report = evaluate.run_experiment(config, log=print if args.verbose else None,
                                      note=lambda line: print(line, file=sys.stderr))
+    os.makedirs(args.out, exist_ok=True)   # only once every config and data fault is past
     with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as fh:
         fh.write(evaluate.raw_results_csv(report))
     table = evaluate.report_table(report, fmt="plain")

@@ -4,6 +4,13 @@ A dataset holds Z domains whose users and items live in disjoint index
 spaces (two domains may reuse the same raw ID string without referring to
 the same entity).  All ratings are normalized onto a shared discrete scale
 1..R before anything downstream sees them.
+
+Ratings are held as columns: a dataset is built from raw ratings
+(``build_dataset``) or from an (S, 4) integer array of (domain, user,
+item, level) rows (``CrossDomainDataset.from_indexed``), and cut with one
+position array per domain (``restrict``).  ``given_n_split`` still returns
+``RatingTriple`` lists; ``_given_n_positions`` gives the same split as
+positions for ``restrict``.
 """
 
 from __future__ import annotations
@@ -134,6 +141,8 @@ def select_subset(
     """
     if min_user_ratings < 0 or min_item_ratings < 0:
         raise DataError("rating-count thresholds must be >= 0")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     user_counts: dict[str, int] = {}
     item_counts: dict[str, int] = {}
     for r in ratings:
@@ -212,15 +221,6 @@ class CrossDomainDataset:
         r = np.concatenate(self.ratings)
         return gu, gv, r
 
-    def triples(self) -> list[RatingTriple]:
-        out = []
-        for z in range(self.n_domains):
-            out.extend(
-                RatingTriple(z, int(u), int(v), int(r))
-                for u, v, r in zip(self.users[z], self.items[z], self.ratings[z])
-            )
-        return out
-
     def domain_view(self, domain: int) -> "CrossDomainDataset":
         """Single-domain dataset sharing this one's index space for that domain."""
         self._check_domain(domain)
@@ -236,29 +236,17 @@ class CrossDomainDataset:
             item_ids=[list(self.item_ids[z])],
         )
 
-    def restrict(self, triples: list[RatingTriple] | None = None, *,
-                 positions: list[np.ndarray] | None = None) -> "CrossDomainDataset":
-        """Dataset containing only ``triples`` but keeping the full index space.
-
-        Given ``positions`` instead, one index array per domain into this
-        dataset's arrays, it keeps those ratings in that order.  Used to
-        train on a split's train pool while preserving user/item
-        identities for later evaluation.
+    def restrict(self, positions: list[np.ndarray]) -> "CrossDomainDataset":
+        """Dataset holding, for each domain, the ratings at that domain's
+        ``positions`` (an index array into its arrays), in that order, and
+        keeping the full index space.  Used to train on a split's train pool
+        while preserving user/item identities for later evaluation.
         """
-        if positions is None:
-            per_domain: list[list[RatingTriple]] = [[] for _ in range(self.n_domains)]
-            for t in triples:
-                self._check_domain(t.domain)
-                per_domain[t.domain].append(t)
-            columns = [[np.array([getattr(t, key) for t in ts], dtype=np.int64)
-                        for ts in per_domain] for key in ("user", "item", "rating")]
-        else:
-            if len(positions) != self.n_domains:
-                raise DataError(f"restrict needs {self.n_domains} position arrays, "
-                                f"got {len(positions)}")
-            columns = [[col[pos] for col, pos in zip(cols, positions)]
-                       for cols in (self.users, self.items, self.ratings)]
-        users, items, ratings = columns
+        if len(positions) != self.n_domains:
+            raise DataError(f"restrict needs {self.n_domains} position arrays, "
+                            f"got {len(positions)}")
+        users, items, ratings = ([col[pos] for col, pos in zip(cols, positions)]
+                                 for cols in (self.users, self.items, self.ratings))
         return CrossDomainDataset(
             n_levels=self.n_levels,
             users=users,
@@ -278,27 +266,17 @@ class CrossDomainDataset:
     def from_indexed(
         cls,
         n_levels: int,
-        triples: list[RatingTriple] | np.ndarray,
+        triples: np.ndarray,
         n_users: list[int],
         n_items: list[int],
     ) -> "CrossDomainDataset":
         """Build a dataset from already-dense triples with declared index sizes.
 
-        ``triples`` is a list of ``RatingTriple`` or an (S, 4) integer array
-        of (domain, user, item, level) rows.  The first triple outside the
-        declared sizes, in order, is reported.
+        ``triples`` is an (S, 4) integer array of (domain, user, item, level)
+        rows.  The first row outside the declared sizes, in order, is
+        reported.
         """
-        if isinstance(triples, np.ndarray):
-            z, u, v, r = np.asarray(triples, dtype=np.int64).reshape(-1, 4).T
-        else:
-            try:
-                z, u, v, r = np.array([[t.domain for t in triples], [t.user for t in triples],
-                                       [t.item for t in triples], [t.rating for t in triples]],
-                                      dtype=np.int64).reshape(4, -1)
-            except OverflowError:   # a value past int64 lies outside every declared range
-                for t in triples:
-                    _check_triple(t, n_levels, n_users, n_items)
-                raise
+        z, u, v, r = np.asarray(triples, dtype=np.int64).reshape(-1, 4).T
         n_dom = len(n_users)
         dom_ok = (z >= 0) & (z < n_dom)
         # an out-of-range domain looks up the sizes of an empty extra domain
@@ -307,8 +285,8 @@ class CrossDomainDataset:
               & (v >= 0) & (v < np.append(n_items, 0)[zi]) & (r >= 1) & (r <= n_levels))
         if not ok.all():
             i = np.argmin(ok)
-            bad = RatingTriple(int(z[i]), int(u[i]), int(v[i]), int(r[i]))
-            _check_triple(bad, n_levels, n_users, n_items)
+            _check_triple((int(z[i]), int(u[i]), int(v[i]), int(r[i])),
+                          n_levels, n_users, n_items)
         return cls(
             n_levels=n_levels,
             users=[u[z == d] for d in range(n_dom)],
@@ -321,8 +299,10 @@ class CrossDomainDataset:
         )
 
 
-def _check_triple(t: RatingTriple, n_levels: int, n_users: list[int],
-                  n_items: list[int]) -> None:
+def _check_triple(row, n_levels: int, n_users: list[int], n_items: list[int]) -> None:
+    """Raise ``DataError`` if the (domain, user, item, level) ``row`` lies
+    outside the declared sizes."""
+    t = RatingTriple(*row)
     if not 0 <= t.domain < len(n_users):
         raise DataError(f"domain {t.domain} out of range")
     if not (0 <= t.user < n_users[t.domain] and 0 <= t.item < n_items[t.domain]):
@@ -555,6 +535,10 @@ def _checked(mapping, types: dict, where: str, required=()) -> dict:
 
 
 def load_dataset(directory: str) -> CrossDomainDataset:
+    """Read a dataset written by ``save_dataset``.  The manifest's types and
+    list lengths are checked, every row must lie inside its declared sizes,
+    and a manifest's ``n_ratings``, when present, must match each domain's
+    row count; any fault raises one ``DataError``."""
     manifest_path = os.path.join(directory, "manifest.json")
     manifest = read_json(manifest_path, "dataset manifest", DataError)
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
@@ -564,8 +548,8 @@ def load_dataset(directory: str) -> CrossDomainDataset:
     _checked(manifest, _MANIFEST_TYPES, where,
              ("n_levels", "n_users", "n_items", "user_ids", "item_ids"))
     n_domains = manifest.get("n_domains", len(manifest["n_users"]))
-    for key in ("n_users", "n_items", "user_ids", "item_ids"):
-        if len(manifest[key]) != n_domains:
+    for key in ("n_users", "n_items", "n_ratings", "user_ids", "item_ids"):
+        if key in manifest and len(manifest[key]) != n_domains:
             raise DataError(f"{key!r} in {where} needs one entry per domain ({n_domains}), "
                             f"got {len(manifest[key])}")
     for ids, counts in (("user_ids", "n_users"), ("item_ids", "n_items")):
@@ -573,12 +557,14 @@ def load_dataset(directory: str) -> CrossDomainDataset:
             if len(names) != n:
                 raise DataError(f"{ids!r} in {where} has {len(names)} entries for domain {z}, "
                                 f"where {counts!r} says {n}")
+    n_levels, n_users, n_items = (manifest[key] for key in ("n_levels", "n_users", "n_items"))
+    path = os.path.join(directory, "ratings.csv")
     ds = CrossDomainDataset.from_indexed(
-        n_levels=manifest["n_levels"],
-        triples=_read_ratings_csv(os.path.join(directory, "ratings.csv")),
-        n_users=manifest["n_users"],
-        n_items=manifest["n_items"],
-    )
+        n_levels, _read_ratings_csv(path, n_levels, n_users, n_items), n_users, n_items)
+    for z, (held, n) in enumerate(zip(ds.n_ratings, manifest.get("n_ratings", ds.n_ratings))):
+        if held != n:
+            raise DataError(f"{path} holds {held} ratings for domain {z}, "
+                            f"where 'n_ratings' in {where} says {n}")
     ds.user_ids = manifest["user_ids"]
     ds.item_ids = manifest["item_ids"]
     return ds
@@ -612,9 +598,10 @@ def read_int_rows(data: bytes) -> np.ndarray | None:
         return None
 
 
-def _read_ratings_csv(path: str) -> np.ndarray | list[RatingTriple]:
+def _read_ratings_csv(path: str, n_levels: int, n_users: list[int],
+                      n_items: list[int]) -> np.ndarray:
     """ratings.csv as (S, 4) rows; a file ``read_int_rows`` does not take
-    goes through ``_parse_ratings_csv``."""
+    goes through ``_parse_ratings_csv`` with the declared sizes."""
     with open(path, "rb") as fh:
         data = fh.read()
     head, _, body = data.partition(b"\n")
@@ -624,12 +611,16 @@ def _read_ratings_csv(path: str) -> np.ndarray | list[RatingTriple]:
         rows = read_int_rows(body)
         if rows is not None and rows.shape[1] == 4:
             return rows
-    return _parse_ratings_csv(path)
+    return _parse_ratings_csv(path, n_levels, n_users, n_items)
 
 
-def _parse_ratings_csv(path: str) -> list[RatingTriple]:
-    """Parse ratings.csv row by row, naming the line of a malformed row."""
-    triples = []
+def _parse_ratings_csv(path: str, n_levels: int, n_users: list[int],
+                       n_items: list[int]) -> np.ndarray:
+    """Parse ratings.csv row by row into (S, 4) rows, naming the line of a
+    malformed row.  A value past int64 lies outside every declared size, so
+    a file holding one reports the first row, in order, outside
+    ``n_levels``, ``n_users`` and ``n_items``."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(text_lines(fh, path))
         header = next(reader, None)
@@ -642,5 +633,10 @@ def _parse_ratings_csv(path: str) -> list[RatingTriple]:
                 raise DataError(
                     f"{path}:{reader.line_num}: expected 4 integers, got {row}"
                 ) from None
-            triples.append(RatingTriple(z, u, v, r))
-    return triples
+            rows.append((z, u, v, r))
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        for row in rows:
+            _check_triple(row, n_levels, n_users, n_items)
+        raise

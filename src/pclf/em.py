@@ -12,6 +12,7 @@ raised toward 1 to dodge poor local maxima.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,19 +143,6 @@ class PclfParams:
                 worst = np.max(np.abs(np.asarray(sums) - 1.0))
                 raise ModelError(f"{name}: distribution off by {worst:.3e}")
 
-    def copy(self) -> "PclfParams":
-        return PclfParams(
-            dims=self.dims,
-            prior_u=self.prior_u.copy(),
-            prior_vcom=self.prior_vcom.copy(),
-            prior_vspe=[a.copy() for a in self.prior_vspe],
-            cond_u=self.cond_u.copy(),
-            cond_vcom=self.cond_vcom.copy(),
-            cond_vspe=[a.copy() for a in self.cond_vspe],
-            rate_com=self.rate_com.copy(),
-            rate_spe=[a.copy() for a in self.rate_spe],
-        )
-
 
 @dataclass
 class Responsibilities:
@@ -181,14 +169,17 @@ class TrainConfig:
             raise ModelError("beta schedule must be ascending")
         if sched[-1] != 1.0:
             raise ModelError("beta schedule must end at 1.0")
-        if self.rel_ll_tol <= 0:
-            raise ModelError("rel_ll_tol must be > 0")
-        if self.smoothing_floor < 0:
-            raise ModelError("smoothing_floor must be >= 0")
+        if not self.rel_ll_tol > 0:   # NaN fails too
+            raise ModelError(f"rel_ll_tol must be > 0, got {self.rel_ll_tol}")
+        if not 0 <= self.smoothing_floor < math.inf:
+            raise ModelError(f"smoothing_floor must be finite and >= 0, "
+                             f"got {self.smoothing_floor}")
         if self.max_iters_per_beta < 1:
             raise ModelError("max_iters_per_beta must be >= 1")
         if self.min_iters_per_beta < 1:
             raise ModelError("min_iters_per_beta must be >= 1")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "beta_schedule", sched)
 
 

@@ -77,6 +77,8 @@ class SyntheticSpec:
             raise DataError("w1 weights must lie in [0, 1]")
         if not 0.0 <= self.table_noise < 1.0:
             raise DataError("table_noise must lie in [0, 1)")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def _peaked_tables(rng, n_rows, n_cols, n_levels, sharpness):
@@ -271,6 +273,8 @@ class ExperimentConfig:
             raise DataError("nmf_rank must be >= 1")
         if self.nmf_iters < 1:
             raise DataError("nmf_iters must be >= 1")
+        if self.base_seed < 0:
+            raise DataError(f"base_seed must be >= 0, got {self.base_seed}")
         if any(n < 0 for n in self.given_n):
             raise DataError("given_n values must be >= 0")
         unknown = [m for m in self.models if m not in KNOWN_MODELS]

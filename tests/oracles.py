@@ -130,14 +130,14 @@ def random_dims(rng, max_clusters=3, max_entities=4, max_levels=5, n_domains=2):
 
 def synth_reference(spec):
     """``synth_generate`` as one ``rng.choice(p=...)`` call per draw per cell."""
-    from pclf import CrossDomainDataset, RatingTriple, memberships
+    from pclf import CrossDomainDataset, memberships
     from pclf.evaluate import _planted_params
 
     dims = spec.dims
     rng = np.random.default_rng(spec.seed)
     params = _planted_params(spec, rng)
     mems = memberships(params)
-    triples = []
+    rows = []
     for z in range(dims.n_domains):
         m, n = dims.n_users[z], dims.n_items[z]
         n_cells = int(round(spec.density * m * n))
@@ -154,9 +154,9 @@ def synth_reference(spec):
                 l = rng.choice(dims.n_specific_clusters[z], p=mems.p_vspe[z][v])
                 table = params.rate_spe[z][k, l]
             level = int(rng.choice(dims.n_levels, p=table)) + 1
-            triples.append(RatingTriple(z, int(u), int(v), level))
+            rows.append((z, int(u), int(v), level))
     dataset = CrossDomainDataset.from_indexed(
-        n_levels=dims.n_levels, triples=triples,
+        n_levels=dims.n_levels, triples=np.array(rows),
         n_users=list(dims.n_users), n_items=list(dims.n_items),
     )
     return dataset, params

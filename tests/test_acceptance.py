@@ -14,7 +14,6 @@ from pclf import (
     CrossDomainDataset,
     ModelDims,
     PredictionWeights,
-    RatingTriple,
     SyntheticSpec,
     TrainConfig,
     cluster_rating_matrices,
@@ -22,7 +21,6 @@ from pclf import (
     domain_matrix,
     e_step,
     fmm_train,
-    given_n_split,
     load_checkpoint,
     m_step,
     mae,
@@ -34,9 +32,10 @@ from pclf import (
     synth_generate,
     train,
 )
+from pclf import em
 from pclf.cli import main as cli_main
 
-from conftest import random_dataset
+from conftest import given_n_pool, random_dataset
 from oracles import posterior_matrix, expected_rating, random_dims, random_params
 
 PROB_ATOL = 1e-12
@@ -60,14 +59,13 @@ class _criterion:
 
 def _uniform_random_dataset(seed, m=30, n=30, density=0.2, levels=5):
     rng = np.random.default_rng(seed)
-    triples = []
+    rows = []
     for z in range(2):
         n_cells = int(round(density * m * n))
         flat = rng.choice(m * n, size=n_cells, replace=False)
         for idx in flat:
-            triples.append(RatingTriple(z, int(idx // n), int(idx % n),
-                                        int(rng.integers(1, levels + 1))))
-    return CrossDomainDataset.from_indexed(levels, triples, [m, m], [n, n])
+            rows.append((z, int(idx // n), int(idx % n), int(rng.integers(1, levels + 1))))
+    return CrossDomainDataset.from_indexed(levels, np.array(rows), [m, m], [n, n])
 
 
 class TestEmMonotonicity:
@@ -114,6 +112,30 @@ class TestNormalizationSuite:
                             )
                     params = m_step(resp, ds, floor=1e-10)
                     params.validate(atol=PROB_ATOL)
+
+    def test_shipped_loop_unit_sum(self, monkeypatch):
+        with _criterion("normalization after every pass of train's own loop (1e-12)"):
+            made = []
+
+            def checked(*args):
+                params = params_from_stats(*args)
+                params.validate(atol=PROB_ATOL)
+                made.append(params)
+                return params
+
+            params_from_stats = em._params_from_stats
+            monkeypatch.setattr(em, "_params_from_stats", checked)
+            rng = np.random.default_rng(7)
+            for trial in range(12):
+                dims = random_dims(rng, max_clusters=4, max_entities=12, n_domains=2)
+                ds = random_dataset(rng, dims, n_per_domain=40)
+                config = TrainConfig(beta_schedule=(0.5, 1.0), max_iters_per_beta=4,
+                                     min_iters_per_beta=4, seed=trial)
+                before = len(made)
+                params, trace = train(ds, dims, config)
+                # init_params' M step, then one per iteration
+                assert len(made) - before == 1 + len(trace)
+                assert made[-1] is params
 
 
 class TestBruteForceOracle:
@@ -168,6 +190,44 @@ class TestBruteForceOracle:
                 assert got == pytest.approx(expected, abs=ORACLE_ATOL)
                 cases += 1
             assert cases >= 200
+
+    def test_pair_pass_masses_match_enumeration(self):
+        with _criterion("shipped pair_pass masses equal enumerated posterior sums (1e-10)"):
+            rng = np.random.default_rng(43)
+            for case in range(60):
+                dims = random_dims(rng, max_clusters=3, max_entities=4, max_levels=5)
+                ds = random_dataset(rng, dims, n_per_domain=3)
+                params = random_params(rng, dims)
+                families = em._families(dims, ds)
+                for beta in (float(rng.uniform(0.3, 1.0)), 1.0):
+                    for fam, got in zip(families, em._pass(params, families, beta)):
+                        want = _enumerated_masses(params, fam, dims, beta)
+                        for name, g, w in zip(("user cluster", "item cluster", "user",
+                                               "item", "level"), got, want):
+                            np.testing.assert_allclose(
+                                g, w, rtol=0, atol=ORACLE_ATOL,
+                                err_msg=f"case {case} family {fam.slot} {name} mass")
+
+
+def _enumerated_masses(params, fam, dims, beta):
+    """The five ``pair_pass`` masses of ``fam`` as sums of
+    ``posterior_matrix`` over the family's triples."""
+    prior_v = (params.prior_vcom, *params.prior_vspe)[fam.slot]
+    cond_v = (params.cond_vcom, *params.cond_vspe)[fam.slot]
+    rate = (params.rate_com, *params.rate_spe)[fam.slot]
+    k, c = dims.n_user_clusters, fam.n_clusters
+    cluster_u, cluster_v = np.zeros(k), np.zeros(c)
+    by_user, by_item = np.zeros((k, dims.total_users)), np.zeros((c, fam.n_items))
+    by_level = np.zeros((k, c, dims.n_levels))
+    for u, v, r in zip(fam.gu.tolist(), fam.items.tolist(), fam.ridx.tolist()):
+        post = np.array(posterior_matrix(params.prior_u, params.cond_u[:, u], prior_v,
+                                         cond_v[:, v], rate, r + 1, beta=beta))
+        cluster_u += post.sum(axis=1)
+        cluster_v += post.sum(axis=0)
+        by_user[:, u] += post.sum(axis=1)
+        by_item[:, v] += post.sum(axis=0)
+        by_level[:, :, r] += post
+    return cluster_u, cluster_v, by_user, by_item, by_level
 
 
 class TestWeightCollapse:
@@ -244,18 +304,7 @@ def _bench_instance(seed):
         specific_sharpness=5.0,
     )
     ds, _ = synth_generate(spec)
-    splits = [
-        given_n_split(ds, z, BENCH_TRAIN_USERS[z], BENCH_GIVEN, seed=seed + 10007 * z)
-        for z in range(2)
-    ]
-    train_ds = ds.restrict([t for s in splits for t in s.train_pool])
-    evs = [
-        (np.array([e.user for e in s.eval_set]),
-         np.array([e.item for e in s.eval_set]),
-         np.array([e.rating for e in s.eval_set], dtype=float))
-        for s in splits
-    ]
-    return train_ds, evs
+    return given_n_pool(ds, BENCH_TRAIN_USERS, BENCH_GIVEN, seed)
 
 
 def _best_of(train_fn, seed):
@@ -377,15 +426,7 @@ class TestWeightSensitivity:
                     specific_sharpness=5.0,
                 )
                 ds, _ = synth_generate(spec)
-                splits = [given_n_split(ds, z, 20, 5, seed=seed + 10007 * z)
-                          for z in range(2)]
-                train_ds = ds.restrict([t for s in splits for t in s.train_pool])
-                evs = [
-                    (np.array([e.user for e in s.eval_set]),
-                     np.array([e.item for e in s.eval_set]),
-                     np.array([e.rating for e in s.eval_set], dtype=float))
-                    for s in splits
-                ]
+                train_ds, evs = given_n_pool(ds, (20, 20), 5, seed)
                 fit_dims = ModelDims.from_dataset(train_ds, 6, 4, (2, 2))
                 best = None
                 for i in range(2):

@@ -8,14 +8,12 @@ from pclf import (
     ModelError,
     NmfFactors,
     PredictionWeights,
-    RatingTriple,
     SyntheticSpec,
     TrainConfig,
     cluster_rating_matrices,
     common_only_train,
     domain_matrix,
     fmm_train,
-    given_n_split,
     log_likelihood,
     mae,
     memberships,
@@ -25,6 +23,8 @@ from pclf import (
     synth_generate,
     train,
 )
+
+from pclf.data import _given_n_positions
 
 from oracles import nmf_reference
 
@@ -84,18 +84,17 @@ class TestFmm:
 
     def test_beats_global_mean_on_planted_data(self):
         ds = _single_domain_dataset(seed=4, n_users=40, n_items=30, density=0.5)
-        split = given_n_split(ds, 0, n_train_users=25, n_given=8, seed=1)
-        train_ds = ds.restrict(split.train_pool)
+        train, evaluation = _given_n_positions(ds, 0, n_train_users=25, n_given=8, seed=1)
+        train_ds = ds.restrict([train])
         config = TrainConfig(beta_schedule=(0.6, 0.8, 1.0), max_iters_per_beta=30, seed=5)
         params, _ = fmm_train(train_ds, 3, 2, config)
         mats = cluster_rating_matrices(params)
         mems = memberships(params)
         weights = PredictionWeights.common_only(1)
-        users = np.array([t.user for t in split.eval_set])
-        items = np.array([t.item for t in split.eval_set])
-        truths = np.array([t.rating for t in split.eval_set], dtype=float)
+        users, items = ds.users[0][evaluation], ds.items[0][evaluation]
+        truths = ds.ratings[0][evaluation].astype(float)
         preds = predict_many(params, mats, mems, weights, 0, users, items)
-        global_mean = float(np.mean([t.rating for t in split.train_pool]))
+        global_mean = float(np.mean(train_ds.ratings[0]))
         assert mae(preds, truths) < mae(np.full_like(truths, global_mean), truths)
 
 
@@ -116,20 +115,17 @@ class TestCommonOnly:
         base = _single_domain_dataset(seed=6, n_users=15, n_items=12, density=0.5)
         u, v, r = base.users[0], base.items[0], base.ratings[0]
         m, n = base.n_users[0], base.n_items[0]
+        zero, one = np.zeros_like(u), np.ones_like(u)
         duplicated = CrossDomainDataset.from_indexed(
             n_levels=5,
-            triples=(
-                [RatingTriple(0, int(a), int(b), int(c)) for a, b, c in zip(u, v, r)]
-                + [RatingTriple(1, int(a), int(b), int(c)) for a, b, c in zip(u, v, r)]
-            ),
+            triples=np.vstack([np.column_stack([zero, u, v, r]),
+                               np.column_stack([one, u, v, r])]),
             n_users=[m, m], n_items=[n, n],
         )
         concatenated = CrossDomainDataset.from_indexed(
             n_levels=5,
-            triples=(
-                [RatingTriple(0, int(a), int(b), int(c)) for a, b, c in zip(u, v, r)]
-                + [RatingTriple(0, int(a) + m, int(b) + n, int(c)) for a, b, c in zip(u, v, r)]
-            ),
+            triples=np.vstack([np.column_stack([zero, u, v, r]),
+                               np.column_stack([zero, u + m, v + n, r])]),
             n_users=[2 * m], n_items=[2 * n],
         )
         config = TrainConfig(beta_schedule=(0.5, 1.0), max_iters_per_beta=10, seed=7)

@@ -284,6 +284,10 @@ class TestPredict:
     ["train", "--model", "nmf", "--nmf-iters", "0"],
     ["train", "--w1", "1.5"],
     ["train", "--w1", "-0.1"],
+    ["train", "--seed", "-1"],
+    ["train", "--floor", "nan"],
+    ["train", "--floor", "inf"],
+    ["train", "--tol", "nan"],
     ["evaluate", {"train": {"beta_schedule": [1.0], "max_iters_per_beta": 0}}],
     ["evaluate", {"nmf_iters": 0}],
     ["evaluate", {"nmf_rank": 0}],
@@ -296,6 +300,13 @@ class TestPredict:
     ["evaluate", {"train": {"beta_schedule": 1.0}}],
     ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "L": 2}}],
     ["evaluate", {"dims": {"K": "a", "T": 2, "L": [1, 1]}}],
+    ["evaluate", {"base_seed": -5}],
+    ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "seed": -3}}],
+    ["evaluate", {"train": {"seed": -1}}],
+    # json writes NaN and Infinity, and Python's reader takes them back
+    ["evaluate", {"train": {"smoothing_floor": float("nan")}}],
+    ["evaluate", {"train": {"smoothing_floor": float("inf")}}],
+    ["evaluate", {"train": {"rel_ll_tol": float("nan")}}],
     ["synth", {"Z": 1}],
     ["synth", None],
     ["synth", b'{"Z": 1, "K": "\xff"}'],
@@ -303,11 +314,13 @@ class TestPredict:
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
-        "config-max-iters-0",
+        "seed-negative", "floor-nan", "floor-inf", "tol-nan", "config-max-iters-0",
         "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
         "config-weights-above-1", "config-synthetic-missing-key", "config-nmf-rank-string",
         "config-given-n-not-list", "config-n-repeats-null", "config-beta-schedule-number",
-        "config-synthetic-L-int", "config-dims-K-string", "spec-missing-key",
+        "config-synthetic-L-int", "config-dims-K-string", "config-base-seed-negative",
+        "config-synthetic-seed-negative", "config-train-seed-negative", "config-floor-nan",
+        "config-floor-inf", "config-tol-nan", "spec-missing-key",
         "spec-unreadable", "spec-not-utf8", "spec-not-json"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
@@ -702,6 +715,31 @@ def test_evaluate_n_train_users_checked_before_out(tmp_path, capsys, n_train_use
     assert not out.exists()
 
 
+def test_evaluate_file_domain_n_train_users_past_count_leaves_no_out(tmp_path, capsys):
+    domains = []
+    for name in ("a", "b"):   # 3 ratings by 2 users in each domain
+        path = tmp_path / f"{name}.tsv"
+        path.write_text("u0\ti0\t3\nu0\ti1\t4\nu1\ti0\t5\n")
+        domains.append({"path": str(path), "scale": {"min": 1, "max": 5}})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domains": domains, "n_train_users": 5, "given_n": [1],
+                                  "dims": {"K": 2, "T": 2, "L": 1}}))
+    out = tmp_path / "results"
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_train_users must be in [0, 2), got 5\n"
+    assert not out.exists()
+
+
+def test_synth_and_ingest_negative_seed_one_line_error(rating_files, tmp_path, capsys):
+    out = tmp_path / "dataset"
+    assert main(["synth", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert main(["ingest", "--input", rating_files[0], "--scale", "1:5", "--select-users",
+                 "3", "--seed", "-2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+    assert not out.exists()
+
+
 def test_evaluate_worker_error_one_line(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise DataError("matrix has no observed entries")
@@ -710,7 +748,7 @@ def test_evaluate_worker_error_one_line(tmp_path, monkeypatch, capsys):
     rc, out = _evaluate_small(tmp_path)
     assert rc == 1
     assert capsys.readouterr().err == "error: matrix has no observed entries\n"
-    assert os.listdir(out) == []
+    assert not out.exists()   # --out is made only after the run succeeds
 
 
 @pytest.mark.parametrize("one_cpu", [False, True])
@@ -725,7 +763,7 @@ def test_evaluate_worker_death_one_line(tmp_path, monkeypatch, capsys, one_cpu):
                                                "repeat=0 given=2; models without a result: ")
     lost = err[0].rsplit(": ", 1)[1].split(", ")
     assert lost == ["nmf", "fmm"] if one_cpu else "nmf" in lost
-    assert os.listdir(out) == []
+    assert not out.exists()   # --out is made only after the run succeeds
 
 
 def test_evaluate_no_models_one_line(tmp_path, capsys):
@@ -886,18 +924,28 @@ def _corrupted(draw, text: bytes, lists=()) -> bytes:
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["config", "spec", "manifest", "checkpoint"]), data=st.data())
+@given(kind=st.sampled_from(["config", "spec", "manifest", "ratings", "checkpoint"]),
+       data=st.data())
 def test_corrupt_json_document_one_line_error(json_documents, kind, data):
+    """Also cuts the dataset's ratings.csv at a line boundary before its end."""
     dataset = json_documents / "dataset"
-    original = dataset / "manifest.json" if kind == "manifest" else json_documents / f"{kind}.json"
-    lists = ("n_users", "n_items", "user_ids", "item_ids") if kind == "manifest" else ()
-    text = data.draw(_corrupted(original.read_bytes(), lists), label="document")
+    original = {"manifest": dataset / "manifest.json", "ratings": dataset / "ratings.csv"
+                }.get(kind, json_documents / f"{kind}.json")
+    if kind == "ratings":
+        lines = original.read_bytes().split(b"\r\n")   # the last is the empty tail
+        keep = data.draw(st.integers(0, len(lines) - 2), label="lines kept")
+        text = b"".join(line + b"\r\n" for line in lines[:keep])
+    else:
+        lists = ("n_users", "n_items", "n_ratings", "user_ids", "item_ids") \
+            if kind == "manifest" else ()
+        text = data.draw(_corrupted(original.read_bytes(), lists), label="document")
     with tempfile.TemporaryDirectory() as tmp:
         doc, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out", "out.csv")
         os.mkdir(os.path.dirname(out))
-        if kind == "manifest":
-            shutil.copy(dataset / "ratings.csv", tmp)
-            doc = os.path.join(tmp, "manifest.json")
+        if kind in ("manifest", "ratings"):
+            for name in ("manifest.json", "ratings.csv"):
+                shutil.copy(dataset / name, tmp)
+            doc = os.path.join(tmp, original.name)
         with open(doc, "wb") as fh:
             fh.write(text)
         with open(out, "w") as fh:
@@ -905,6 +953,7 @@ def test_corrupt_json_document_one_line_error(json_documents, kind, data):
         argv = {"config": ["evaluate", "--config", doc, "--out", os.path.dirname(out)],
                 "spec": ["synth", "--spec", doc, "--out", os.path.dirname(out)],
                 "manifest": ["train", "--dataset", tmp, "--out", out],
+                "ratings": ["train", "--dataset", tmp, "--out", out],
                 "checkpoint": ["predict", "--checkpoint", doc, "--cell", "0,0,0",
                                "--out", out]}[kind]
         err = io.StringIO()

@@ -11,7 +11,6 @@ from pclf import (
     ModelDims,
     ModelError,
     PclfParams,
-    RatingTriple,
     Responsibilities,
     TrainConfig,
     e_step,
@@ -257,7 +256,7 @@ class TestEStep:
         # one triple (user 0, item 1, level 2), K=T=2, R=2; the product of
         # the five factors normalizes to exactly [[28, 45], [56, 64]] / 193
         ds = CrossDomainDataset.from_indexed(
-            n_levels=2, triples=[RatingTriple(0, 0, 1, 2)], n_users=[2], n_items=[2]
+            n_levels=2, triples=np.array([[0, 0, 1, 2]]), n_users=[2], n_items=[2]
         )
         dims = ModelDims.from_dataset(ds, 2, 2, (1,))
         params = PclfParams(
@@ -280,7 +279,7 @@ class TestEStep:
         rng = np.random.default_rng(5)
         ds = CrossDomainDataset.from_indexed(
             n_levels=3,
-            triples=[RatingTriple(0, 1, 2, 3), RatingTriple(1, 0, 1, 1)],
+            triples=np.array([[0, 1, 2, 3], [1, 0, 1, 1]]),
             n_users=[2, 2], n_items=[3, 2],
         )
         gu, gv, r = ds.pooled()
@@ -310,7 +309,7 @@ class TestEStep:
 
     def test_degenerate_mass_goes_uniform(self):
         ds = CrossDomainDataset.from_indexed(
-            n_levels=2, triples=[RatingTriple(0, 0, 0, 2)], n_users=[1], n_items=[1]
+            n_levels=2, triples=np.array([[0, 0, 0, 2]]), n_users=[1], n_items=[1]
         )
         dims = ModelDims.from_dataset(ds, 2, 2, (1,))
         params = random_params(np.random.default_rng(0), dims)
@@ -353,15 +352,15 @@ class TestMStep:
 
     def test_uniform_responsibilities_count_users(self):
         # 5 triples, users [0,0,1,2,2]: cond_u(u|k) = count(u)/S for every k
-        triples = [
-            RatingTriple(0, 0, 0, 1),
-            RatingTriple(0, 0, 1, 2),
-            RatingTriple(0, 1, 2, 3),
-            RatingTriple(0, 2, 3, 4),
-            RatingTriple(0, 2, 4, 5),
-        ]
+        rows = np.array([
+            [0, 0, 0, 1],
+            [0, 0, 1, 2],
+            [0, 1, 2, 3],
+            [0, 2, 3, 4],
+            [0, 2, 4, 5],
+        ])
         ds = CrossDomainDataset.from_indexed(
-            n_levels=5, triples=triples, n_users=[3], n_items=[5]
+            n_levels=5, triples=rows, n_users=[3], n_items=[5]
         )
         k, t, l = 2, 2, 2
         p0 = np.full((5, k, t), 1.0 / (k * t))
@@ -393,7 +392,7 @@ class TestMStep:
 class TestLogLikelihood:
     def test_single_triple_point_mass(self):
         ds = CrossDomainDataset.from_indexed(
-            n_levels=2, triples=[RatingTriple(0, 0, 0, 2)], n_users=[1], n_items=[1]
+            n_levels=2, triples=np.array([[0, 0, 0, 2]]), n_users=[1], n_items=[1]
         )
         dims = ModelDims.from_dataset(ds, 1, 1, (1,))
         table = np.array([[[0.0, 1.0]]])
@@ -410,7 +409,7 @@ class TestLogLikelihood:
     def test_single_triple_frozen_value(self):
         # conditionals 0.3/0.2 (common) and 0.3/0.25 (specific), point-mass tables
         ds = CrossDomainDataset.from_indexed(
-            n_levels=2, triples=[RatingTriple(0, 0, 0, 2)], n_users=[2], n_items=[2]
+            n_levels=2, triples=np.array([[0, 0, 0, 2]]), n_users=[2], n_items=[2]
         )
         dims = ModelDims.from_dataset(ds, 1, 1, (1,))
         params = PclfParams(

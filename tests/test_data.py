@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from pclf import (
     CrossDomainDataset,
     DataError,
-    RatingTriple,
     RawRating,
     ScaleSpec,
     build_dataset,
@@ -23,6 +23,7 @@ from pclf import (
 from pclf import ModelDims, SyntheticSpec, synth_generate
 from pclf.data import _given_n_positions, _parse_ratings_csv, _read_ratings_csv
 
+from conftest import rows_of
 from oracles import given_n_split_reference
 
 
@@ -195,13 +196,9 @@ class TestGivenNSplit:
     @staticmethod
     def _dataset(counts, domain_users=None):
         """One domain; user u gets counts[u] ratings on distinct items."""
-        triples = []
-        n_items = max(counts)
-        for u, c in enumerate(counts):
-            for j in range(c):
-                triples.append(RatingTriple(0, u, j, (u + j) % 5 + 1))
+        rows = [(0, u, j, (u + j) % 5 + 1) for u, c in enumerate(counts) for j in range(c)]
         return CrossDomainDataset.from_indexed(
-            n_levels=5, triples=triples, n_users=[len(counts)], n_items=[n_items]
+            n_levels=5, triples=np.array(rows), n_users=[len(counts)], n_items=[max(counts)]
         )
 
     def test_given_ten(self):
@@ -268,7 +265,7 @@ class TestRoundTrip:
         assert back.n_levels == tiny_dataset.n_levels
         assert back.n_users == tiny_dataset.n_users
         assert back.n_items == tiny_dataset.n_items
-        assert back.triples() == tiny_dataset.triples()
+        assert rows_of(back) == rows_of(tiny_dataset)
         assert back.user_ids == tiny_dataset.user_ids
 
     def test_build_idempotent_through_csv(self, tmp_path):
@@ -288,7 +285,7 @@ class TestRoundTrip:
             skip_header=True,
         )
         rebuilt = build_dataset([(reparsed, ScaleSpec(1, 5))])
-        assert rebuilt.triples() == ds.triples()
+        assert rows_of(rebuilt) == rows_of(ds)
         assert rebuilt.n_users == ds.n_users and rebuilt.n_items == ds.n_items
 
     def test_load_rejects_bad_format(self, tmp_path, tiny_dataset):
@@ -319,8 +316,13 @@ class TestRoundTrip:
          "where 'n_items' says [0-9]+"),
         ("user_ids", lambda v: [v[0] + ["extra"], v[1]],
          "'user_ids' .* entries for domain 0, where 'n_users' says"),
+        ("n_ratings", lambda v: v[:1], r"'n_ratings' .* per domain \(2\), got 1"),
+        ("n_ratings", lambda v: [v[0], v[1] + 1],
+         r"ratings\.csv holds 3 ratings for domain 1, where 'n_ratings' in dataset "
+         r"manifest .* says 4$"),
     ], ids=["n_items-short", "n_users-long", "user_ids-short", "n_domains",
-            "item_ids-entry-short", "user_ids-entry-long"])
+            "item_ids-entry-short", "user_ids-entry-long", "n_ratings-short",
+            "n_ratings-count"])
     def test_load_rejects_list_lengths(self, tmp_path, tiny_dataset, key, edit, message):
         save_dataset(tiny_dataset, str(tmp_path))
         manifest = tmp_path / "manifest.json"
@@ -328,6 +330,14 @@ class TestRoundTrip:
         manifest.write_text(json.dumps({**doc, key: edit(doc[key])}))
         with pytest.raises(DataError, match=message):
             load_dataset(str(tmp_path))
+
+    def test_load_without_n_ratings(self, tmp_path, tiny_dataset):
+        save_dataset(tiny_dataset, str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["n_ratings"]   # optional: the rows give the counts
+        manifest.write_text(json.dumps(doc))
+        assert rows_of(load_dataset(str(tmp_path))) == rows_of(tiny_dataset)
 
     @pytest.mark.parametrize("row", ["0,1,x,3", "0,1,2"])
     def test_load_malformed_row_names_line(self, tmp_path, tiny_dataset, row):
@@ -348,13 +358,12 @@ class TestRoundTrip:
     def test_ratings_bytes_match_csv_writer(self, tmp_path, tiny_dataset):
         import io
 
-        for ds in (tiny_dataset, tiny_dataset.restrict(tiny_dataset.triples()[:2])):
+        for ds in (tiny_dataset, tiny_dataset.restrict([np.arange(2), np.arange(0)])):
             save_dataset(ds, str(tmp_path))
             expected = io.StringIO(newline="")
             writer = csv.writer(expected)
             writer.writerow(["domain", "user_idx", "item_idx", "rating"])
-            for t in ds.triples():
-                writer.writerow([t.domain, t.user, t.item, t.rating])
+            writer.writerows(rows_of(ds))
             assert (tmp_path / "ratings.csv").read_bytes() == expected.getvalue().encode()
 
     @pytest.mark.parametrize("broken", ["ratings.csv", "manifest.json"])
@@ -423,23 +432,19 @@ class TestRatingsReader:
         save_dataset(tiny_dataset, str(tmp_path))
         _replace_line_4(tmp_path, row)
         loaded = load_dataset(str(tmp_path))
-        expected = tiny_dataset.triples()
-        expected[2] = RatingTriple(0, 1, 1, 3)
-        assert loaded.triples() == expected
+        expected = rows_of(tiny_dataset)
+        expected[2] = (0, 1, 1, 3)
+        assert rows_of(loaded) == expected
 
     def test_first_bad_triple_in_order_is_named(self):
-        triples = [RatingTriple(0, 0, 0, 1), RatingTriple(0, 0, 0, 9),
-                   RatingTriple(3, 0, 0, 1), RatingTriple(0, 7, 0, 1)]
-        for rows in (triples, np.array([[t.domain, t.user, t.item, t.rating]
-                                        for t in triples])):
-            with pytest.raises(DataError, match=r"^rating level 9 outside 1\.\.5$"):
-                CrossDomainDataset.from_indexed(5, rows, [2], [2])
+        rows = np.array([[0, 0, 0, 1], [0, 0, 0, 9], [3, 0, 0, 1], [0, 7, 0, 1]])
+        with pytest.raises(DataError, match=r"^rating level 9 outside 1\.\.5$"):
+            CrossDomainDataset.from_indexed(5, rows, [2], [2])
 
-    def test_array_and_list_build_the_same_dataset(self, tiny_dataset):
-        triples = tiny_dataset.triples()
-        rows = np.array([[t.domain, t.user, t.item, t.rating] for t in triples])
-        ds = CrossDomainDataset.from_indexed(5, rows, [3, 2], [2, 3])
-        assert ds.triples() == triples
+    def test_array_rows_build_the_dataset(self, tiny_dataset):
+        rows = rows_of(tiny_dataset)
+        ds = CrossDomainDataset.from_indexed(5, np.array(rows, dtype=np.int32), [3, 2], [2, 3])
+        assert rows_of(ds) == rows
         assert all(a.dtype == np.int64 for a in ds.users + ds.items + ds.ratings)
 
     @settings(max_examples=300, deadline=None)
@@ -454,8 +459,8 @@ class TestRatingsReader:
 
         def outcome(read):
             try:
-                return CrossDomainDataset.from_indexed(
-                    5, read(str(path)), [3, 3], [3, 3]).triples()
+                return rows_of(CrossDomainDataset.from_indexed(
+                    5, read(str(path), 5, [3, 3], [3, 3]), [3, 3], [3, 3]))
             except Exception as exc:   # the two readers must fail alike
                 return type(exc).__name__, str(exc)
 
@@ -464,11 +469,11 @@ class TestRatingsReader:
 
 def _shuffled_dataset(counts, seed):
     """One domain, user u with counts[u] ratings, stored in shuffled order."""
-    triples = [RatingTriple(0, u, j, (u * 7 + j) % 5 + 1)
-               for u, c in enumerate(counts) for j in range(c)]
-    order = np.random.default_rng(seed).permutation(len(triples))
+    rows = np.array([(0, u, j, (u * 7 + j) % 5 + 1)
+                     for u, c in enumerate(counts) for j in range(c)])
+    order = np.random.default_rng(seed).permutation(len(rows))
     return CrossDomainDataset.from_indexed(
-        n_levels=5, triples=[triples[i] for i in order],
+        n_levels=5, triples=rows[order],
         n_users=[len(counts)], n_items=[max(counts)],
     )
 
@@ -508,10 +513,11 @@ class TestGivenNSplitReference:
     def test_positions_restrict_like_triples(self):
         ds = _shuffled_dataset([5, 30, 12, 1, 9], 1)
         train, _ = _given_n_positions(ds, 0, 1, 4, seed=3)
-        by_positions = ds.restrict(positions=[train])
-        by_triples = ds.restrict(given_n_split(ds, 0, 1, 4, seed=3).train_pool)
-        for key in ("users", "items", "ratings"):
-            assert np.array_equal(getattr(by_positions, key)[0], getattr(by_triples, key)[0])
+        by_positions = ds.restrict([train])
+        triples = given_n_split(ds, 0, 1, 4, seed=3).train_pool
+        assert rows_of(by_positions) == [dataclasses.astuple(t) for t in triples]
+        assert all(a.dtype == np.int64
+                   for a in by_positions.users + by_positions.items + by_positions.ratings)
 
     def test_positions_need_one_array_per_domain(self, tiny_dataset):
         with pytest.raises(DataError, match="2 position arrays"):
@@ -526,8 +532,7 @@ class TestDatasetViews:
         assert view.n_users == [2]
 
     def test_restrict_keeps_index_space(self, tiny_dataset):
-        subset = tiny_dataset.triples()[:2]
-        restricted = tiny_dataset.restrict(subset)
+        restricted = tiny_dataset.restrict([np.arange(2), np.arange(0)])
         assert restricted.n_users == tiny_dataset.n_users
         assert restricted.n_items == tiny_dataset.n_items
         assert restricted.n_ratings == [2, 0]

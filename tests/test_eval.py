@@ -28,6 +28,7 @@ from pclf.evaluate import (
     report_table,
 )
 
+from conftest import given_n_pool, rows_of
 from oracles import random_params, run_experiment_reference, synth_reference
 
 
@@ -98,7 +99,7 @@ class TestSynthGenerate:
         spec = SyntheticSpec(dims=dims, w1=(0.5, 0.5), density=0.5, seed=4)
         a, _ = synth_generate(spec)
         b, _ = synth_generate(spec)
-        assert a.triples() == b.triples()
+        assert rows_of(a) == rows_of(b)
 
     def test_density_validation(self):
         with pytest.raises(DataError):
@@ -189,7 +190,7 @@ class TestSynthReference:
                 synth_generate(spec)
         else:
             got, _ = synth_generate(spec)
-            assert got.triples() == synth_reference(spec)[0].triples()
+            assert rows_of(got) == rows_of(synth_reference(spec)[0])
 
     @pytest.mark.parametrize("row, u, index", [
         ([0.25, 0.25, 0.5], 0.25, 1),                  # a boundary goes right
@@ -368,20 +369,18 @@ class TestRunExperiment:
 
     def test_leak_assertion_fires_on_overlap(self):
         from pclf.evaluate import _assert_no_leak
-        from pclf import CrossDomainDataset, RatingTriple
 
-        shared = RatingTriple(0, 1, 1, 3)
-        train_ds = CrossDomainDataset.from_indexed(5, [shared], n_users=[2], n_items=[2])
-        evals = [(np.array([shared.user]), np.array([shared.item]), np.array([shared.rating]))]
+        train_ds = CrossDomainDataset.from_indexed(5, np.array([[0, 1, 1, 3]]),
+                                                   n_users=[2], n_items=[2])
+        evals = [(np.array([1]), np.array([1]), np.array([3]))]
         with pytest.raises(RuntimeError, match=r"leaked") as err:
             _assert_no_leak(train_ds, evals)
-        assert str(shared) in str(err.value)
+        assert "RatingTriple(domain=0, user=1, item=1, rating=3)" in str(err.value)
 
     def test_leak_assertion_names_first_leak(self):
         from pclf.evaluate import _assert_no_leak
-        from pclf import CrossDomainDataset, RatingTriple
 
-        train = [RatingTriple(0, 0, 1, 2), RatingTriple(1, 2, 0, 4), RatingTriple(1, 0, 2, 5)]
+        train = np.array([[0, 0, 1, 2], [1, 2, 0, 4], [1, 0, 2, 5]])
         train_ds = CrossDomainDataset.from_indexed(5, train, n_users=[3, 3], n_items=[3, 3])
         # domain 0 leaks nothing; domain 1 leaks (0, 2) and then (2, 0)
         evals = [(np.array([1, 0]), np.array([0, 2]), np.array([1, 1])),
@@ -389,7 +388,8 @@ class TestRunExperiment:
         _assert_no_leak(train_ds, [evals[0], tuple(a[:1] for a in evals[1])])
         with pytest.raises(RuntimeError) as err:
             _assert_no_leak(train_ds, evals)
-        assert str(RatingTriple(1, 0, 2, 1)) in str(err.value)
+        assert str(err.value) == ("evaluation triple RatingTriple(domain=1, user=0, item=2, "
+                                  "rating=1) leaked into the training pool")
 
 
 class TestEmptyEvalSet:
@@ -571,7 +571,7 @@ class TestWorkerPool:
         assert "nmf" in lost and lost == [m for m in KNOWN_MODELS if m in lost]
         if one_cpu:   # pclf, rmgm-like and fmm are fitted, then nmf dies
             assert lost == ["nmf"]
-        assert os.listdir(out) == []
+        assert not out.exists()   # --out is made only after the run succeeds
 
     @pytest.mark.parametrize("error", [DataError, ModelError])
     def test_worker_error_reaches_caller(self, monkeypatch, error):
@@ -652,18 +652,7 @@ class TestReportTable:
 
 
 def _split_and_eval(ds, seed, n_train=40, given=8):
-    from pclf import given_n_split
-
-    splits = [given_n_split(ds, z, n_train, given, seed=seed + 10007 * z)
-              for z in range(ds.n_domains)]
-    train_ds = ds.restrict([t for s in splits for t in s.train_pool])
-    evs = [
-        (np.array([e.user for e in s.eval_set]),
-         np.array([e.item for e in s.eval_set]),
-         np.array([e.rating for e in s.eval_set], dtype=float))
-        for s in splits
-    ]
-    return train_ds, evs
+    return given_n_pool(ds, [n_train] * ds.n_domains, given, seed)
 
 
 def _mean_mae(params, weights, evs):
