@@ -116,6 +116,7 @@ class TestNormalizationSuite:
     def test_shipped_loop_unit_sum(self, monkeypatch):
         with _criterion("normalization after every pass of train's own loop (1e-12)"):
             made = []
+            params_from_stats = em._params_from_stats
 
             def checked(*args):
                 params = params_from_stats(*args)
@@ -123,7 +124,6 @@ class TestNormalizationSuite:
                 made.append(params)
                 return params
 
-            params_from_stats = em._params_from_stats
             monkeypatch.setattr(em, "_params_from_stats", checked)
             rng = np.random.default_rng(7)
             for trial in range(12):
