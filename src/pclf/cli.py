@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, evaluate, inference
+from . import baselines, data, evaluate, inference
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -26,6 +26,7 @@ from .checkpoint import (
 from .data import (
     DataError,
     ScaleSpec,
+    _write_rows,
     build_dataset,
     load_dataset,
     parse_ratings,
@@ -269,13 +270,13 @@ def _output(path, head: str):
 def _row_sink(write, domain: int, n_users: int):
     """``sink(user, row)`` for one domain's rows of predictions in user
     order.  Rows are buffered and written in blocks of about
-    ``BLOCK_ROWS`` cells; the last block goes out with user ``n_users - 1``."""
+    ``data.BLOCK_ROWS`` cells; the last block goes out with user ``n_users - 1``."""
     users, rows = [], []
 
     def complete_sink(u, row):
         users.append(u)
         rows.append(row)
-        if u == n_users - 1 or (len(rows) + 1) * len(row) > BLOCK_ROWS:
+        if u == n_users - 1 or (len(rows) + 1) * len(row) > data.BLOCK_ROWS:
             n_items = len(row)
             values = np.concatenate(rows)
             _write_rows(write, np.full(len(values), domain), np.repeat(users, n_items),
@@ -283,98 +284,6 @@ def _row_sink(write, domain: int, n_users: int):
             users.clear()
             rows.clear()
     return complete_sink
-
-
-# rows formatted per call of _csv_rows, which bounds its buffers
-BLOCK_ROWS = 1 << 14
-
-
-def _digit_words(text) -> np.ndarray:
-    """One uint32 per number 0..999: the bytes of ``text(i)`` right-aligned
-    in three, NUL-padded, then a NUL."""
-    return np.frombuffer(b"".join(text(i).rjust(3, b"\0") + b"\0" for i in range(1000)),
-                         dtype=np.uint32)
-
-
-_FULL = _digit_words(lambda i: b"%03d" % i)            # a group below the leading one
-_LEAD = _digit_words(lambda i: b"%d" % i if i else b"")  # a leading group above the units
-_UNITS = _digit_words(lambda i: b"%d" % i)             # the units group when it leads
-
-
-def _write_rows(write, *columns) -> None:
-    """Write CSV rows of ``columns`` through ``write``, ``BLOCK_ROWS`` at a time."""
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        write(_csv_rows(*(c[start:start + BLOCK_ROWS] for c in columns)))
-
-
-def _csv_rows(*columns) -> str:
-    """CSV lines of equal-length columns: non-negative integers in decimal,
-    floats as ``f"{x:.6f}"`` does, byte for byte.
-
-    Every field is a row of 4-byte words, three ASCII digits and a NUL
-    each, with leading zeros as NUL and the separator in the last NUL;
-    the rows are laid side by side and the NULs dropped."""
-    words = [(_float_words if c.dtype.kind == "f" else _int_words)(
-        c, b"\n" if i == len(columns) - 1 else b",") for i, c in enumerate(columns)]
-    block = np.concatenate(words, axis=1)
-    return block.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _int_words(x: np.ndarray, end: bytes, groups: int = 1) -> np.ndarray:
-    """Non-negative integers as (n, >= groups) words of 3-digit groups,
-    most significant first; the last word ends in ``end``."""
-    top = int(x.max()) if len(x) else 0
-    while top >= 1000 ** groups:
-        groups += 1
-    out = np.zeros((len(x), groups), np.uint32)
-    rest = x
-    for col in range(groups - 1, -1, -1):
-        table = _UNITS if col == groups - 1 else _LEAD
-        if top < 1000 ** (groups - col):    # no row has digits above this group
-            out[:, col] = table[rest]
-            break
-        higher = rest // 1000
-        group = rest - 1000 * higher
-        out[:, col] = np.where(higher > 0, _FULL[group], table[group])
-        rest = higher
-    out[:, -1] |= _end_word(end)
-    return out
-
-
-def _end_word(end: bytes) -> np.uint32:
-    """The word with ``end`` in its last byte, to OR into a field's last word."""
-    return np.frombuffer(b"\0\0\0" + end, dtype=np.uint32)[0]
-
-
-def _float_words(x: np.ndarray, end: bytes) -> np.ndarray:
-    """``f"{v:.6f}"`` of every value as words, as ``_int_words`` lays them.
-
-    Values in [0, 1000) are rounded as x * 1e6, which lies within 6e-8 of
-    the exact product there.  A value whose product falls within 1e-6 of a
-    half unit, where that error or a tie could change the rounding, and
-    every negative, non-finite or larger value are formatted by the
-    f-string itself."""
-    fast = ~np.signbit(x) & (x < 1e3)
-    scaled = np.where(fast, x, 0.0) * 1e6
-    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
-    units = np.rint(scaled).astype(np.int64)
-    whole = units // 1_000_000
-    decimals = units - 1_000_000 * whole
-    high = decimals // 1000
-    slow = np.flatnonzero(~fast)
-    texts = [f"{v:.6f}".encode() for v in x[slow].tolist()]
-    # room for the widest text before the separator byte
-    groups = max([1] + [-(-(len(t) + 1) // 4) - 2 for t in texts])
-    low = _FULL[decimals - 1000 * high] | _end_word(end)
-    out = np.concatenate([_int_words(whole, b".", groups), _FULL[high][:, None], low[:, None]],
-                         axis=1)
-    if texts:
-        field = out.view(np.uint8)
-        width = field.shape[1] - 1
-        field[slow, :width] = 0
-        for i, text in zip(slow.tolist(), texts):
-            field[i, width - len(text):width] = np.frombuffer(text, dtype=np.uint8)
-    return out
 
 
 def cmd_evaluate(args) -> int:

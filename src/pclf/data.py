@@ -9,8 +9,13 @@ Ratings are held as columns: a dataset is built from raw ratings
 (``build_dataset``) or from an (S, 4) integer array of (domain, user,
 item, level) rows (``CrossDomainDataset.from_indexed``), and cut with one
 position array per domain (``restrict``).  ``given_n_split`` still returns
-``RatingTriple`` lists; ``_given_n_positions`` gives the same split as
-positions for ``restrict``.
+lists of ``RatingTriple``, a NamedTuple, made without a Python-level call
+per rating; ``_given_n_positions`` gives the same split as positions for
+``restrict``.
+
+Numbers become CSV bytes in one place, the block writer ``_csv_rows``:
+``save_dataset`` writes ratings.csv through it, and ``pclf predict`` its
+predictions.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +59,10 @@ class RawRating:
     value: float
 
 
-@dataclass(frozen=True)
-class RatingTriple:
-    """One observed rating: (domain, dense user index, dense item index, level)."""
+class RatingTriple(NamedTuple):
+    """One observed rating: (domain, dense user index, dense item index, level).
+
+    A tuple, so it equals the plain tuple of its four ints."""
 
     domain: int
     user: int
@@ -385,12 +393,12 @@ def given_n_split(
     a user.
     """
     train, evaluation = _given_n_positions(dataset, domain, n_train_users, n_given, seed)
-    z = domain
-    columns = (dataset.users[z], dataset.items[z], dataset.ratings[z])
+    columns = (dataset.users[domain], dataset.items[domain], dataset.ratings[domain])
 
     def triples(positions):
-        return [RatingTriple(z, u, v, r)
-                for u, v, r in zip(*(c[positions].tolist() for c in columns))]
+        rows = zip(repeat(domain), *(c[positions].tolist() for c in columns))
+        # tuple.__new__ makes each RatingTriple without a Python-level call
+        return list(map(tuple.__new__, repeat(RatingTriple), rows))
 
     return GivenNSplit(train_pool=triples(train), eval_set=triples(evaluation),
                        n_given=n_given, seed=seed)
@@ -449,17 +457,118 @@ def atomic_write(path: str):
         raise
 
 
+# rows formatted per call of _csv_rows, which bounds its buffers
+BLOCK_ROWS = 1 << 14
+
+
+def _digit_words(text) -> np.ndarray:
+    """One uint32 per number 0..999: the bytes of ``text(i)`` right-aligned
+    in three, NUL-padded, then a NUL."""
+    return np.frombuffer(b"".join(text(i).rjust(3, b"\0") + b"\0" for i in range(1000)),
+                         dtype=np.uint32)
+
+
+_FULL = _digit_words(lambda i: b"%03d" % i)            # a group below the leading one
+_LEAD = _digit_words(lambda i: b"%d" % i if i else b"")  # a leading group above the units
+_UNITS = _digit_words(lambda i: b"%d" % i)             # the units group when it leads
+
+
+def _write_rows(write, *columns, newline: str = "\n") -> None:
+    """Write CSV rows of ``columns`` through ``write``, ``BLOCK_ROWS`` at a time."""
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        write(_csv_rows(*(c[start:start + BLOCK_ROWS] for c in columns), newline=newline))
+
+
+def _csv_rows(*columns, newline: str = "\n") -> str:
+    """CSV lines of equal-length columns, each ended by ``newline``:
+    non-negative integers in decimal, floats as ``f"{x:.6f}"`` does, byte
+    for byte.
+
+    Every field is a row of 4-byte words, three ASCII digits and a NUL
+    each, with leading zeros as NUL and the separator in the last NUL;
+    a line end's further bytes take one word each.  The rows are laid
+    side by side and the NULs dropped."""
+    first, *rest = newline.encode()
+    ends = [b","] * (len(columns) - 1) + [bytes([first])]
+    words = [(_float_words if c.dtype.kind == "f" else _int_words)(c, end)
+             for c, end in zip(columns, ends)]
+    words += [np.full((len(columns[0]), 1), _end_word(bytes([b]))) for b in rest]
+    block = np.concatenate(words, axis=1)
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _int_words(x: np.ndarray, end: bytes, groups: int = 1) -> np.ndarray:
+    """Non-negative integers as (n, >= groups) words of 3-digit groups,
+    most significant first; the last word ends in ``end``."""
+    top = int(x.max()) if len(x) else 0
+    while top >= 1000 ** groups:
+        groups += 1
+    out = np.zeros((len(x), groups), np.uint32)
+    rest = x
+    for col in range(groups - 1, -1, -1):
+        table = _UNITS if col == groups - 1 else _LEAD
+        if top < 1000 ** (groups - col):    # no row has digits above this group
+            out[:, col] = table[rest]
+            break
+        higher = rest // 1000
+        group = rest - 1000 * higher
+        out[:, col] = np.where(higher > 0, _FULL[group], table[group])
+        rest = higher
+    out[:, -1] |= _end_word(end)
+    return out
+
+
+def _end_word(end: bytes) -> np.uint32:
+    """The word with ``end`` in its last byte, to OR into a field's last word."""
+    return np.frombuffer(b"\0\0\0" + end, dtype=np.uint32)[0]
+
+
+def _float_words(x: np.ndarray, end: bytes) -> np.ndarray:
+    """``f"{v:.6f}"`` of every value as words, as ``_int_words`` lays them.
+
+    Values in [0, 1000) are rounded as x * 1e6, which lies within 6e-8 of
+    the exact product there.  A value whose product falls within 1e-6 of a
+    half unit, where that error or a tie could change the rounding, and
+    every negative, non-finite or larger value are formatted by the
+    f-string itself."""
+    fast = ~np.signbit(x) & (x < 1e3)
+    scaled = np.where(fast, x, 0.0) * 1e6
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
+    units = np.rint(scaled).astype(np.int64)
+    whole = units // 1_000_000
+    decimals = units - 1_000_000 * whole
+    high = decimals // 1000
+    slow = np.flatnonzero(~fast)
+    texts = [f"{v:.6f}".encode() for v in x[slow].tolist()]
+    # room for the widest text before the separator byte
+    groups = max([1] + [-(-(len(t) + 1) // 4) - 2 for t in texts])
+    low = _FULL[decimals - 1000 * high] | _end_word(end)
+    out = np.concatenate([_int_words(whole, b".", groups), _FULL[high][:, None], low[:, None]],
+                         axis=1)
+    if texts:
+        field = out.view(np.uint8)
+        width = field.shape[1] - 1
+        field[slow, :width] = 0
+        for i, text in zip(slow.tolist(), texts):
+            field[i, width - len(text):width] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
 def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
-    """Write the canonical dump: ratings.csv plus manifest.json with counts and ID maps."""
+    """Write the canonical dump: ratings.csv plus manifest.json with counts and ID maps.
+
+    ratings.csv holds the header and one (domain, user_idx, item_idx,
+    rating) row per rating, domain by domain, each line ending in CRLF as
+    ``csv.writer`` ends it; the rows go through the block CSV writer."""
+    columns = [np.repeat(np.arange(dataset.n_domains), dataset.n_ratings)] + [
+        np.concatenate(cols).astype(np.int64, copy=False)
+        for cols in (dataset.users, dataset.items, dataset.ratings)]
+    if any(len(c) and c.min() < 0 for c in columns):
+        raise DataError("cannot save a dataset holding a negative index or level")
     os.makedirs(directory, exist_ok=True)
-    rows = np.concatenate([
-        np.column_stack([np.full(len(dataset.users[z]), z), dataset.users[z],
-                         dataset.items[z], dataset.ratings[z]])
-        for z in range(dataset.n_domains)
-    ])
     with atomic_write(os.path.join(directory, "ratings.csv")) as fh:
-        csv.writer(fh).writerow(RATINGS_HEADER)   # csv ends rows with CRLF
-        np.savetxt(fh, rows, fmt="%d", delimiter=",", newline="\r\n")
+        fh.write(",".join(RATINGS_HEADER) + "\r\n")
+        _write_rows(fh.write, *columns, newline="\r\n")
     manifest = {
         "format": DATASET_FORMAT,
         "n_domains": dataset.n_domains,
@@ -471,8 +580,7 @@ def save_dataset(dataset: CrossDomainDataset, directory: str) -> None:
         "item_ids": dataset.item_ids,
     }
     with atomic_write(os.path.join(directory, "manifest.json")) as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json(path: str, what: str, error: type[Exception]):

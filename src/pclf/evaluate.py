@@ -9,6 +9,7 @@ repeats the split/train/score cycle over seeds and aggregates per
 from __future__ import annotations
 
 import functools
+import math
 import os
 import statistics
 from dataclasses import dataclass, field, replace
@@ -79,6 +80,19 @@ class SyntheticSpec:
             raise DataError("table_noise must lie in [0, 1)")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
+        if self.dims.n_domains < 1:
+            raise DataError(f"Z must be >= 1, got {self.dims.n_domains}")
+        for name, sizes in (("M", self.dims.n_users), ("N", self.dims.n_items)):
+            if min(sizes) < 1:
+                raise DataError(f"every entry of {name} must be >= 1, got {list(sizes)}")
+        if not (math.isfinite(self.membership_concentration)
+                and self.membership_concentration > 0):
+            raise DataError("membership_concentration must be finite and > 0, "
+                            f"got {self.membership_concentration}")
+        for name in ("rating_sharpness", "specific_sharpness"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise DataError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _peaked_tables(rng, n_rows, n_cols, n_levels, sharpness):

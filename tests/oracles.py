@@ -397,3 +397,36 @@ def checkpoint_bytes_reference(ckpt):
     json.dump(doc, out, sort_keys=True, separators=(",", ":"))
     out.write("\n")
     return out.getvalue().encode("utf-8")
+
+
+def save_dataset_reference(dataset, directory):
+    """``save_dataset`` as one ``csv.writer`` header row, one ``np.savetxt``
+    of every row with CRLF line ends, and one ``json.dump`` of the manifest."""
+    import csv
+    import json
+    import os
+
+    from pclf.data import DATASET_FORMAT, RATINGS_HEADER
+
+    os.makedirs(directory, exist_ok=True)
+    rows = np.concatenate([
+        np.column_stack([np.full(len(dataset.users[z]), z), dataset.users[z],
+                         dataset.items[z], dataset.ratings[z]])
+        for z in range(dataset.n_domains)
+    ])
+    with open(os.path.join(directory, "ratings.csv"), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(RATINGS_HEADER)
+        np.savetxt(fh, rows, fmt="%d", delimiter=",", newline="\r\n")
+    manifest = {
+        "format": DATASET_FORMAT,
+        "n_domains": dataset.n_domains,
+        "n_levels": dataset.n_levels,
+        "n_users": list(dataset.n_users),
+        "n_items": list(dataset.n_items),
+        "n_ratings": dataset.n_ratings,
+        "user_ids": dataset.user_ids,
+        "item_ids": dataset.item_ids,
+    }
+    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")

@@ -21,7 +21,8 @@ from pclf import (
     nmf_predict,
     save_checkpoint,
 )
-from pclf.cli import _csv_rows, main
+from pclf.cli import main
+from pclf.data import _csv_rows
 from pclf.evaluate import KNOWN_MODELS
 
 # a small synthetic experiment: every model, 2 repeats and 2 Given-N values
@@ -740,6 +741,55 @@ def test_synth_and_ingest_negative_seed_one_line_error(rating_files, tmp_path, c
     assert not out.exists()
 
 
+_SPEC_2x8x9 = {"Z": 2, "K": 2, "T": 2, "L": [2, 2], "M": [8, 8], "N": [9, 9], "density": 0.3}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"membership_concentration": -1}, "membership_concentration must be finite and > 0, "
+                                       "got -1"),
+    ({"membership_concentration": 0}, "membership_concentration must be finite and > 0, "
+                                      "got 0"),
+    ({"membership_concentration": float("nan")}, "membership_concentration must be finite "
+                                                 "and > 0, got nan"),
+    ({"membership_concentration": float("inf")}, "membership_concentration must be finite "
+                                                 "and > 0, got inf"),
+    ({"rating_sharpness": float("nan")}, "rating_sharpness must be finite and >= 0, got nan"),
+    ({"rating_sharpness": -0.5}, "rating_sharpness must be finite and >= 0, got -0.5"),
+    ({"specific_sharpness": float("inf")}, "specific_sharpness must be finite and >= 0, "
+                                           "got inf"),
+    ({"specific_sharpness": float("-inf")}, "specific_sharpness must be finite and >= 0, "
+                                            "got -inf"),
+    ({"M": [8, 0]}, "every entry of M must be >= 1, got [8, 0]"),
+    ({"N": [-2, 9]}, "every entry of N must be >= 1, got [-2, 9]"),
+    ({"Z": 0, "L": [], "M": [], "N": []}, "Z must be >= 1, got 0"),
+    (["--users", "-3"], "every entry of M must be >= 1, got [-3, -3]"),
+    (["--users", "0"], "every entry of M must be >= 1, got [0, 0]"),
+    (["--items", "5,0"], "every entry of N must be >= 1, got [5, 0]"),
+    (["--domains", "0"], "Z must be >= 1, got 0"),
+], ids=["concentration-negative", "concentration-0", "concentration-nan",
+        "concentration-inf", "sharpness-nan", "sharpness-negative", "specific-inf",
+        "specific-minus-inf", "M-0", "N-negative", "Z-0", "users-negative", "users-0",
+        "items-0", "domains-0"])
+def test_synthetic_spec_fault_one_line_error(tmp_path, capsys, edit, message):
+    """Spec files, synth flags and evaluate's ``synthetic`` all reach the
+    checks in ``SyntheticSpec``; a fault leaves no output directory."""
+    out = tmp_path / "out"
+    if isinstance(edit, list):
+        runs = [["synth", *edit, "--out", str(out)]]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**_SPEC_2x8x9, **edit}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "synthetic": {**_SPEC_2x8x9, **edit},
+                                      "n_train_users": 4}))
+        runs = [["synth", "--spec", str(spec), "--out", str(out)],
+                ["evaluate", "--config", str(config), "--out", str(out)]]
+    for argv in runs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_evaluate_worker_error_one_line(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise DataError("matrix has no observed entries")
@@ -853,7 +903,7 @@ def test_non_utf8_ingest_input_one_line_error(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def json_documents(tmp_path_factory):
     """A directory with a valid experiment config, synthetic spec,
-    dataset (``dataset/manifest.json``) and checkpoint."""
+    dataset (``dataset/manifest.json``), checkpoint and --cells file."""
     root = tmp_path_factory.mktemp("documents")
     (root / "config.json").write_text(json.dumps(SMALL_CONFIG))
     (root / "spec.json").write_text(json.dumps(SMALL_CONFIG["synthetic"]))
@@ -863,6 +913,9 @@ def json_documents(tmp_path_factory):
         assert main(["train", "--dataset", str(root / "dataset"), "-K", "3", "-T", "2",
                      "-L", "2", "--betas", "1.0", "--max-iters", "2",
                      "--out", str(root / "checkpoint.json")]) == 0
+        (root / "cells.txt").write_text("0,1,2\n1,3,0,5\n0,11,9\r\n1,10,1,9\n")
+        assert main(["predict", "--checkpoint", str(root / "checkpoint.json"),
+                     "--cells", str(root / "cells.txt")]) == 0
     return root
 
 
@@ -884,6 +937,8 @@ def _key_paths(doc, prefix=()):
 _BAD_BYTES = bytes(b for b in range(256) if b < 0x20 and b not in b"\t\n\r" or b > 0x7f)
 _NON_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"]
 _VALUES = [None, True, 1.5, "x", ["x"], {"x": 1}]
+# bytes that no row of integers holds in any form a reader accepts
+_ROW_BAD_BYTES = b'\x00x".' + bytes(range(0x80, 0x100))
 
 
 @st.composite
@@ -923,18 +978,36 @@ def _corrupted(draw, text: bytes, lists=()) -> bytes:
     return json.dumps(doc).encode()
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["config", "spec", "manifest", "ratings", "checkpoint"]),
+@st.composite
+def _corrupted_rows(draw, text: bytes, start: int) -> bytes:
+    """``text``, rows of integers, with one byte at or after ``start``
+    replaced by one of ``_ROW_BAD_BYTES`` or a non-UTF-8 sequence inserted
+    there."""
+    i = draw(st.integers(start, len(text) - 1))
+    if draw(st.booleans()):
+        return text[:i] + bytes([draw(st.sampled_from(_ROW_BAD_BYTES))]) + text[i + 1:]
+    return text[:i] + draw(st.sampled_from(_NON_UTF8)) + text[i:]
+
+
+@settings(max_examples=210, deadline=None)
+@given(kind=st.sampled_from(["config", "spec", "manifest", "ratings", "rows", "checkpoint",
+                             "cells"]),
        data=st.data())
 def test_corrupt_json_document_one_line_error(json_documents, kind, data):
-    """Also cuts the dataset's ratings.csv at a line boundary before its end."""
+    """Also cuts the dataset's ratings.csv at a line boundary before its
+    end ("ratings"), and corrupts bytes inside its rows ("rows") and inside
+    a --cells file ("cells")."""
     dataset = json_documents / "dataset"
-    original = {"manifest": dataset / "manifest.json", "ratings": dataset / "ratings.csv"
+    original = {"manifest": dataset / "manifest.json", "ratings": dataset / "ratings.csv",
+                "rows": dataset / "ratings.csv", "cells": json_documents / "cells.txt",
                 }.get(kind, json_documents / f"{kind}.json")
     if kind == "ratings":
         lines = original.read_bytes().split(b"\r\n")   # the last is the empty tail
         keep = data.draw(st.integers(0, len(lines) - 2), label="lines kept")
         text = b"".join(line + b"\r\n" for line in lines[:keep])
+    elif kind in ("rows", "cells"):
+        body = original.read_bytes().index(b"\n") + 1 if kind == "rows" else 0
+        text = data.draw(_corrupted_rows(original.read_bytes(), body), label="rows")
     else:
         lists = ("n_users", "n_items", "n_ratings", "user_ids", "item_ids") \
             if kind == "manifest" else ()
@@ -942,7 +1015,7 @@ def test_corrupt_json_document_one_line_error(json_documents, kind, data):
     with tempfile.TemporaryDirectory() as tmp:
         doc, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out", "out.csv")
         os.mkdir(os.path.dirname(out))
-        if kind in ("manifest", "ratings"):
+        if kind in ("manifest", "ratings", "rows"):
             for name in ("manifest.json", "ratings.csv"):
                 shutil.copy(dataset / name, tmp)
             doc = os.path.join(tmp, original.name)
@@ -954,8 +1027,11 @@ def test_corrupt_json_document_one_line_error(json_documents, kind, data):
                 "spec": ["synth", "--spec", doc, "--out", os.path.dirname(out)],
                 "manifest": ["train", "--dataset", tmp, "--out", out],
                 "ratings": ["train", "--dataset", tmp, "--out", out],
+                "rows": ["train", "--dataset", tmp, "--out", out],
                 "checkpoint": ["predict", "--checkpoint", doc, "--cell", "0,0,0",
-                               "--out", out]}[kind]
+                               "--out", out],
+                "cells": ["predict", "--checkpoint", str(json_documents / "checkpoint.json"),
+                          "--cells", doc, "--out", out]}[kind]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 1
@@ -989,7 +1065,7 @@ index_columns = st.lists(
 
 
 class TestCsvWriter:
-    """``cli._csv_rows`` writes the bytes of the f-strings it replaced."""
+    """``data._csv_rows`` writes the bytes of the f-strings it replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1035,7 +1111,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("block_rows", [2, 7, 1 << 14])
     def test_complete_rows_cross_digit_boundaries(self, monkeypatch, block_rows):
-        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr("pclf.data.BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(0)
         rows = rng.uniform(1, 12, size=(1002, 3))
         written = []

@@ -1,6 +1,8 @@
 import csv
-import dataclasses
 import json
+import pathlib
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from pclf import ModelDims, SyntheticSpec, synth_generate
 from pclf.data import _given_n_positions, _parse_ratings_csv, _read_ratings_csv
 
 from conftest import rows_of
-from oracles import given_n_split_reference
+from oracles import given_n_split_reference, save_dataset_reference
 
 
 class TestNormalizeScale:
@@ -372,22 +374,104 @@ class TestRoundTrip:
         save_dataset(tiny_dataset, str(tmp_path))
         before = (tmp_path / broken).read_bytes()
 
-        def broken_writer(fh):
-            fh.write("domain,trunc")
+        def broken_rows(write, *columns, newline):
+            write("0,trunc")    # after the header
             raise OSError("disk full")
 
-        def broken_dump(doc, fh, **kwargs):
-            fh.write('{"format": "trunc')
+        def broken_dumps(doc, **kwargs):
             raise OSError("disk full")
 
         if broken == "ratings.csv":
-            monkeypatch.setattr(csv, "writer", broken_writer)
+            monkeypatch.setattr("pclf.data._write_rows", broken_rows)
         else:
-            monkeypatch.setattr(json, "dump", broken_dump)
+            monkeypatch.setattr(json, "dumps", broken_dumps)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(tiny_dataset.domain_view(0), str(tmp_path))
         assert (tmp_path / broken).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "ratings.csv"]
+
+
+# each side of a change in digit count, and past 2**32
+_EDGE_INDICES = [0, 9, 10, 99, 100, 999, 1000, 999_999, 10**6, 2**32 - 1, 2**32, 2**40 + 7]
+
+
+@st.composite
+def _columns_dataset(draw):
+    """A dataset built from its columns: 1 to 11 domains, any of them
+    without ratings, indices at the digit-count edges and past 2**32, up
+    to 12 levels, and short ID maps of any text."""
+    n_levels = draw(st.integers(2, 12))
+    index = st.one_of(st.sampled_from(_EDGE_INDICES), st.integers(0, 2**40))
+    cols = {"users": [], "items": [], "ratings": []}
+    for _ in range(draw(st.integers(1, 11))):
+        rows = draw(st.lists(st.tuples(index, index, st.integers(1, n_levels)), max_size=12))
+        for name, col in zip(cols, np.array(rows, dtype=np.int64).reshape(-1, 3).T):
+            cols[name].append(col)
+    ids = st.lists(st.lists(st.text(max_size=4), max_size=3),
+                   min_size=len(cols["users"]), max_size=len(cols["users"]))
+    return CrossDomainDataset(
+        n_levels=n_levels, **cols,
+        n_users=[int(u.max(initial=0)) + 1 for u in cols["users"]],
+        n_items=[int(v.max(initial=0)) + 1 for v in cols["items"]],
+        user_ids=draw(ids), item_ids=draw(ids))
+
+
+def _dataset_files(save, dataset) -> dict:
+    """The bytes of each file ``save(dataset, directory)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save(dataset, tmp)
+        return {path.name: path.read_bytes() for path in sorted(pathlib.Path(tmp).iterdir())}
+
+
+class TestSaveDatasetReference:
+    """``save_dataset`` writes the bytes of the csv.writer + np.savetxt +
+    json.dump writer it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_columns_dataset(), st.integers(1, 9))
+    def test_bytes_match_reference(self, dataset, block_rows):
+        with mock.patch("pclf.data.BLOCK_ROWS", block_rows):
+            written = _dataset_files(save_dataset, dataset)
+        assert written == _dataset_files(save_dataset_reference, dataset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip(self, data):
+        n_levels = data.draw(st.integers(2, 12), label="levels")
+        sizes = st.lists(st.integers(1, 12), min_size=1, max_size=3)
+        n_users = data.draw(sizes, label="n_users")
+        n_items = data.draw(st.lists(st.integers(1, 12), min_size=len(n_users),
+                                     max_size=len(n_users)), label="n_items")
+        rows = [(z, data.draw(st.integers(0, n_users[z] - 1)),
+                 data.draw(st.integers(0, n_items[z] - 1)),
+                 data.draw(st.integers(1, n_levels)))
+                for z in data.draw(st.lists(st.integers(0, len(n_users) - 1), max_size=30),
+                                   label="domains")]
+        ds = CrossDomainDataset.from_indexed(n_levels, np.array(rows, dtype=np.int64),
+                                             n_users, n_items)
+        ds.user_ids = [data.draw(st.lists(st.text(max_size=4), min_size=m, max_size=m))
+                       for m in n_users]
+        assert _dataset_files(save_dataset, ds) == _dataset_files(save_dataset_reference, ds)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, tmp)
+            back = load_dataset(tmp)
+        assert rows_of(back) == rows_of(ds)
+        assert (back.n_levels, back.n_users, back.n_items) == (n_levels, n_users, n_items)
+        assert (back.user_ids, back.item_ids) == (ds.user_ids, ds.item_ids)
+
+    def test_benchmark_size_matches_reference(self):
+        # 30k rows: two blocks of BLOCK_ROWS, 4-digit indices
+        dims = ModelDims(n_domains=2, n_user_clusters=3, n_common_clusters=2,
+                         n_specific_clusters=(2, 2), n_levels=5,
+                         n_users=(1000, 1000), n_items=(1500, 1500))
+        ds, _ = synth_generate(SyntheticSpec(dims=dims, w1=(0.7, 0.7), density=0.01, seed=1))
+        assert _dataset_files(save_dataset, ds) == _dataset_files(save_dataset_reference, ds)
+
+    def test_negative_index_rejected(self, tmp_path, tiny_dataset):
+        tiny_dataset.items[1][0] = -1
+        with pytest.raises(DataError, match="negative index"):
+            save_dataset(tiny_dataset, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 def _replace_line_4(directory, row):
@@ -515,7 +599,7 @@ class TestGivenNSplitReference:
         train, _ = _given_n_positions(ds, 0, 1, 4, seed=3)
         by_positions = ds.restrict([train])
         triples = given_n_split(ds, 0, 1, 4, seed=3).train_pool
-        assert rows_of(by_positions) == [dataclasses.astuple(t) for t in triples]
+        assert rows_of(by_positions) == [tuple(t) for t in triples]
         assert all(a.dtype == np.int64
                    for a in by_positions.users + by_positions.items + by_positions.ratings)
 
