@@ -87,6 +87,8 @@ def nmf_train(
         raise DataError("matrix has no observed entries")
     values = np.where(present, observed, 0.0)
     m, n = observed.shape
+    if max(m, n) * rank > np.iinfo(np.intp).max // 8:
+        raise DataError(f"rank {rank} gives factor arrays larger than numpy can address")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(max(values[present].mean(), 1.0) / rank)
     u = rng.uniform(0.1, 1.0, size=(m, rank)) * scale

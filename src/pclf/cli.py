@@ -363,8 +363,20 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, with a rejected command line reported as every other
+    fault is: one ``error:`` line and exit status 1, not usage text and 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pclf",
         description="Cross-domain cluster-level rating model: train, predict, evaluate.",
     )
@@ -455,12 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (DataError, ModelError, CheckpointError, OSError) as exc:
+    except (DataError, ModelError, CheckpointError, OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

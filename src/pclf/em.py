@@ -12,7 +12,6 @@ raised toward 1 to dodge poor local maxima.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,8 @@ from . import kernels
 from .data import CrossDomainDataset
 
 PROB_ATOL = 1e-12  # every stored distribution must sum to 1 within this
-INIT_CHUNK_ROWS = 4096  # triples per random draw in init_params; bounds its memory
+INIT_CHUNK_ROWS = 4096  # triples per reduction chunk in init_params
+INIT_BLOCK_ROWS = 512  # triples per random draw within a chunk; bounds init's memory
 
 
 class ModelError(ValueError):
@@ -54,6 +54,13 @@ class ModelDims:
         ):
             if len(seq) != self.n_domains:
                 raise ModelError(f"{name} must have one entry per domain")
+        k, t = self.n_user_clusters, self.n_common_clusters
+        largest = max(k * self.total_users, t * self.total_items,
+                      k * max((t, *self.n_specific_clusters)) * self.n_levels,
+                      *(l * n for l, n in zip(self.n_specific_clusters, self.n_items)))
+        if largest > np.iinfo(np.intp).max // 8:
+            raise ModelError(f"the dims give a parameter array of {largest} entries, "
+                             "more than numpy can address")
 
     @property
     def total_users(self) -> int:
@@ -171,9 +178,10 @@ class TrainConfig:
             raise ModelError("beta schedule must end at 1.0")
         if not self.rel_ll_tol > 0:   # NaN fails too
             raise ModelError(f"rel_ll_tol must be > 0, got {self.rel_ll_tol}")
-        if not 0 <= self.smoothing_floor < math.inf:
-            raise ModelError(f"smoothing_floor must be finite and >= 0, "
-                             f"got {self.smoothing_floor}")
+        # a floor is probability mass; past 1 it swamps every distribution,
+        # and near the largest float the renormalizing sum overflows
+        if not 0 <= self.smoothing_floor <= 1:   # NaN fails too
+            raise ModelError(f"smoothing_floor must lie in [0, 1], got {self.smoothing_floor}")
         if self.max_iters_per_beta < 1:
             raise ModelError("max_iters_per_beta must be >= 1")
         if self.min_iters_per_beta < 1:
@@ -306,10 +314,16 @@ def init_params(
     responsibilities over many triples yields almost-symmetric parameters
     from which EM barely moves, while heavier-tailed draws give each
     triple a preferred cluster pair and break the symmetry immediately.
-    They are drawn and reduced ``INIT_CHUNK_ROWS`` triples at a time, which
-    consumes the same random stream as one draw over the whole family.
-    One helper thread draws the next chunk into one of two buffers while
-    this thread reduces the last; it is joined before this returns.
+    The triples are reduced ``INIT_CHUNK_ROWS`` at a time, and each chunk
+    is drawn and reduced in blocks of ``INIT_BLOCK_ROWS`` triples
+    (``kernels.ChunkStats``), which consumes the same random stream and
+    gives the same bits as one draw and one ``kernels.pair_stats`` per
+    chunk.  A family with a length-1 cluster axis (K = 1 or C = 1) is
+    drawn a whole chunk at a time, since numpy sums its reductions
+    pairwise; such a draw holds at most ``INIT_CHUNK_ROWS`` * max(K, C)
+    values.  One helper thread draws the next block into one of two
+    buffers while this thread reduces the last; it is joined before this
+    returns.
     """
     # imported here so that the commands that do not train do not load it
     from concurrent.futures import ThreadPoolExecutor
@@ -318,19 +332,24 @@ def init_params(
     rng = np.random.default_rng(seed)
     families = _families(dims, dataset)
     k = dims.n_user_clusters
-    # (family, rows) per chunk in stream order; at least one (possibly
-    # empty) chunk per family, so an empty family still has statistics
-    chunks = [
-        (i, slice(lo, lo + INIT_CHUNK_ROWS))
-        for i, fam in enumerate(families)
-        for lo in range(0, max(len(fam.ridx), 1), INIT_CHUNK_ROWS)
-    ]
-    width = INIT_CHUNK_ROWS * k * max(fam.n_clusters for fam in families)
+    # (family, chunk bounds, block rows) per draw in stream order; at least
+    # one (possibly empty) chunk per family, so an empty family still has
+    # statistics
+    draws = []
+    for i, fam in enumerate(families):
+        s = len(fam.ridx)
+        step = INIT_BLOCK_ROWS if k > 1 and fam.n_clusters > 1 else INIT_CHUNK_ROWS
+        for lo in range(0, max(s, 1), INIT_CHUNK_ROWS):
+            hi = min(lo + INIT_CHUNK_ROWS, s)
+            draws += [(i, lo, hi, slice(b, min(b + step, hi)))
+                      for b in range(lo, max(hi, lo + 1), step)]
+    width = max((rows.stop - rows.start) * k * families[i].n_clusters
+                for i, _, _, rows in draws)
     buffers = (np.empty(width), np.empty(width))
 
     def draw(j):
-        i, rows = chunks[j]
-        n, c = len(families[i].ridx[rows]), families[i].n_clusters
+        i, _, _, rows = draws[j]
+        n, c = rows.stop - rows.start, families[i].n_clusters
         block = buffers[j % 2][:n * k * c].reshape(n, k, c)
         rng.standard_gamma(0.5, out=block)  # gamma(0.5)'s stream, without holding the GIL
         return block
@@ -338,17 +357,19 @@ def init_params(
     stats = [None] * len(families)
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(draw, 0)
-        for j, (i, rows) in enumerate(chunks):
+        for j, (i, lo, hi, rows) in enumerate(draws):
             block = pending.result()
-            if j + 1 < len(chunks):  # the buffer it fills held chunk j - 1, reduced by now
+            if j + 1 < len(draws):  # the buffer it fills held draw j - 1, reduced by now
                 pending = helper.submit(draw, j + 1)
             fam = families[i]
+            if rows.start == lo:
+                chunk = kernels.ChunkStats(hi - lo, k, fam.n_clusters, dims.n_levels)
             block /= block.sum(axis=(1, 2), keepdims=True)
-            part = kernels.pair_stats(
-                block, fam.gu[rows], fam.items[rows], fam.ridx[rows],
-                dims.total_users, fam.n_items, dims.n_levels,
-            )
-            stats[i] = part if stats[i] is None else [a + b for a, b in zip(stats[i], part)]
+            chunk.add(block, fam.ridx[rows])
+            if rows.stop == hi:
+                part = chunk.result(fam.gu[lo:hi], fam.items[lo:hi],
+                                    dims.total_users, fam.n_items)
+                stats[i] = part if stats[i] is None else [a + b for a, b in zip(stats[i], part)]
     return _params_from_stats(dims, families, stats, floor)
 
 

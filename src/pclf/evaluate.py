@@ -99,7 +99,8 @@ def _peaked_tables(rng, n_rows, n_cols, n_levels, sharpness):
     """Categorical tables concentrated around a random level per cell."""
     peaks = rng.integers(1, n_levels + 1, size=(n_rows, n_cols))
     levels = np.arange(1, n_levels + 1)
-    raw = np.exp(-sharpness * np.abs(levels[None, None, :] - peaks[:, :, None]))
+    with np.errstate(over="ignore"):   # a huge sharpness gives -inf, whose exp is 0
+        raw = np.exp(-sharpness * np.abs(levels[None, None, :] - peaks[:, :, None]))
     return raw / raw.sum(axis=2, keepdims=True)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .em import ModelDims, ModelError, PclfParams, _normalize
 
 DEFAULT_W1 = 0.35
@@ -144,6 +145,12 @@ def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: Members
     In-domain rows mix with their domain's weight; cross-domain rows use
     the common pattern alone (w1 = 1) unless ``mix_specific`` blends in the
     item domain's specific pattern with that domain's weight.
+
+    The cells of each (user domain, item domain) block are scored in slices
+    of ``data.BLOCK_ROWS``, against the block's two tables built once, so
+    the gathered rows take at most 2 * ``BLOCK_ROWS`` * K values whatever
+    the number of cells.  Each row is its own dot product, so the slicing
+    does not change a bit.
     """
     dims = params.dims
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 4)
@@ -154,12 +161,15 @@ def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: Members
     out = np.empty(len(cells))
     for block in np.unique(blocks).tolist():
         du, dv = divmod(block, dims.n_domains)
-        rows = blocks == block
         w1 = weights.w1[dv] if du == dv or mix_specific else 1.0
-        users = _table_rows(cells[rows, 1], dims.n_users[du])
-        items = _table_rows(cells[rows, 3], dims.n_items[dv])
-        out[rows] = np.einsum("ij,ij->i", user_table(params, mems, du)[users],
-                              item_table(params, mats, mems, dv, w1)[items])
+        u_tab = user_table(params, mems, du)
+        v_tab = item_table(params, mats, mems, dv, w1)
+        at = np.flatnonzero(blocks == block)
+        for start in range(0, len(at), data.BLOCK_ROWS):
+            rows = at[start:start + data.BLOCK_ROWS]
+            users = _table_rows(cells[rows, 1], dims.n_users[du])
+            items = _table_rows(cells[rows, 3], dims.n_items[dv])
+            out[rows] = np.einsum("ij,ij->i", u_tab[users], v_tab[items])
     return out
 
 

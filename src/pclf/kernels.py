@@ -20,13 +20,19 @@ it is built once per pass and passed in as ``users``.  At beta = 1 the
 normalizers of ``pair_pass`` are those of ``pair_log_normalizers``, so
 ``em.train`` takes the log-likelihood after an M step from the next
 iteration's pass.  Without ``layout`` or ``users`` a kernel builds them
-itself.
+itself.  A pass gathers each level's user and item rows inside its level
+loop, so it holds no (S, K) or (S, C) gather for the whole family.
 
 The log-space kernels ``pair_responsibilities``, ``pair_log_likelihood``
 and ``pair_stats`` materialize the (S, K, C) posterior tensor.  They are
 the reference that the public ``em.e_step``/``em.m_step`` and the tests
-use; ``pair_stats`` also reduces the random responsibilities that seed
-``em.init_params``.
+use.  ``pair_stats`` is ``ChunkStats`` fed one whole tensor;
+``em.init_params`` feeds ``ChunkStats`` its random responsibilities in
+row blocks, continuing the level and item-cluster sums from block to
+block in row order, so both give the bits of one ``np.bincount`` per
+column.  numpy sums a lone contiguous run pairwise instead, which a
+running sum cannot reproduce, so a chunk with a length-1 cluster axis
+(K = 1 or C = 1) comes in one block.
 """
 
 from __future__ import annotations
@@ -75,35 +81,82 @@ def pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
     per-item mass (C, V), per-level mass (K, C, R)), each C-contiguous.
     Every entry adds the same terms in the same order as one
     ``np.bincount`` per column would, so the bits are those of that form.
-    numpy adds along a strided axis in index order, but sums a lone
-    contiguous run pairwise; a cluster axis of length 1 turns the tensor
-    reductions into such runs, so those shapes keep the direct forms.
+    This is ``ChunkStats`` fed the whole tensor as one block.
     """
-    s, n_uc, n_ic = resp.shape
-    ru = resp.sum(axis=2)
-    flat = resp.reshape(s, n_uc * n_ic)
-    if n_uc == 1 or n_ic == 1:
-        cluster_u, rv = resp.sum(axis=(0, 2)), resp.sum(axis=1)
-        by_level = np.stack([
-            np.bincount(ridx, weights=col, minlength=n_levels) for col in flat.T
+    acc = ChunkStats(*resp.shape, n_levels)
+    acc.add(resp, ridx)
+    return acc.result(gu, gv, n_users, n_items)
+
+
+class ChunkStats:
+    """``pair_stats`` of one chunk of ``n_rows`` triples, fed in row blocks.
+
+    ``add`` takes the chunk's responsibilities in consecutive row blocks;
+    ``result`` returns what ``pair_stats`` returns for the whole chunk,
+    bit for bit.  The row-local parts fill (n_rows, K) and (n_rows, C)
+    arrays ``ru``/``rv``.  ``by_level`` and ``cluster_v`` continue across
+    blocks as ``np.add.reduce`` over [running sum; new rows]: numpy adds
+    along a strided axis in row order, so that gives the bits of one
+    reduction over the whole chunk.  ``cluster_u`` and the per-entity
+    bincounts run once, in ``result``, on ``ru``/``rv``.
+
+    numpy sums a lone contiguous run pairwise, not in row order.  A
+    cluster axis of length 1 (K = 1 or C = 1) turns the tensor reductions
+    into such runs, so such a chunk keeps the direct forms and must come
+    in one block.
+    """
+
+    def __init__(self, n_rows, n_uc, n_ic, n_levels):
+        self.ru = np.empty((n_rows, n_uc))
+        self.rv = np.empty((n_rows, n_ic))
+        self.cluster_u = None   # set by a one-block chunk of a length-1 axis
+        self.cluster_v = np.zeros(n_ic)
+        self.by_level = np.zeros((n_levels, n_uc * n_ic))
+        self.filled = 0
+
+    def add(self, resp, ridx):
+        """Reduce the chunk's next ``len(resp)`` rows, at levels ``ridx``."""
+        s, n_uc, n_ic = resp.shape
+        lo, hi = self.filled, self.filled + s
+        np.sum(resp, axis=2, out=self.ru[lo:hi])
+        flat = resp.reshape(s, n_uc * n_ic)
+        if n_uc == 1 or n_ic == 1:
+            if (lo, hi) != (0, len(self.ru)):
+                raise ValueError("a chunk with a length-1 cluster axis comes in one block")
+            self.cluster_u = resp.sum(axis=(0, 2))
+            self.cluster_v = resp.sum(axis=(0, 1))
+            np.sum(resp, axis=1, out=self.rv)
+            self.by_level = np.stack([
+                np.bincount(ridx, weights=col, minlength=len(self.by_level)) for col in flat.T
+            ], axis=1)
+        else:
+            rv = self.rv[lo:hi]
+            rv[:] = resp[:, 0]
+            for k in range(1, n_uc):
+                rv += resp[:, k]
+            self.cluster_v = np.add.reduce(
+                np.concatenate([self.cluster_v[None], flat.reshape(s * n_uc, n_ic)]))
+            for r, running in enumerate(self.by_level):
+                rows = flat[ridx == r]
+                if len(rows):
+                    running[:] = np.add.reduce(np.concatenate([running[None], rows]))
+        self.filled = hi
+
+    def result(self, gu, gv, n_users, n_items):
+        """The chunk's statistics; ``gu``/``gv`` index its rows' users and items."""
+        n_uc, n_ic = self.ru.shape[1], self.rv.shape[1]
+        # column-wise bincount beats np.add.at by an order of magnitude here
+        by_user = np.stack([
+            np.bincount(gu, weights=self.ru[:, k], minlength=n_users) for k in range(n_uc)
         ])
-    else:
-        cluster_u = ru.sum(axis=0)
-        rv = resp[:, 0].copy()
-        for k in range(1, n_uc):
-            rv += resp[:, k]
-        by_level = np.stack([flat[ridx == r].sum(axis=0) for r in range(n_levels)], axis=1)
-    # column-wise bincount beats np.add.at by an order of magnitude here
-    by_user = np.stack([
-        np.bincount(gu, weights=ru[:, k], minlength=n_users) for k in range(n_uc)
-    ])
-    by_item = np.stack([
-        np.bincount(gv, weights=rv[:, c], minlength=n_items) for c in range(n_ic)
-    ])
-    return (
-        cluster_u, resp.sum(axis=(0, 1)), by_user, by_item,
-        by_level.reshape(n_uc, n_ic, n_levels),
-    )
+        by_item = np.stack([
+            np.bincount(gv, weights=self.rv[:, c], minlength=n_items) for c in range(n_ic)
+        ])
+        return (
+            self.ru.sum(axis=0) if self.cluster_u is None else self.cluster_u,
+            self.cluster_v, by_user, by_item,
+            np.ascontiguousarray(self.by_level.T).reshape(n_uc, n_ic, -1),
+        )
 
 
 def level_layout(ridx, n_levels):
@@ -131,10 +184,13 @@ def tempered(log_w, beta):
 class _Factors:
     """The tempered factors of one pair family, triples grouped by rating level.
 
-    ``u`` (S, K) and ``v`` (S, C) are the per-triple user and item weights
-    in level order (``order``), ``a[r]`` the (K, C) tempered rating table,
-    ``u_top``/``v_top`` the per-entity log scales factored out of ``u``
-    and ``v``, and ``levels()`` yields (r, slice of the level's triples).
+    ``u_tab`` (U, K) and ``v_tab`` (V, C) are the per-entity user and item
+    weights, ``a[r]`` the (K, C) tempered rating table, ``u_top``/``v_top``
+    the per-entity log scales factored out of the tables, and ``gu`` and
+    ``items`` the triples' entities in level order (``order``).
+    ``levels()`` yields (r, slice of the level's triples, their (S_r, K)
+    user rows, their (S_r, C) item rows); the rows are gathered one level
+    at a time, so that no (S, K) or (S, C) gather is held for the pass.
     ``layout`` and ``users``, when given, are ``level_layout(ridx, R)``
     and ``tempered(log_wu, beta)``, built once by the caller.
     """
@@ -144,16 +200,16 @@ class _Factors:
         self.order, self.bounds = layout or level_layout(ridx, len(self.a))
         self.gu = gu[self.order]
         self.items = items[self.order]
-        u_tab, self.u_top = users or tempered(log_wu, beta)
-        v_tab, self.v_top = tempered(log_wv, beta)
-        self.u = u_tab.take(self.gu, axis=0)  # 2-4x faster than u_tab[self.gu]
-        self.v = v_tab.take(self.items, axis=0)
+        self.u_tab, self.u_top = users or tempered(log_wu, beta)
+        self.v_tab, self.v_top = tempered(log_wv, beta)
 
     def levels(self):
         for r in range(len(self.a)):
-            lo, hi = self.bounds[r], self.bounds[r + 1]
-            if hi > lo:
-                yield r, slice(lo, hi)
+            sl = slice(self.bounds[r], self.bounds[r + 1])
+            if sl.stop > sl.start:
+                # take is 2-4x faster than fancy indexing here
+                yield (r, sl, self.u_tab.take(self.gu[sl], axis=0),
+                       self.v_tab.take(self.items[sl], axis=0))
 
     def log_normalizers(self, z):
         """log Z plus the factored-out scale, back in the callers' triple order.
@@ -177,8 +233,8 @@ def pair_log_normalizers(log_wu, log_wv, log_rate, gu, items, ridx, *, layout=No
     """
     f = _Factors(log_wu, log_wv, log_rate, gu, items, ridx, 1.0, layout, users)
     z = np.empty(len(ridx))
-    for r, sl in f.levels():
-        z[sl] = np.einsum("sc,sc->s", f.u[sl] @ f.a[r], f.v[sl])
+    for r, sl, u, v in f.levels():
+        z[sl] = np.einsum("sc,sc->s", u @ f.a[r], v)
     return f.log_normalizers(z)
 
 
@@ -196,12 +252,12 @@ def pair_pass(log_wu, log_wv, log_rate, gu, items, ridx, beta=1.0, *, layout=Non
     """
     f = _Factors(log_wu, log_wv, log_rate, gu, items, ridx, beta, layout, users)
     n_uc, n_ic = f.a.shape[1], f.a.shape[2]
-    ru = np.empty_like(f.u)
-    rv = np.empty_like(f.v)
+    ru = np.empty((len(ridx), n_uc))
+    rv = np.empty((len(ridx), n_ic))
     z = np.empty(len(ridx))
     by_level = np.zeros(f.a.shape)
-    for r, sl in f.levels():
-        u, v, a = f.u[sl], f.v[sl], f.a[r]
+    for r, sl, u, v in f.levels():
+        a = f.a[r]
         ua = u @ a
         z[sl] = np.einsum("sc,sc->s", ua, v)
         dead = z[sl] == 0.0

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,11 @@ class TestPredict:
     ["synth", None],
     ["synth", b'{"Z": 1, "K": "\xff"}'],
     ["synth", b'{"Z": 1'],
+    ["train", "-K", "x"],
+    ["train", "--floor", "1.5"],
+    ["train", "-K", "100000000000000000000"],
+    ["train", "--model", "nmf", "--rank", "100000000000000000000"],
+    ["predict", "--complete", "nan"],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
@@ -322,7 +328,8 @@ class TestPredict:
         "config-synthetic-L-int", "config-dims-K-string", "config-base-seed-negative",
         "config-synthetic-seed-negative", "config-train-seed-negative", "config-floor-nan",
         "config-floor-inf", "config-tol-nan", "spec-missing-key",
-        "spec-unreadable", "spec-not-utf8", "spec-not-json"])
+        "spec-unreadable", "spec-not-utf8", "spec-not-json", "K-not-int", "floor-above-1",
+        "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"
@@ -354,6 +361,38 @@ def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert out.read_text() == "previous\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["train"], ["predict", "--bogus", "1"]],
+                         ids=["no-command", "unknown-command", "missing-flags", "unknown-flag"])
+def test_usage_error_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pclf train")
+
+
+def test_out_of_memory_one_line_error(trained, tmp_path, monkeypatch, capsys):
+    dataset, _ = trained
+    message = ("Unable to allocate 16.0 TiB for an array with shape (1000000000, 2200) "
+               "and data type float64")
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(evaluate, "fit", fail)
+    out = tmp_path / "m.json"
+    out.write_text("previous\n")
+    assert main(["train", "--dataset", dataset, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert out.read_text() == "previous\n"
 
 
@@ -790,6 +829,24 @@ def test_synthetic_spec_fault_one_line_error(tmp_path, capsys, edit, message):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", [{"rating_sharpness": 1e308}, {"specific_sharpness": 1e308},
+                                  {"rating_sharpness": 1.7976931348623157e308,
+                                   "specific_sharpness": 1e308}],
+                         ids=["rating", "specific", "both"])
+def test_huge_sharpness_synthesizes_without_warning(tmp_path, capsys, edit):
+    """-sharpness * |level - peak| overflows to -inf, whose exp is the
+    right 0; numpy must not report the overflow on stderr."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**_SPEC_2x8x9, **edit}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    ds = load_dataset(str(tmp_path / "data"))
+    assert sum(ds.n_ratings) == 2 * round(0.3 * 8 * 9)
+
+
 def test_evaluate_worker_error_one_line(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise DataError("matrix has no observed entries")
@@ -1040,6 +1097,87 @@ def test_corrupt_json_document_one_line_error(json_documents, kind, data):
         with open(out) as fh:
             assert fh.read() == "previous\n"
         assert os.listdir(os.path.dirname(out)) == ["out.csv"]
+
+
+# flag values: small integers, integers past what numpy can address, any
+# float (NaN, infinities, negatives, subnormals, 1e308) and junk text
+_JUNK = st.text(alphabet="0123456789-+.,eEinfatx _\u0661\t", max_size=8)
+_HUGE = st.sampled_from([2**63, 10**20, -(10**20)]).map(str)
+_FLOAT = st.one_of(st.floats(), st.sampled_from([1e308, 1.7976931348623157e308, 5e-324,
+                                                  -0.0])).map(repr)
+_INT_FLAG = st.one_of(st.integers(-3, 6).map(str), _HUGE, _FLOAT, _JUNK)
+# iteration counts stay small, so that no draw trains for long
+_ITERS_FLAG = st.one_of(st.integers(-3, 4).map(str), _FLOAT, _JUNK)
+_FLOAT_FLAG = st.one_of(_FLOAT, st.integers(-3, 3).map(str), _HUGE, _JUNK)
+
+
+def _listed(flag):
+    return st.one_of(st.lists(flag, min_size=1, max_size=3).map(",".join), _JUNK)
+
+
+_FLAG_VALUES = {
+    "train": {"-K": _INT_FLAG, "-T": _INT_FLAG, "-L": _listed(_INT_FLAG),
+              "--betas": _listed(_FLOAT_FLAG), "--max-iters": _ITERS_FLAG,
+              "--min-iters": _ITERS_FLAG, "--tol": _FLOAT_FLAG, "--floor": _FLOAT_FLAG,
+              "--seed": _INT_FLAG, "--w1": _FLOAT_FLAG, "--rank": _INT_FLAG},
+    "synth": {"--users": _listed(_INT_FLAG), "--items": _listed(_INT_FLAG),
+              "--density": _FLOAT_FLAG},
+    "predict": {"--complete": _INT_FLAG, "--w1": _listed(_FLOAT_FLAG)},
+}
+
+
+@pytest.fixture(scope="module")
+def one_domain_dataset(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("one-domain") / "dataset")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--domains", "1", "--users", "12", "--items", "10",
+                     "--density", "0.3", "--out", out]) == 0
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(_FLAG_VALUES)), data=st.data())
+def test_flag_values_one_line_error(json_documents, one_domain_dataset, command, data):
+    """Up to four flags of ``command`` take drawn values, written as
+    ``--flag=value`` so that a value may start with '-'.  The run exits 0
+    with nothing on stderr, or exits 1 with one ``error:`` line and the
+    existing ``--out`` as it was; a warning fails the test as an error."""
+    flags = data.draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES[command])), min_size=1,
+                               max_size=4, unique=True), label="flags")
+    drawn = [f"{flag}={data.draw(_FLAG_VALUES[command][flag], label=flag)}" for flag in flags]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        if command == "train":
+            model = data.draw(st.sampled_from(["pclf", "nmf"]), label="model")
+            dataset = one_domain_dataset if model == "nmf" else str(json_documents / "dataset")
+            argv = ["train", "--dataset", dataset, "--model", model, "-K", "2", "-T", "2",
+                    "-L", "2", "--betas", "0.5,1.0", "--max-iters", "2", "--min-iters", "1",
+                    "--nmf-iters", "3", *drawn, "--out", out]
+        elif command == "synth":
+            out = os.path.join(tmp, "data", "ratings.csv")
+            os.mkdir(os.path.dirname(out))
+            argv = ["synth", "--users", "5", "--items", "6", "--density", "0.5", *drawn,
+                    "--out", os.path.dirname(out)]
+        else:
+            argv = ["predict", "--checkpoint", str(json_documents / "checkpoint.json"),
+                    "--complete", "0", *drawn, "--out", out]
+        with open(out, "w") as fh:
+            fh.write("previous\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+            return
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        with open(out) as fh:
+            assert fh.read() == "previous\n"
+        assert os.listdir(os.path.dirname(out)) == ["out.csv" if command != "synth"
+                                                    else "ratings.csv"]
 
 
 def _formatted(*columns) -> str:

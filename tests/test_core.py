@@ -72,6 +72,22 @@ def permute_params(params, perm_k=None, perm_t=None, perm_l=None):
     )
 
 
+# init's draw sizes within a chunk: one row, sizes that divide no chunk
+# the tests use (7, 5 or 4096 rows), and the shipped size
+INIT_BLOCKS = (1, 3, 5, em.INIT_BLOCK_ROWS)
+
+
+def assert_init_matches_reference(monkeypatch, dims, ds, seed):
+    """``init_params`` at every size of ``INIT_BLOCKS`` has the bits of
+    ``init_params_reference``, which draws and reduces whole chunks."""
+    want = init_params_reference(dims, ds, seed=seed)
+    for block_rows in INIT_BLOCKS:
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", block_rows)
+        got = init_params(dims, ds, seed=seed)
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
+            assert np.array_equal(a, b), (block_rows, name)
+
+
 class TestInitParams:
     def test_single_cluster_collapse(self, tiny_dataset):
         params = init_params(single_cluster_dims(tiny_dataset), tiny_dataset, seed=0, floor=0.0)
@@ -131,10 +147,7 @@ class TestInitParams:
         )
         ds = random_dataset(np.random.default_rng(seed + 100), dims, 30)
         monkeypatch.setattr(em, "INIT_CHUNK_ROWS", chunk_rows)
-        got = init_params(dims, ds, seed=seed)
-        want = init_params_reference(dims, ds, seed=seed)
-        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
-            assert np.array_equal(a, b), name
+        assert_init_matches_reference(monkeypatch, dims, ds, seed)
 
     @pytest.mark.parametrize("empty_domain", [False, True], ids=["rated", "domain-1-empty"])
     def test_wide_families_match_serial_reference(self, monkeypatch, empty_domain):
@@ -154,10 +167,30 @@ class TestInitParams:
                                          ds.items[0], ds.ratings[0]]),
             )
         monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 7)
-        got = init_params(dims, ds, seed=2)
-        want = init_params_reference(dims, ds, seed=2)
-        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
-            assert np.array_equal(a, b), name
+        assert_init_matches_reference(monkeypatch, dims, ds, 2)
+
+    @pytest.mark.parametrize("k, t, specific", [
+        (1, 4, (3, 2)), (3, 1, (1, 2)), (1, 1, (1, 1)), (4, 3, (1, 0)),
+    ], ids=["K=1", "T=1", "K=T=L=1", "L=1,0"])
+    @pytest.mark.parametrize("empty_domain", [False, True], ids=["rated", "domain-1-empty"])
+    def test_length_one_axes_match_serial_reference(self, monkeypatch, k, t, specific,
+                                                    empty_domain):
+        # a length-1 cluster axis draws whole chunks while the other families
+        # draw blocks; at 5 rows a chunk, 46 pooled and 23 per-domain
+        # triples end in chunks of 1 and 3 rows
+        dims = ModelDims(
+            n_domains=2, n_user_clusters=k, n_common_clusters=t,
+            n_specific_clusters=specific, n_levels=4, n_users=(6, 5), n_items=(7, 4),
+        )
+        ds = random_dataset(np.random.default_rng(17), dims, 23)
+        if empty_domain:
+            ds = CrossDomainDataset.from_indexed(
+                n_levels=4, n_users=[6, 5], n_items=[7, 4],
+                triples=np.column_stack([np.zeros(23, np.int64), ds.users[0],
+                                         ds.items[0], ds.ratings[0]]),
+            )
+        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 5)
+        assert_init_matches_reference(monkeypatch, dims, ds, 4)
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
         # more threads than CPUs, each call with its own helper thread, and a
@@ -170,26 +203,29 @@ class TestInitParams:
         ds = random_dataset(np.random.default_rng(8), dims, 40)
         monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 5)
         want = {seed: init_params_reference(dims, ds, seed=seed) for seed in range(6)}
-        got = {}
+        for block_rows in INIT_BLOCKS:
+            monkeypatch.setattr(em, "INIT_BLOCK_ROWS", block_rows)
+            got = {}
 
-        def run(seed):
-            got[seed] = init_params(dims, ds, seed=seed)
+            def run(seed):
+                got[seed] = init_params(dims, ds, seed=seed)
 
-        threads = [threading.Thread(target=run, args=(seed,)) for seed in want]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(got) == sorted(want)
-        for seed in want:
-            for (name, a), (_, b) in zip(param_arrays(got[seed]), param_arrays(want[seed])):
-                assert np.array_equal(a, b), (seed, name)
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in want]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(got) == sorted(want)
+            for seed in want:
+                for (name, a), (_, b) in zip(param_arrays(got[seed]),
+                                             param_arrays(want[seed])):
+                    assert np.array_equal(a, b), (block_rows, seed, name)
 
     def test_failed_draw_reaches_caller(self, tiny_dataset, monkeypatch):
         class DrawError(Exception):

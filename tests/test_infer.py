@@ -17,7 +17,7 @@ from pclf import (
 )
 from pclf.inference import predict_cells
 
-from oracles import expected_rating, random_dims, random_params
+from oracles import expected_rating, predict_cells_reference, random_dims, random_params
 from test_core import permute_params
 
 
@@ -280,6 +280,24 @@ class TestPredictCells:
                         got = predict_cross(params, mats, mems, (du, u), (dv, v),
                                             weights=weights, mix_specific=mix_specific)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 1 << 14])
+    def test_slices_match_one_einsum(self, monkeypatch, block_rows):
+        # 300 cells over every (user domain, item domain) block, about 1 in 6
+        # of them with an unseen user or item; at 7 a slice, blocks end in
+        # partial slices
+        dims, params, mats, mems = _prediction_bundle(
+            seed=21, k=20, t=10, l=(15, 12), users=(9, 6), items=(8, 11))
+        weights = PredictionWeights(w1=(0.35, 0.6))
+        rng = np.random.default_rng(22)
+        du, dv = rng.integers(0, 2, size=(2, 300))
+        cells = np.column_stack([du, rng.integers(-1, 11, size=300),
+                                 dv, rng.integers(-1, 13, size=300)])
+        monkeypatch.setattr("pclf.data.BLOCK_ROWS", block_rows)
+        for mix_specific in (False, True):
+            got = predict_cells(params, mats, mems, weights, cells, mix_specific)
+            want = predict_cells_reference(params, mats, mems, weights, cells, mix_specific)
+            np.testing.assert_array_equal(got, want)
 
     def test_domain_out_of_range(self):
         dims, params, mats, mems = _prediction_bundle(seed=19)

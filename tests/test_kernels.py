@@ -3,7 +3,7 @@ import pytest
 
 from pclf import kernels
 
-from oracles import pair_stats_reference, posterior_matrix
+from oracles import pair_pass_reference, pair_stats_reference, posterior_matrix
 
 
 def _random_inputs(seed, s=30, k=3, c=4, levels=5):
@@ -104,6 +104,35 @@ class TestPairStats:
             np.testing.assert_array_equal(have, ref, err_msg=name)
         assert not got[4][:, :, 2].any()
 
+    @pytest.mark.parametrize("k, c", [(3, 2), (4, 7), (3, 8), (20, 15), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("s, block", [(0, 1), (1, 1), (37, 1), (37, 5), (600, 512),
+                                          (600, 7), (600, 600)])
+    def test_blocks_match_reference(self, k, c, s, block):
+        # a length-1 cluster axis takes its chunk in one block
+        block = s if 1 in (k, c) else block
+        rng = np.random.default_rng(1000 * k + 10 * c + s)
+        levels, n_u, n_v = 5, 13, 17
+        resp = rng.standard_gamma(0.5, size=(s, k, c))
+        gu = rng.integers(0, n_u, size=s)
+        gv = rng.integers(0, n_v, size=s)
+        ridx = rng.choice([0, 1, 3, 4], size=s)
+        chunk = kernels.ChunkStats(s, k, c, levels)
+        for lo in range(0, max(s, 1), max(block, 1)):
+            chunk.add(resp[lo:lo + block], ridx[lo:lo + block])
+        got = chunk.result(gu, gv, n_u, n_v)
+        want = pair_stats_reference(resp, gu, gv, ridx, n_u, n_v, levels)
+        for name, have, ref in zip(
+            ("cluster_u", "cluster_v", "by_user", "by_item", "by_level"), got, want
+        ):
+            assert have.shape == ref.shape, name
+            assert have.flags.c_contiguous, name
+            np.testing.assert_array_equal(have, ref, err_msg=name)
+
+    def test_length_one_axis_rejects_blocks(self):
+        chunk = kernels.ChunkStats(4, 3, 1, 5)
+        with pytest.raises(ValueError, match="one block"):
+            chunk.add(np.ones((2, 3, 1)), np.zeros(2, np.int64))
+
 
 def _entity_inputs(seed, s=60, k=3, c=4, levels=5, n_users=9, n_items=11):
     """Per-entity log tables, as the factorized kernels take them."""
@@ -174,6 +203,37 @@ class TestFactorizedPass:
             else:
                 assert got[j] == -np.inf
         assert np.isneginf(got).any() == (case == "dead")
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("case", ["random", "empty-levels", "dead"])
+    @pytest.mark.parametrize("k, c", [(3, 4), (20, 15)])
+    def test_matches_whole_family_gather(self, k, c, case, beta):
+        """The per-level gathers give the bits of gathering every triple's
+        rows at once, with and without a prebuilt layout and user table."""
+        log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(
+            14, s=700, k=k, c=c, n_users=40, n_items=50)
+        if case == "empty-levels":
+            ridx = np.where(ridx == 1, 3, ridx)   # levels 1 and 4 hold no triple
+            ridx = np.where(ridx == 4, 0, ridx)
+        if case == "dead":   # user 2, item 5 and level 0 carry no mass
+            log_wu[:, 2] = -np.inf
+            log_wv[:, 5] = -np.inf
+            log_rate[:, :, 0] = -np.inf
+        inputs = (log_wu, log_wv, log_rate, gu, items, ridx)
+        want = pair_pass_reference(*inputs, beta)
+        prebuilt = dict(layout=kernels.level_layout(ridx, log_rate.shape[2]),
+                        users=kernels.tempered(log_wu, beta))
+        for kwargs in ({}, prebuilt):
+            got = kernels.pair_pass(*inputs, beta, **kwargs)
+            assert len(got) == 6
+            for name, have, ref in zip(("cluster_u", "cluster_v", "by_user", "by_item",
+                                        "by_level", "log_normalizers"), got, want):
+                np.testing.assert_array_equal(have, ref, err_msg=name)
+        assert np.isneginf(want[5]).any() == (case == "dead")
+        if beta == 1.0:
+            for kwargs in ({}, prebuilt):
+                np.testing.assert_array_equal(kernels.pair_log_normalizers(*inputs, **kwargs),
+                                              want[5])
 
     def test_tempered_normalizer_is_tempered_logsumexp(self):
         log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(13, s=20)
