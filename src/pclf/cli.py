@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -155,6 +156,8 @@ def _parse_cell(text: str) -> tuple[int, int, int, int]:
 
 
 def cmd_predict(args) -> int:
+    if args.complete is not None and (args.cell or args.cells):
+        raise DataError("give --cell/--cells or --complete, not both")
     ckpt = load_checkpoint(args.checkpoint)
     cells = _collect_cells(args) if args.complete is None else None
     if cells is not None and not len(cells):
@@ -289,18 +292,17 @@ def _row_sink(write, domain: int, n_users: int):
 def cmd_evaluate(args) -> int:
     config = evaluate.load_config(args.config)
     if args.repeats is not None:
-        config.n_repeats = args.repeats
+        config = dataclasses.replace(config, n_repeats=args.repeats)
     report = evaluate.run_experiment(config, log=print if args.verbose else None,
                                      note=lambda line: print(line, file=sys.stderr))
+    files = {"results.csv": evaluate.raw_results_csv(report),
+             "table.txt": evaluate.report_table(report, fmt="plain"),
+             "table.csv": evaluate.report_table(report, fmt="csv")}
     os.makedirs(args.out, exist_ok=True)   # only once every config and data fault is past
-    with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as fh:
-        fh.write(evaluate.raw_results_csv(report))
-    table = evaluate.report_table(report, fmt="plain")
-    with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
-    with open(os.path.join(args.out, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write(evaluate.report_table(report, fmt="csv"))
-    print(table, end="")
+    for name, text in files.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    print(files["table.txt"], end="")
     return 0
 
 
@@ -328,6 +330,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.top < 0:
+        raise DataError(f"--top must be >= 0, got {args.top}")
     ckpt = load_checkpoint(args.checkpoint)
     print(f"format={ckpt.model_kind} seed={ckpt.seed}")
     if ckpt.model_kind == "nmf":
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'domain,user,item' or 'udomain,user,idomain,item' (repeatable)")
     p.add_argument("--cells", help="file with one cell per line")
     p.add_argument("--complete", type=int, default=None,
-                   help="stream every cell of this domain")
+                   help="stream every cell of this domain (not with --cell/--cells)")
     p.add_argument("--mix-specific", action="store_true",
                    help="blend the item domain's specific pattern into cross-domain cells")
     p.add_argument("--out", default=None, help="output CSV (stdout if omitted)")

@@ -301,6 +301,25 @@ def _responsibilities(dataset, families, blocks) -> Responsibilities:
     return Responsibilities(p0=slots[0], pz=slots[1:])
 
 
+def _init_stats(rng, fam: _Family, dims: ModelDims):
+    """``fam``'s ``kernels.pair_stats`` of responsibilities drawn from ``rng``
+    into one buffer; a family without triples is one empty chunk."""
+    k, c, s = dims.n_user_clusters, fam.n_clusters, len(fam.ridx)
+    step = INIT_BLOCK_ROWS if k > 1 and c > 1 else INIT_CHUNK_ROWS
+    buffer = np.empty((min(max(s, 1), step), k, c))
+    for lo in range(0, max(s, 1), INIT_CHUNK_ROWS):
+        hi = min(lo + INIT_CHUNK_ROWS, s)
+        chunk = kernels.ChunkStats(hi - lo, k, c, dims.n_levels)
+        for b in range(lo, max(hi, lo + 1), step):
+            block = buffer[:min(step, hi - b)]
+            rng.standard_gamma(0.5, out=block)  # the numbers gamma(0.5) draws
+            block /= block.sum(axis=(1, 2), keepdims=True)
+            chunk.add(block, fam.ridx[b:b + len(block)])
+        part = chunk.result(fam.gu[lo:hi], fam.items[lo:hi], dims.total_users, fam.n_items)
+        total = part if lo == 0 else [x + y for x, y in zip(total, part)]
+    return total
+
+
 def init_params(
     dims: ModelDims,
     dataset: CrossDomainDataset,
@@ -314,62 +333,20 @@ def init_params(
     responsibilities over many triples yields almost-symmetric parameters
     from which EM barely moves, while heavier-tailed draws give each
     triple a preferred cluster pair and break the symmetry immediately.
-    The triples are reduced ``INIT_CHUNK_ROWS`` at a time, and each chunk
-    is drawn and reduced in blocks of ``INIT_BLOCK_ROWS`` triples
+    The families are drawn one after another from one stream.  Each
+    reduces its triples ``INIT_CHUNK_ROWS`` at a time, and draws and
+    reduces each chunk in blocks of ``INIT_BLOCK_ROWS`` triples
     (``kernels.ChunkStats``), which consumes the same random stream and
     gives the same bits as one draw and one ``kernels.pair_stats`` per
     chunk.  A family with a length-1 cluster axis (K = 1 or C = 1) is
     drawn a whole chunk at a time, since numpy sums its reductions
     pairwise; such a draw holds at most ``INIT_CHUNK_ROWS`` * max(K, C)
-    values.  One helper thread draws the next block into one of two
-    buffers while this thread reduces the last; it is joined before this
-    returns.
+    values.
     """
-    # imported here so that the commands that do not train do not load it
-    from concurrent.futures import ThreadPoolExecutor
-
     _check_dims(dims, dataset)
     rng = np.random.default_rng(seed)
     families = _families(dims, dataset)
-    k = dims.n_user_clusters
-    # (family, chunk bounds, block rows) per draw in stream order; at least
-    # one (possibly empty) chunk per family, so an empty family still has
-    # statistics
-    draws = []
-    for i, fam in enumerate(families):
-        s = len(fam.ridx)
-        step = INIT_BLOCK_ROWS if k > 1 and fam.n_clusters > 1 else INIT_CHUNK_ROWS
-        for lo in range(0, max(s, 1), INIT_CHUNK_ROWS):
-            hi = min(lo + INIT_CHUNK_ROWS, s)
-            draws += [(i, lo, hi, slice(b, min(b + step, hi)))
-                      for b in range(lo, max(hi, lo + 1), step)]
-    width = max((rows.stop - rows.start) * k * families[i].n_clusters
-                for i, _, _, rows in draws)
-    buffers = (np.empty(width), np.empty(width))
-
-    def draw(j):
-        i, _, _, rows = draws[j]
-        n, c = rows.stop - rows.start, families[i].n_clusters
-        block = buffers[j % 2][:n * k * c].reshape(n, k, c)
-        rng.standard_gamma(0.5, out=block)  # gamma(0.5)'s stream, without holding the GIL
-        return block
-
-    stats = [None] * len(families)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
-        for j, (i, lo, hi, rows) in enumerate(draws):
-            block = pending.result()
-            if j + 1 < len(draws):  # the buffer it fills held draw j - 1, reduced by now
-                pending = helper.submit(draw, j + 1)
-            fam = families[i]
-            if rows.start == lo:
-                chunk = kernels.ChunkStats(hi - lo, k, fam.n_clusters, dims.n_levels)
-            block /= block.sum(axis=(1, 2), keepdims=True)
-            chunk.add(block, fam.ridx[rows])
-            if rows.stop == hi:
-                part = chunk.result(fam.gu[lo:hi], fam.items[lo:hi],
-                                    dims.total_users, fam.n_items)
-                stats[i] = part if stats[i] is None else [a + b for a, b in zip(stats[i], part)]
+    stats = [_init_stats(rng, fam, dims) for fam in families]
     return _params_from_stats(dims, families, stats, floor)
 
 

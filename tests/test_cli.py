@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -153,6 +155,23 @@ class TestTrain:
         ])
         assert rc == 0
         assert load_checkpoint(ckpt_path).model_kind == "nmf"
+
+    def test_train_starts_no_thread_pool(self, rating_files, tmp_path, capsys):
+        # init draws on the calling thread, so training loads no executor;
+        # a fresh interpreter, since pytest's own process may have loaded one
+        dataset, _ = _ingest(rating_files, tmp_path, capsys)
+        argv = ["train", "--dataset", dataset, "-K", "3", "-T", "2", "-L", "2",
+                "--betas", "1.0", "--max-iters", "2", "--out", str(tmp_path / "model.json")]
+        script = ("import sys; from pclf.cli import main\n"
+                  f"assert main({argv!r}) == 0\n"
+                  "print('concurrent.futures' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
 
 
 @pytest.fixture
@@ -318,6 +337,7 @@ class TestPredict:
     ["train", "-K", "100000000000000000000"],
     ["train", "--model", "nmf", "--rank", "100000000000000000000"],
     ["predict", "--complete", "nan"],
+    ["predict", "--complete", "0", "--cell", "0,1,2"],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
@@ -329,7 +349,7 @@ class TestPredict:
         "config-synthetic-seed-negative", "config-train-seed-negative", "config-floor-nan",
         "config-floor-inf", "config-tol-nan", "spec-missing-key",
         "spec-unreadable", "spec-not-utf8", "spec-not-json", "K-not-int", "floor-above-1",
-        "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int"])
+        "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int", "complete-with-cell"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"
@@ -598,6 +618,12 @@ class TestInspect:
         value = float(printed.split("[[")[1].split("]]")[0])
         assert 1.0 <= value <= 5.0
 
+    def test_negative_top_one_line_error(self, trained, capsys):
+        _, ckpt = trained
+        assert main(["inspect", "--checkpoint", ckpt, "--top", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --top must be >= 0, got -2\n" and captured.out == ""
+
 
 class TestSynthAndEvaluate:
     def test_synth_writes_dataset(self, tmp_path, capsys):
@@ -718,6 +744,17 @@ class TestSynthAndEvaluate:
         assert rc == 0
         results = open(f"{out}/results.csv").read().splitlines()
         assert len(results) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_flag_checked_before_out(self, tmp_path, capsys, repeats):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "results"
+        rc = main(["evaluate", "--config", str(config), "--out", str(out),
+                   "--repeats", repeats])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: n_repeats must be >= 1\n"
+        assert not out.exists()
 
 
 def _evaluate_small(tmp_path, models=KNOWN_MODELS):

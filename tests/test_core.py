@@ -193,9 +193,9 @@ class TestInitParams:
         assert_init_matches_reference(monkeypatch, dims, ds, 4)
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # more threads than CPUs, each call with its own helper thread, and a
-        # switch every microsecond: a buffer refilled before its chunk was
-        # reduced would change the result
+        # more threads than CPUs, each calling init_params with its own
+        # generator, and a switch every microsecond: any state shared between
+        # calls would change a result
         dims = ModelDims(
             n_domains=2, n_user_clusters=3, n_common_clusters=4,
             n_specific_clusters=(2, 3), n_levels=5, n_users=(10, 8), n_items=(7, 9),

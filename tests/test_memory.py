@@ -55,8 +55,9 @@ def test_init_params_holds_blocks_not_chunks():
     ds = CrossDomainDataset.from_indexed(n_levels=levels, triples=rows, n_users=list(users),
                                          n_items=list(items))
     n_triples = 2 * per_domain
-    # the two draw buffers, and one block's rows copied by the reductions
-    draws = 3 * em.INIT_BLOCK_ROWS * k * c
+    # the draw buffer, and one block's rows copied by the reductions; no
+    # buffer or chunk outlives its family's draws into the M step
+    draws = 2 * em.INIT_BLOCK_ROWS * k * c
     chunk = em.INIT_CHUNK_ROWS * (k + c) + levels * k * c       # ru, rv and by_level
     # each family's statistics, a chunk's part, their sum and the M step's copies
     stats = 4 * sum(k * sum(users) + c * n_items + k * c * levels
