@@ -28,6 +28,7 @@ from .data import (
     DataError,
     ScaleSpec,
     _write_rows,
+    atomic_write,
     build_dataset,
     load_dataset,
     parse_ratings,
@@ -158,6 +159,8 @@ def _parse_cell(text: str) -> tuple[int, int, int, int]:
 def cmd_predict(args) -> int:
     if args.complete is not None and (args.cell or args.cells):
         raise DataError("give --cell/--cells or --complete, not both")
+    if args.complete is not None and args.mix_specific:
+        raise DataError("--mix-specific blends cross-domain cells; --complete has none")
     ckpt = load_checkpoint(args.checkpoint)
     cells = _collect_cells(args) if args.complete is None else None
     if cells is not None and not len(cells):
@@ -168,6 +171,9 @@ def cmd_predict(args) -> int:
             raise DataError("nmf checkpoints hold a single domain (use --complete 0)")
         if cells is not None and cells[:, [0, 2]].any():
             raise DataError("nmf checkpoints predict only domain-0 cells")
+        if args.w1 is not None or args.mix_specific:
+            raise DataError("--w1 and --mix-specific weigh cluster patterns, "
+                            "which nmf checkpoints do not have")
         head = "# model_kind=nmf\ndomain,user_idx,item_idx,predicted_rating\n"
         with _output(args.out, head) as write:
             if cells is None:
@@ -252,22 +258,22 @@ def _parse_cells_file(path: str) -> np.ndarray:
 
 @contextlib.contextmanager
 def _output(path, head: str):
-    """Yield ``write(text)`` for ``path`` (stdout if None).  The target is
-    opened and ``head`` written at the first call, so a check that fails
-    before any output leaves the target as it was."""
-    opened = []
+    """Yield ``write(text)`` for ``path``, through ``atomic_write``, or for
+    stdout if None.  The target is opened and ``head`` written at the first
+    call, so a check that fails before any output leaves the target as it
+    was, a symlink's file or a FIFO too, and prints nothing."""
+    with contextlib.ExitStack() as stack:
+        fh = None
 
-    def write(text: str) -> None:
-        if not opened:
-            opened.append(sys.stdout if path is None else open(path, "w", encoding="utf-8"))
-            opened[0].write(head)
-        opened[0].write(text)
+        def write(text: str) -> None:
+            nonlocal fh
+            if fh is None:
+                fh = stack.enter_context(
+                    contextlib.nullcontext(sys.stdout) if path is None else atomic_write(path))
+                fh.write(head)
+            fh.write(text)
 
-    try:
         yield write
-    finally:
-        if opened and path is not None:
-            opened[0].close()
 
 
 def _row_sink(write, domain: int, n_users: int):
@@ -300,7 +306,7 @@ def cmd_evaluate(args) -> int:
              "table.csv": evaluate.report_table(report, fmt="csv")}
     os.makedirs(args.out, exist_ok=True)   # only once every config and data fault is past
     for name, text in files.items():
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(args.out, name)) as fh:
             fh.write(text)
     print(files["table.txt"], end="")
     return 0
@@ -323,7 +329,7 @@ def cmd_synth(args) -> int:
     if args.params_out:
         save_checkpoint(args.params_out, Checkpoint(
             model_kind="pclf", seed=spec.seed, trace=[], params=true_params,
-            default_w1=list(spec.w1),
+            default_w1=evaluate.checkpoint_w1(true_params.dims, spec.w1),
         ))
     _print_summary(dataset)
     return 0

@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -46,10 +47,15 @@ class ScaleSpec:
     target_levels: int = 5
 
     def __post_init__(self):
-        if not self.min < self.max:
-            raise DataError(f"scale requires min < max, got [{self.min}, {self.max}]")
-        if self.target_levels < 2:
-            raise DataError(f"target_levels must be >= 2, got {self.target_levels}")
+        # exact for an int past the largest float, and false for NaN
+        finite = all(abs(x) <= sys.float_info.max
+                     for x in (self.min, self.max, self.max - self.min))
+        if not (finite and self.min < self.max):
+            raise DataError("scale needs min < max, both and their span finite, "
+                            f"got [{self.min}, {self.max}]")
+        if not 2 <= self.target_levels <= np.iinfo(np.int64).max:
+            raise DataError(
+                f"target_levels must lie in [2, 2**63 - 1], got {self.target_levels}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,12 @@ def parse_ratings(
     """Read one rating per line from a delimited text file.
 
     ``column_map`` gives the (user, item, rating) column positions.  Rows
-    are validated against ``scale`` bounds; any malformed row is reported
-    with its 1-based line number.  Blank lines are skipped.
+    are validated against ``scale`` bounds; any malformed row, or a rating
+    that is not a finite number, is reported with its 1-based line number.
+    Blank lines are skipped.
     """
+    if not delimiter:
+        raise DataError("the delimiter must not be empty")
     ucol, icol, rcol = column_map
     needed = max(column_map) + 1
     out = []
@@ -123,6 +132,8 @@ def parse_ratings(
                 raise DataError(
                     f"{path}:{lineno}: rating {fields[rcol]!r} is not a number"
                 ) from exc
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: rating {fields[rcol]!r} is not finite")
             if value < scale.min or value > scale.max:
                 raise DataError(
                     f"{path}:{lineno}: rating {value} outside scale "
@@ -149,6 +160,8 @@ def select_subset(
     """
     if min_user_ratings < 0 or min_item_ratings < 0:
         raise DataError("rating-count thresholds must be >= 0")
+    if n_users < 0 or n_items < 0:
+        raise DataError(f"subset counts must be >= 0, got {n_users} users and {n_items} items")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     user_counts: dict[str, int] = {}
@@ -445,7 +458,15 @@ RATINGS_HEADER = ["domain", "user_idx", "item_idx", "rating"]
 @contextlib.contextmanager
 def atomic_write(path: str):
     """Open a sibling temp file for writing and rename it over ``path`` when
-    the block ends; a failed write removes it and leaves ``path`` as it was."""
+    the block ends; a failed write removes it and leaves ``path`` as it was.
+
+    A ``path`` that is a symlink, or exists and is not a regular file (a
+    FIFO, a device), is written in place, so the link or special file
+    stays; a failed write there can leave part of the output."""
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:

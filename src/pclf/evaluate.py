@@ -115,15 +115,7 @@ def _params_from_memberships(dims, mem_u, mem_vcom, mem_vspe, rate_com, rate_spe
 
     prior_u, cond_u = invert(mem_u)
     prior_vcom, cond_vcom = invert(mem_vcom)
-    prior_vspe, cond_vspe = [], []
-    for z in range(dims.n_domains):
-        if dims.n_specific_clusters[z] == 0:
-            prior_vspe.append(np.zeros(0))
-            cond_vspe.append(np.zeros((0, dims.n_items[z])))
-        else:
-            p, c = invert(mem_vspe[z])
-            prior_vspe.append(p)
-            cond_vspe.append(c)
+    prior_vspe, cond_vspe = map(list, zip(*map(invert, mem_vspe)))
     return PclfParams(
         dims=dims,
         prior_u=prior_u,
@@ -148,14 +140,9 @@ def _planted_params(spec: SyntheticSpec, rng: np.random.Generator) -> PclfParams
         mem_vcom = rng.dirichlet(
             np.full(dims.n_common_clusters, alpha), size=dims.total_items
         )
-        mem_vspe = []
-        for z in range(dims.n_domains):
-            l_z = dims.n_specific_clusters[z]
-            mem_vspe.append(
-                rng.dirichlet(np.full(l_z, alpha), size=dims.n_items[z])
-                if l_z
-                else np.zeros((dims.n_items[z], 0))
-            )
+        mem_vspe = [rng.dirichlet(np.full(l_z, alpha), size=n_z)
+                    for l_z, n_z in zip(dims.n_specific_clusters, dims.n_items)]
+
         def contaminate(table):
             eta = spec.table_noise
             return (1.0 - eta) * table + eta / dims.n_levels
@@ -472,10 +459,9 @@ def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
     Every kind but nmf is the cluster-level model: pclf with
     ``n_specific_clusters`` (an int, or one per domain); rmgm-like with
     none in any domain; fmm the same on a single-domain dataset.  The
-    checkpoint's ``default_w1`` takes domain z's weight from ``w1`` (one per
-    domain, each in [0, 1]), except that a domain without specific clusters
-    gets w1 = 1.  nmf factorizes the one domain's rating matrix with
-    ``nmf_rank`` and ``nmf_iters``, seeded with ``config.seed``.
+    checkpoint's ``default_w1`` is ``checkpoint_w1`` of ``w1`` (one per
+    domain, each in [0, 1]).  nmf factorizes the one domain's rating
+    matrix with ``nmf_rank`` and ``nmf_iters``, seeded with ``config.seed``.
 
     BLAS runs on one thread during the fit, so that every product gives
     the same bits whatever the CPU count; the previous count is restored.
@@ -508,9 +494,15 @@ def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
     finally:
         if threads is not None:
             threads[0](before)
-    default_w1 = [w1[z] if l_z else 1.0 for z, l_z in enumerate(params.dims.n_specific_clusters)]
     return Checkpoint(model_kind=kind, seed=config.seed, trace=trace, params=params,
-                      default_w1=default_w1)
+                      default_w1=checkpoint_w1(params.dims, w1))
+
+
+def checkpoint_w1(dims: ModelDims, w1) -> list[float]:
+    """The ``default_w1`` a checkpoint of ``dims`` stores: domain z's
+    ``w1[z]``, except that a domain without specific clusters gets w1 = 1,
+    the only weight it can predict with."""
+    return [w1[z] if l_z else 1.0 for z, l_z in enumerate(dims.n_specific_clusters)]
 
 
 def _model_maes(

@@ -29,18 +29,12 @@ class ClusterRatingMatrices:
 
 @dataclass
 class MembershipVectors:
-    """Posterior cluster memberships per entity, rows summing to 1.
-
-    Entities whose joint mass is zero get a uniform row and are flagged in
-    the corresponding boolean mask.
-    """
+    """Posterior cluster memberships per entity, rows summing to 1; an
+    entity whose joint mass is zero gets a uniform row."""
 
     p_u: np.ndarray                 # (total users, K)
     p_vcom: np.ndarray              # (total items, T)
     p_vspe: list[np.ndarray]        # per domain (N_z, L_z)
-    uniform_u: np.ndarray
-    uniform_vcom: np.ndarray
-    uniform_vspe: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -76,33 +70,19 @@ def cluster_rating_matrices(params: PclfParams) -> ClusterRatingMatrices:
     )
 
 
-def _bayes_memberships(prior: np.ndarray, cond: np.ndarray):
+def _bayes_memberships(prior: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Invert P(entity | cluster) into per-entity cluster posteriors."""
-    joint = (cond * prior[:, None]).T  # (entities, clusters)
-    mass = joint.sum(axis=1)
-    flagged = mass == 0.0
-    return _normalize(joint, axis=1), flagged
+    return _normalize((cond * prior[:, None]).T, axis=1)  # (entities, clusters)
 
 
 def memberships(params: PclfParams) -> MembershipVectors:
-    p_u, flag_u = _bayes_memberships(params.prior_u, params.cond_u)
-    p_vcom, flag_vcom = _bayes_memberships(params.prior_vcom, params.cond_vcom)
-    p_vspe, flag_vspe = [], []
-    for z in range(params.dims.n_domains):
-        if params.dims.n_specific_clusters[z] == 0:
-            p_vspe.append(np.zeros((params.dims.n_items[z], 0)))
-            flag_vspe.append(np.zeros(params.dims.n_items[z], dtype=bool))
-            continue
-        vec, flag = _bayes_memberships(params.prior_vspe[z], params.cond_vspe[z])
-        p_vspe.append(vec)
-        flag_vspe.append(flag)
+    """Every entity's posterior memberships.  A domain without specific
+    clusters gets an (N_z, 0) table."""
     return MembershipVectors(
-        p_u=p_u,
-        p_vcom=p_vcom,
-        p_vspe=p_vspe,
-        uniform_u=flag_u,
-        uniform_vcom=flag_vcom,
-        uniform_vspe=flag_vspe,
+        p_u=_bayes_memberships(params.prior_u, params.cond_u),
+        p_vcom=_bayes_memberships(params.prior_vcom, params.cond_vcom),
+        p_vspe=[_bayes_memberships(prior, cond)
+                for prior, cond in zip(params.prior_vspe, params.cond_vspe)],
     )
 
 

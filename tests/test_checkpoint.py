@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -88,6 +89,44 @@ class TestRoundTrip:
                                                   params=_params()))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_fifo_target_kept_and_fed(self, tmp_path):
+        """A FIFO target is written in place: it stays a FIFO and its
+        reader gets the checkpoint's bytes."""
+        ckpt = Checkpoint(model_kind="pclf", seed=1, trace=[], params=_params())
+        plain = tmp_path / "plain.json"
+        save_checkpoint(str(plain), ckpt)
+        want = plain.read_bytes()
+        assert len(want) < 1 << 16    # fits a pipe's buffer, so the write never blocks
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        # a non-blocking read end, so that a writer that replaces the FIFO
+        # fails this test rather than hangs it
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            save_checkpoint(str(fifo), ckpt)
+            got = b""
+            while chunk := os.read(reader, 1 << 16):
+                got += chunk
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.fifo", "plain.json"]
+
+    def test_symlink_target_kept(self, tmp_path):
+        """A symlink target keeps the link and writes the file it names."""
+        ckpt = Checkpoint(model_kind="pclf", seed=1, trace=[], params=_params())
+        plain = tmp_path / "plain.json"
+        save_checkpoint(str(plain), ckpt)
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("previous\n")
+        link.symlink_to(real)
+        save_checkpoint(str(link), ckpt)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "plain.json",
+                                                               "real.json"]
 
     def test_byte_identical_writes(self, tmp_path):
         params = _params()

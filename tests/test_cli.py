@@ -18,6 +18,7 @@ from pclf import (
     TrainConfig,
     baselines,
     cli,
+    data,
     evaluate,
     load_checkpoint,
     load_dataset,
@@ -36,6 +37,8 @@ SMALL_CONFIG = {
     "models": list(KNOWN_MODELS), "nmf_rank": 2, "nmf_iters": 5,
     "train": {"beta_schedule": [1.0], "max_iters_per_beta": 3}, "n_repeats": 2,
 }
+# SMALL_CONFIG's overrides for one domain read from a raw rating file
+RAW_DOMAIN = {"synthetic": None, "dims": {"K": 2, "T": 2, "L": 1}, "models": ["pclf", "nmf"]}
 
 
 @pytest.fixture
@@ -338,6 +341,23 @@ class TestPredict:
     ["train", "--model", "nmf", "--rank", "100000000000000000000"],
     ["predict", "--complete", "nan"],
     ["predict", "--complete", "0", "--cell", "0,1,2"],
+    ["predict", "--complete", "0", "--mix-specific"],
+    # raw rating files: RAW is a well-formed one, RAW_NAN holds a nan rating
+    ["ingest", "RAW_NAN"],
+    ["ingest", "RAW", "--scale", "1:inf"],
+    ["ingest", "RAW", "--delimiter", ""],
+    ["ingest", "RAW", "--select-users", "-3"],
+    ["ingest", "RAW", "--levels", "100000000000000000000"],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW_NAN",
+                                             "scale": {"min": 1, "max": 5}}]}],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW",
+                                             "scale": {"min": 1, "max": float("inf")}}]}],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW",
+                                             "scale": {"min": 1, "max": 10**400}}]}],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "delimiter": "",
+                                             "scale": {"min": 1, "max": 5}}]}],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "scale": {"min": 1, "max": 5}}],
+                  "subset": {"n_users": -3, "n_items": 2}}],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
@@ -349,19 +369,31 @@ class TestPredict:
         "config-synthetic-seed-negative", "config-train-seed-negative", "config-floor-nan",
         "config-floor-inf", "config-tol-nan", "spec-missing-key",
         "spec-unreadable", "spec-not-utf8", "spec-not-json", "K-not-int", "floor-above-1",
-        "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int", "complete-with-cell"])
+        "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int", "complete-with-cell",
+        "complete-with-mix-specific", "ingest-rating-nan", "ingest-scale-inf",
+        "ingest-delimiter-empty", "ingest-select-users-negative", "ingest-levels-past-int64",
+        "config-rating-nan", "config-scale-inf", "config-scale-past-float",
+        "config-delimiter-empty", "config-subset-negative"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"
+    raws = {"RAW": tmp_path / "raw.tsv", "RAW_NAN": tmp_path / "raw-nan.tsv"}
+    raws["RAW"].write_text("".join(f"u{u}\tm{v}\t{1 + (u + v) % 5}\n"
+                                   for u in range(12) for v in range(6)))
+    raws["RAW_NAN"].write_text(raws["RAW"].read_text() + "u3\tm9\tnan\n")
+    if argv[0] in ("synth", "ingest"):
+        (tmp_path / "data").mkdir()
+        out = tmp_path / "data" / "ratings.csv"
     if argv[0] == "synth":   # the spec's text, bytes, or None for a missing file
         spec = tmp_path / "spec.json"
         if isinstance(argv[1], bytes):
             spec.write_bytes(argv[1])
         elif argv[1] is not None:
             spec.write_text(json.dumps(argv[1]))
-        (tmp_path / "data").mkdir()
-        out = tmp_path / "data" / "ratings.csv"
         argv = ["synth", "--spec", str(spec), "--out", str(out.parent)]
+    elif argv[0] == "ingest":
+        flags = argv[2:] if "--scale" in argv else argv[2:] + ["--scale", "1:5"]
+        argv = ["ingest", "--input", str(raws[argv[1]]), *flags, "--out", str(out.parent)]
     elif argv[0] == "predict":
         argv = argv + ["--checkpoint", ckpt, "--out", str(out)]
     elif argv[0] == "train":
@@ -372,8 +404,11 @@ def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
             capsys.readouterr()
         argv = argv + ["--dataset", dataset, "--out", str(out)]
     else:
+        fields = {**SMALL_CONFIG, **argv[1]}
+        if "domains" in fields:
+            fields["domains"] = [{**d, "path": str(raws[d["path"]])} for d in fields["domains"]]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({**SMALL_CONFIG, **argv[1]}))
+        config.write_text(json.dumps(fields))
         (tmp_path / "results").mkdir()
         out = tmp_path / "results" / "results.csv"
         argv = ["evaluate", "--config", str(config), "--out", str(out.parent)]
@@ -524,6 +559,89 @@ def test_failed_weight_check_leaves_output_untouched(rating_files, tmp_path, cap
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "w1 = 1" in err[0]
         assert out.read_text() == "previous\n"
+        # without --out, nothing reaches stdout, not even the header
+        assert main(argv[:-2]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        # a symlink target is written in place, so its file must not be opened
+        link = tmp_path / "link.csv"
+        link.symlink_to(out)
+        assert main(argv[:-1] + [str(link)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.read_text() == "previous\n"
+        link.unlink()
+
+
+@pytest.mark.parametrize("target", ["complete", "cells"])
+def test_failed_predict_write_keeps_previous_file(trained, tmp_path, capsys, monkeypatch,
+                                                  target):
+    """A write that fails on a later block leaves ``--out`` as it was and
+    no temp file beside it."""
+    _, ckpt = trained
+    if target == "complete":
+        source = ["--complete", "0"]
+    else:
+        cells = tmp_path / "cells.txt"
+        cells.write_text("".join(f"0,{u},{v}\n" for u in range(4) for v in range(5)))
+        source = ["--cells", str(cells)]
+    (tmp_path / "preds").mkdir()
+    out = tmp_path / "preds" / "p.csv"
+    out.write_text("previous\n")
+    csv_rows, calls = data._csv_rows, []
+
+    def broken_csv_rows(*columns, **kwargs):   # the third block fails
+        calls.append(len(columns[0]))
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return csv_rows(*columns, **kwargs)
+
+    monkeypatch.setattr(data, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(data, "_csv_rows", broken_csv_rows)
+    assert main(["predict", "--checkpoint", ckpt, *source, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in (tmp_path / "preds").iterdir()] == ["p.csv"]
+
+
+class _HalfWriter:
+    """A file opened for writing whose first write puts out half its text
+    and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+
+def test_failed_evaluate_write_keeps_previous_files(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "models": ["pclf"], "n_repeats": 1}))
+    out = tmp_path / "results"
+    out.mkdir()
+    names = ["results.csv", "table.csv", "table.txt"]
+    for name in names:
+        (out / name).write_text("previous\n")
+
+    def half_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "w" in mode else fh
+
+    # every module that may open an output file sees the failing writer
+    for module in (cli, data):
+        monkeypatch.setattr(module, "open", half_open, raising=False)
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: disk full\n" and captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert all((out / name).read_text() == "previous\n" for name in names)
 
 
 @pytest.fixture
@@ -565,6 +683,18 @@ class TestPredictNmf:
         for row in rows:
             want = nmf_predict(ckpt.factors, int(row[1]), int(row[2]), ckpt.n_levels)
             assert float(row[3]) == pytest.approx(want, abs=5e-7)
+
+    @pytest.mark.parametrize("flag", [["--w1", "0.5"], ["--mix-specific"]])
+    @pytest.mark.parametrize("source", [["--complete", "0"], ["--cell", "0,1,1"]])
+    def test_cluster_weight_flags_refused(self, nmf_trained, tmp_path, capsys, flag, source):
+        out = tmp_path / "p.csv"
+        out.write_text("previous\n")
+        assert main(["predict", "--checkpoint", nmf_trained, *source, *flag,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+        assert out.read_text() == "previous\n"
 
     def test_domain_one_cell_rejected(self, nmf_trained, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -638,6 +768,21 @@ class TestSynthAndEvaluate:
         ds = load_dataset(out)
         assert ds.n_domains == 2
         assert load_checkpoint(str(tmp_path / "true.json")).model_kind == "pclf"
+
+    def test_synth_params_out_predicts_without_specific_clusters(self, tmp_path, capsys):
+        """The generating checkpoint stores the weights ``fit`` would, so a
+        domain without specific clusters predicts with its own default."""
+        ckpt = str(tmp_path / "true.json")
+        assert main(["synth", "--domains", "2", "-K", "2", "-T", "2", "-L", "2,0",
+                     "--users", "10", "--items", "8", "--density", "0.5", "--w1", "0.6",
+                     "--out", str(tmp_path / "synth"), "--params-out", ckpt]) == 0
+        stored = load_checkpoint(ckpt)
+        assert stored.default_w1 == evaluate.checkpoint_w1(stored.params.dims, [0.6, 0.6])
+        assert stored.default_w1 == [0.6, 1.0]
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", ckpt, "--complete", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# model_kind=pclf w1=0.6,1" and len(lines) == 2 + 10 * 8
 
     def test_synth_flags_match_spec(self, tmp_path, capsys):
         flags = ["--domains", "2", "-K", "3", "-T", "2", "-L", "2,1", "--levels", "4",
