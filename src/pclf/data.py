@@ -460,6 +460,9 @@ def atomic_write(path: str):
     """Open a sibling temp file for writing and rename it over ``path`` when
     the block ends; a failed write removes it and leaves ``path`` as it was.
 
+    The temp file is a hidden sibling with a random fixed-length name,
+    created exclusively, so it is unique across processes and threads and
+    fits wherever ``path`` fits; it gets the mode a plain ``open`` would.
     A ``path`` that is a symlink, or exists and is not a regular file (a
     FIFO, a device), is written in place, so the link or special file
     stays; a failed write there can leave part of the output."""
@@ -467,9 +470,10 @@ def atomic_write(path: str):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

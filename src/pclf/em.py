@@ -11,7 +11,6 @@ raised toward 1 to dodge poor local maxima.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,13 +243,12 @@ class _Family:
     Slot 0 is the common family over the pooled triples, with global item
     indices; slot z + 1 is domain z's specific family over that domain's
     triples, with domain-local item indices.  ``gu`` is the global user
-    index and ``ridx`` the rating level minus one, out of ``n_levels``.
+    index and ``ridx`` the rating level minus one.
     """
 
     slot: int
     n_clusters: int
     n_items: int
-    n_levels: int
     gu: np.ndarray
     items: np.ndarray
     ridx: np.ndarray
@@ -272,21 +270,15 @@ class _Family:
             log_rate, self.ridx,
         )
 
-    @functools.cached_property
-    def layout(self):
-        """``kernels.level_layout`` of ``ridx``, built on first use and then kept."""
-        return kernels.level_layout(self.ridx, self.n_levels)
-
 
 def _families(dims: ModelDims, dataset: CrossDomainDataset) -> list[_Family]:
     """The pooled common family, then one specific family per domain with L_z > 0."""
     gu, gv, r = dataset.pooled()
-    levels = dims.n_levels
-    families = [_Family(0, dims.n_common_clusters, dims.total_items, levels, gu, gv, r - 1)]
+    families = [_Family(0, dims.n_common_clusters, dims.total_items, gu, gv, r - 1)]
     for z, l_z in enumerate(dims.n_specific_clusters):
         if l_z > 0:
             families.append(_Family(
-                z + 1, l_z, dims.n_items[z], levels, dataset.users[z] + dims.user_offset(z),
+                z + 1, l_z, dims.n_items[z], dataset.users[z] + dims.user_offset(z),
                 dataset.items[z], dataset.ratings[z] - 1,
             ))
     return families
@@ -438,17 +430,16 @@ def _params_from_stats(dims: ModelDims, families, stats, floor: float) -> PclfPa
 
 
 def _pass(params: PclfParams, families, beta=None):
-    """One factorized pass over ``families`` on one shared user table,
-    yielding each family's ``kernels.pair_pass`` at ``beta`` or, with
-    ``beta`` None, its ``kernels.pair_log_normalizers``."""
+    """One factorized pass over ``families``, yielding each family's
+    ``kernels.pair_pass`` at ``beta`` or, with ``beta`` None, its
+    ``kernels.pair_log_normalizers``."""
     log_wu = _log_weights(params.prior_u, params.cond_u)
-    users = kernels.tempered(log_wu, 1.0 if beta is None else beta)
     for fam in families:
         args = (log_wu, *fam.item_tables(params), fam.gu, fam.items, fam.ridx)
         if beta is None:
-            yield kernels.pair_log_normalizers(*args, layout=fam.layout, users=users)
+            yield kernels.pair_log_normalizers(*args)
         else:
-            yield kernels.pair_pass(*args, beta, layout=fam.layout, users=users)
+            yield kernels.pair_pass(*args, beta)
 
 
 def _total(normalizers) -> float:
@@ -484,10 +475,9 @@ def train(
     EM.  Returns the final parameters and a per-iteration (beta,
     iteration, log-likelihood) trace.
 
-    Each iteration is ``m_step(e_step(...))`` computed by the factorized
-    ``kernels.pair_pass``, without the responsibility tensors.  Each
-    family's level layout is built once per fit, and each pass builds one
-    user table for all families.  At beta = 1 the normalizers of the next
+    Each iteration is ``m_step(e_step(...))`` computed by the entity-level
+    ``kernels.pair_pass``, without the responsibility tensors or any
+    per-triple (S, K) array.  At beta = 1 the normalizers of the next
     iteration's pass are the log-likelihood terms of the current
     parameters, so when another iteration can follow, that pass replaces
     the normalizers-only one and its statistics carry into the next

@@ -304,6 +304,8 @@ class ExperimentConfig:
                 raise DataError(f"n_train_users must be in [0, {m}), got {self.n_train_users}")
         elif self.n_train_users < 0:
             raise DataError(f"n_train_users must be >= 0, got {self.n_train_users}")
+        if "rmgm-like" in self.models and n_domains < 2:
+            raise DataError(f"model rmgm-like needs at least 2 domains, the config has {n_domains}")
 
 
 # the JSON type of every key a config section may hold, as ``data._is`` spells it

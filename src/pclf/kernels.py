@@ -6,22 +6,16 @@ domain-specific item-cluster count.
 
 Training runs on the factorized pass.  The posterior of one triple is
 bilinear, resp[k, c] = U[k] A_r[k, c] V[c] / Z with Z = U A_r V^T, so
-grouping the triples by rating level r gives every EM statistic from
-per-level products of (S_r, K) and (S_r, C) blocks with the (K, C) table
-A_r; no (S, K, C) tensor is ever built.  ``pair_pass`` returns the M-step
-statistics and the per-triple log normalizers, ``pair_log_normalizers``
-only the latter (the log-likelihood terms).
-
-A fit does each piece of this work once.  A family's level order and
-bounds (``level_layout``) depend only on its levels, so ``em.train``
-builds them once per fit and passes them in as ``layout``.  The tempered
-user table (``tempered``) is the same for every family of one pass, so
-it is built once per pass and passed in as ``users``.  At beta = 1 the
-normalizers of ``pair_pass`` are those of ``pair_log_normalizers``, so
-``em.train`` takes the log-likelihood after an M step from the next
-iteration's pass.  Without ``layout`` or ``users`` a kernel builds them
-itself.  A pass gathers each level's user and item rows inside its level
-loop, so it holds no (S, K) or (S, C) gather for the whole family.
+every EM statistic follows from per-entity sums; no (S, K, C) tensor and
+no per-triple (S, K) array is ever built.  Each level's table
+P_r = u_tab @ A_r is built once per user, an (R * U, C) table over
+(level, user) keys; a triple gathers its row by key ``ridx * U + gu``
+and Z is that row's dot product with the triple's item row.  The triples
+need no order.  ``pair_pass`` returns the M-step statistics and the
+per-triple log normalizers, ``pair_log_normalizers`` only the latter
+(the log-likelihood terms).  Both run one front half, so at beta = 1
+their normalizers agree bit for bit, and ``em.train`` takes the
+log-likelihood after an M step from the next iteration's pass.
 
 The log-space kernels ``pair_responsibilities``, ``pair_log_likelihood``
 and ``pair_stats`` materialize the (S, K, C) posterior tensor.  They are
@@ -159,16 +153,6 @@ class ChunkStats:
         )
 
 
-def level_layout(ridx, n_levels):
-    """The triples' stable order by level, and each level's bounds in it.
-
-    Level r's triples are ``order[bounds[r]:bounds[r + 1]]``, in their
-    original order.
-    """
-    order = np.argsort(ridx, kind="stable")
-    return order, np.searchsorted(ridx[order], np.arange(n_levels + 1))
-
-
 def tempered(log_w, beta):
     """exp(beta * log_w) per entity (column), scaled so its largest entry is 1.
 
@@ -181,64 +165,42 @@ def tempered(log_w, beta):
     return np.exp(scaled - top).T.copy(), top
 
 
-class _Factors:
-    """The tempered factors of one pair family, triples grouped by rating level.
+def _front(log_wu, log_wv, log_rate, gu, items, ridx, beta):
+    """The front half that both kernels share, so that their normalizers
+    agree bit for bit.
 
-    ``u_tab`` (U, K) and ``v_tab`` (V, C) are the per-entity user and item
-    weights, ``a[r]`` the (K, C) tempered rating table, ``u_top``/``v_top``
-    the per-entity log scales factored out of the tables, and ``gu`` and
-    ``items`` the triples' entities in level order (``order``).
-    ``levels()`` yields (r, slice of the level's triples, their (S_r, K)
-    user rows, their (S_r, C) item rows); the rows are gathered one level
-    at a time, so that no (S, K) or (S, C) gather is held for the pass.
-    ``layout`` and ``users``, when given, are ``level_layout(ridx, R)``
-    and ``tempered(log_wu, beta)``, built once by the caller.
+    Returns the tempered tables (u_tab (U, K), v_tab (V, C), a (R, K, C)),
+    the triples' rows (key, pk (S, C), v (S, C), z) and the per-triple log
+    normalizers.  ``u_tab @ a[r]`` is each user's (C,) row at level r; the
+    levels stacked give an (R * U, C) table, whose row ``key = ridx * U +
+    gu`` is a triple's ``pk``, so that z = rowdot(pk, v) = u A_r v.  The log
+    normalizers add back the per-entity scales that ``tempered`` took out.
     """
-
-    def __init__(self, log_wu, log_wv, log_rate, gu, items, ridx, beta, layout, users):
-        self.a = np.ascontiguousarray(np.exp(beta * np.moveaxis(log_rate, 2, 0)))
-        self.order, self.bounds = layout or level_layout(ridx, len(self.a))
-        self.gu = gu[self.order]
-        self.items = items[self.order]
-        self.u_tab, self.u_top = users or tempered(log_wu, beta)
-        self.v_tab, self.v_top = tempered(log_wv, beta)
-
-    def levels(self):
-        for r in range(len(self.a)):
-            sl = slice(self.bounds[r], self.bounds[r + 1])
-            if sl.stop > sl.start:
-                # take is 2-4x faster than fancy indexing here
-                yield (r, sl, self.u_tab.take(self.gu[sl], axis=0),
-                       self.v_tab.take(self.items[sl], axis=0))
-
-    def log_normalizers(self, z):
-        """log Z plus the factored-out scale, back in the callers' triple order.
-
-        The per-triple scale is gathered here, so that the pass does not hold it.
-        """
-        out = np.empty_like(z)
-        with np.errstate(divide="ignore"):
-            out[self.order] = np.log(z) + (self.u_top[self.gu] + self.v_top[self.items])
-        return out
+    u_tab, u_top = tempered(log_wu, beta)
+    v_tab, v_top = tempered(log_wv, beta)
+    a = np.exp(beta * np.moveaxis(log_rate, 2, 0))
+    key = ridx * len(u_tab) + gu
+    # take is 2-4x faster than fancy indexing here
+    pk = (u_tab @ a).reshape(-1, a.shape[2]).take(key, axis=0)
+    v = v_tab.take(items, axis=0)
+    z = np.einsum("sc,sc->s", pk, v)
+    with np.errstate(divide="ignore"):
+        log_z = np.log(z) + (u_top[gu] + v_top[items])
+    return (u_tab, v_tab, a), (key, pk, v, z), log_z
 
 
-def pair_log_normalizers(log_wu, log_wv, log_rate, gu, items, ridx, *, layout=None, users=None):
+def pair_log_normalizers(log_wu, log_wv, log_rate, gu, items, ridx):
     """Per-triple log marginal mass log sum_kc wu[k] rate[k, c, r] wv[c].
 
     ``log_wu`` (K, U) and ``log_wv`` (C, V) are per-entity log weights,
     indexed per triple by ``gu``/``items``; ``ridx`` is the level index.
-    A triple with no mass gets -inf.  ``layout`` is
-    ``level_layout(ridx, R)`` and ``users`` is ``tempered(log_wu, 1.0)``;
-    either is built here when not given.
+    A triple with no mass gets -inf.  These are, bit for bit, the
+    normalizers that ``pair_pass`` returns at beta = 1.
     """
-    f = _Factors(log_wu, log_wv, log_rate, gu, items, ridx, 1.0, layout, users)
-    z = np.empty(len(ridx))
-    for r, sl, u, v in f.levels():
-        z[sl] = np.einsum("sc,sc->s", u @ f.a[r], v)
-    return f.log_normalizers(z)
+    return _front(log_wu, log_wv, log_rate, gu, items, ridx, 1.0)[2]
 
 
-def pair_pass(log_wu, log_wv, log_rate, gu, items, ridx, beta=1.0, *, layout=None, users=None):
+def pair_pass(log_wu, log_wv, log_rate, gu, items, ridx, beta=1.0):
     """Factorized E step plus M-step statistics of one pair family.
 
     Takes the per-entity inputs of ``pair_log_normalizers`` and returns
@@ -246,38 +208,34 @@ def pair_pass(log_wu, log_wv, log_rate, gu, items, ridx, beta=1.0, *, layout=Non
     mass (K,), cluster mass (C,), per-user mass (K, U), per-item mass
     (C, V), per-level mass (K, C, R)) -- followed by the per-triple log
     normalizers of the tempered posterior.  A triple with no mass counts
-    as the uniform matrix, as in ``pair_responsibilities``.  ``layout``
-    and ``users`` are as in ``pair_log_normalizers``, with ``users``
-    tempered at ``beta``.
+    as the uniform matrix, as in ``pair_responsibilities``.
+
+    The statistics come from per-entity sums over the triples: W sums
+    v / Z per (level, user) key and X sums pk / Z per item.  Then
+    by_level[r] = A_r * (u_tab^T W_r), by_user = u_tab^T * sum_r A_r W_r^T
+    and by_item = v_tab^T * X.
     """
-    f = _Factors(log_wu, log_wv, log_rate, gu, items, ridx, beta, layout, users)
-    n_uc, n_ic = f.a.shape[1], f.a.shape[2]
-    ru = np.empty((len(ridx), n_uc))
-    rv = np.empty((len(ridx), n_ic))
-    z = np.empty(len(ridx))
-    by_level = np.zeros(f.a.shape)
-    for r, sl, u, v in f.levels():
-        a = f.a[r]
-        ua = u @ a
-        z[sl] = np.einsum("sc,sc->s", ua, v)
-        dead = z[sl] == 0.0
-        v_z = v / np.where(dead, 1.0, z[sl])[:, None]
-        # in place, and ua freed first: these lines set the pass's peak memory
-        np.multiply(ua, v_z, out=rv[sl])
-        del ua
-        np.multiply(v_z @ a.T, u, out=ru[sl])
-        by_level[r] = a * (u.T @ v_z)
-        if dead.any():  # zero total mass: the uniform matrix, as in the reference
-            ru[sl][dead] = 1.0 / n_uc
-            rv[sl][dead] = 1.0 / n_ic
-            by_level[r] += dead.sum() / (n_uc * n_ic)
-    by_user = np.stack([
-        np.bincount(f.gu, weights=ru[:, k], minlength=log_wu.shape[1]) for k in range(n_uc)
-    ])
+    (u_tab, v_tab, a), (key, pk, v, z), log_z = _front(
+        log_wu, log_wv, log_rate, gu, items, ridx, beta)
+    n_levels, n_uc, n_ic = a.shape
+    n_users, n_items = len(u_tab), len(v_tab)
+    dead = z == 0.0
+    z[dead] = np.inf  # a triple with no mass adds nothing here; its uniform share comes below
+    v /= z[:, None]
+    pk /= z[:, None]
+    w = np.stack([
+        np.bincount(key, weights=v[:, c], minlength=n_levels * n_users) for c in range(n_ic)
+    ], axis=1).reshape(n_levels, n_users, n_ic)
     by_item = np.stack([
-        np.bincount(f.items, weights=rv[:, c], minlength=log_wv.shape[1]) for c in range(n_ic)
-    ])
+        np.bincount(items, weights=pk[:, c], minlength=n_items) for c in range(n_ic)
+    ]) * v_tab.T
+    by_user = np.tensordot(a, w, axes=([0, 2], [0, 2])) * u_tab.T
+    by_level = a * (u_tab.T @ w)
+    if dead.any():  # the uniform matrix, as in the reference
+        by_user += np.bincount(gu[dead], minlength=n_users) / n_uc
+        by_item += np.bincount(items[dead], minlength=n_items) / n_ic
+        by_level += (np.bincount(ridx[dead], minlength=n_levels) / (n_uc * n_ic))[:, None, None]
     return (
-        ru.sum(axis=0), rv.sum(axis=0), by_user, by_item,
-        np.moveaxis(by_level, 0, 2), f.log_normalizers(z),
+        by_user.sum(axis=1), by_item.sum(axis=1), by_user, by_item,
+        np.moveaxis(by_level, 0, 2), log_z,
     )

@@ -292,7 +292,7 @@ def pair_stats_reference(resp, gu, gv, ridx, n_users, n_items, n_levels):
 def train_reference(dataset, dims, config):
     """``em.train`` as one ``kernels.pair_pass`` per family and iteration
     followed by a separate ``kernels.pair_log_normalizers`` pass, every
-    table, order and layout rebuilt on each call."""
+    table rebuilt on each call."""
     from pclf import em, kernels
 
     def inputs(params, fam):
@@ -430,55 +430,6 @@ def save_dataset_reference(dataset, directory):
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-
-
-def pair_pass_reference(log_wu, log_wv, log_rate, gu, items, ridx, beta=1.0):
-    """``kernels.pair_pass`` holding the (S, K) and (S, C) user and item
-    rows of every triple of the family at once, gathered in level order.
-    At beta = 1 its normalizers are those of
-    ``kernels.pair_log_normalizers``, which computes them alike."""
-    from pclf import kernels
-
-    a = np.ascontiguousarray(np.exp(beta * np.moveaxis(log_rate, 2, 0)))
-    order, bounds = kernels.level_layout(ridx, len(a))
-    gu, items = gu[order], items[order]
-    u_tab, u_top = kernels.tempered(log_wu, beta)
-    v_tab, v_top = kernels.tempered(log_wv, beta)
-    u_all, v_all = u_tab.take(gu, axis=0), v_tab.take(items, axis=0)
-    n_uc, n_ic = a.shape[1], a.shape[2]
-    ru = np.empty_like(u_all)
-    rv = np.empty_like(v_all)
-    z = np.empty(len(ridx))
-    by_level = np.zeros(a.shape)
-    for r in range(len(a)):
-        sl = slice(bounds[r], bounds[r + 1])
-        if sl.stop == sl.start:
-            continue
-        u, v = u_all[sl], v_all[sl]
-        ua = u @ a[r]
-        z[sl] = np.einsum("sc,sc->s", ua, v)
-        dead = z[sl] == 0.0
-        v_z = v / np.where(dead, 1.0, z[sl])[:, None]
-        np.multiply(ua, v_z, out=rv[sl])
-        np.multiply(v_z @ a[r].T, u, out=ru[sl])
-        by_level[r] = a[r] * (u.T @ v_z)
-        if dead.any():
-            ru[sl][dead] = 1.0 / n_uc
-            rv[sl][dead] = 1.0 / n_ic
-            by_level[r] += dead.sum() / (n_uc * n_ic)
-    by_user = np.stack([
-        np.bincount(gu, weights=ru[:, k], minlength=log_wu.shape[1]) for k in range(n_uc)
-    ])
-    by_item = np.stack([
-        np.bincount(items, weights=rv[:, c], minlength=log_wv.shape[1]) for c in range(n_ic)
-    ])
-    normalizers = np.empty_like(z)
-    with np.errstate(divide="ignore"):
-        normalizers[order] = np.log(z) + (u_top[gu] + v_top[items])
-    return (
-        ru.sum(axis=0), rv.sum(axis=0), by_user, by_item,
-        np.moveaxis(by_level, 0, 2), normalizers,
-    )
 
 
 def predict_cells_reference(params, mats, mems, weights, cells, mix_specific=False):

@@ -358,6 +358,11 @@ class TestPredict:
                                              "scale": {"min": 1, "max": 5}}]}],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "scale": {"min": 1, "max": 5}}],
                   "subset": {"n_users": -3, "n_items": 2}}],
+    # rmgm-like pools the domains, so it needs two, whichever source gives them
+    ["evaluate", {**RAW_DOMAIN, "models": list(KNOWN_MODELS),
+                  "domains": [{"path": "RAW", "scale": {"min": 1, "max": 5}}]}],
+    ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "Z": 1, "L": [1], "M": [14],
+                                "N": [10]}, "dims": {"K": 2, "T": 2, "L": [1]}}],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
         "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
@@ -373,7 +378,8 @@ class TestPredict:
         "complete-with-mix-specific", "ingest-rating-nan", "ingest-scale-inf",
         "ingest-delimiter-empty", "ingest-select-users-negative", "ingest-levels-past-int64",
         "config-rating-nan", "config-scale-inf", "config-scale-past-float",
-        "config-delimiter-empty", "config-subset-negative"])
+        "config-delimiter-empty", "config-subset-negative", "config-rmgm-one-domain",
+        "config-rmgm-synthetic-Z-1"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"
@@ -601,6 +607,21 @@ def test_failed_predict_write_keeps_previous_file(trained, tmp_path, capsys, mon
     assert capsys.readouterr().err == "error: disk full\n"
     assert out.read_text() == "previous\n"
     assert [p.name for p in (tmp_path / "preds").iterdir()] == ["p.csv"]
+
+
+def test_out_name_at_the_name_limit(trained, tmp_path):
+    """A 250-byte file name leaves no room for a suffix, so the temp file
+    is not named after the target; the file gets a plain open's mode."""
+    dataset, ckpt = trained
+    (tmp_path / "long").mkdir()
+    out = tmp_path / "long" / ("m" * 245 + ".json")
+    assert main(["train", "--dataset", dataset, "-K", "3", "-T", "2", "-L", "2",
+                 "--betas", "1.0", "--max-iters", "5", "--out", str(out)]) == 0
+    assert [p.name for p in (tmp_path / "long").iterdir()] == [out.name]
+    assert out.read_bytes() == open(ckpt, "rb").read()
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert out.stat().st_mode == plain.stat().st_mode
 
 
 class _HalfWriter:

@@ -23,7 +23,7 @@ from pclf import (
     select_subset,
 )
 from pclf import ModelDims, SyntheticSpec, synth_generate
-from pclf.data import _given_n_positions, _parse_ratings_csv, _read_ratings_csv
+from pclf.data import atomic_write, _given_n_positions, _parse_ratings_csv, _read_ratings_csv
 
 from conftest import rows_of
 from oracles import given_n_split_reference, save_dataset_reference
@@ -389,6 +389,18 @@ class TestRoundTrip:
             save_dataset(tiny_dataset.domain_view(0), str(tmp_path))
         assert (tmp_path / broken).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "ratings.csv"]
+
+    def test_nested_writes_to_one_target(self, tmp_path):
+        """Each write has its own temp file, even two at once in one thread
+        to one target; the last to finish wins."""
+        target = tmp_path / "out.txt"
+        with atomic_write(str(target)) as outer:
+            outer.write("outer\n")
+            with atomic_write(str(target)) as inner:
+                inner.write("inner\n")
+            assert target.read_text() == "inner\n"
+        assert target.read_text() == "outer\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # each side of a change in digit count, and past 2**32

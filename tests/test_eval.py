@@ -268,6 +268,21 @@ class TestExperimentConfig:
         assert config.n_repeats == 10
         assert config.weights is None  # resolved to 0.35 per domain at run time
 
+    @pytest.mark.parametrize("source", ["synthetic", "domains"])
+    def test_rmgm_like_needs_two_domains(self, source, tmp_path):
+        one = _synthetic_raw(dims={"K": 2, "T": 2, "L": [2]}, weights=[0.5],
+                             models=["pclf", "rmgm-like"])
+        if source == "synthetic":
+            one["synthetic"] = {**one["synthetic"], "Z": 1, "L": [2], "M": [20], "N": [15]}
+        else:
+            raw = tmp_path / "raw.tsv"
+            raw.write_text("".join(f"u{u}\tm{v}\t{1 + (u + v) % 5}\n"
+                                   for u in range(12) for v in range(6)))
+            one.update(synthetic=None, domains=[{"path": str(raw), "scale": {"min": 1, "max": 5}}])
+        with pytest.raises(DataError, match="rmgm-like needs at least 2 domains, the config has 1"):
+            config_from_dict(one)
+        config_from_dict({**one, "models": ["pclf", "fmm", "nmf"]})
+
     def test_dims_missing_key_named(self):
         with pytest.raises(DataError, match="'T'"):
             _synthetic_config(dims={"K": 2, "L": [1, 1]})

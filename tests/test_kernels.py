@@ -3,7 +3,7 @@ import pytest
 
 from pclf import kernels
 
-from oracles import pair_pass_reference, pair_stats_reference, posterior_matrix
+from oracles import pair_stats_reference, posterior_matrix
 
 
 def _random_inputs(seed, s=30, k=3, c=4, levels=5):
@@ -208,8 +208,10 @@ class TestFactorizedPass:
     @pytest.mark.parametrize("case", ["random", "empty-levels", "dead"])
     @pytest.mark.parametrize("k, c", [(3, 4), (20, 15)])
     def test_matches_whole_family_gather(self, k, c, case, beta):
-        """The per-level gathers give the bits of gathering every triple's
-        rows at once, with and without a prebuilt layout and user table."""
+        """Every statistic agrees with the log-space reference, which gathers
+        every triple's (K, C) posterior at once; the normalizers-only kernel
+        gives the pass's beta = 1 normalizers bit for bit, which the
+        carried pass of ``train`` relies on."""
         log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(
             14, s=700, k=k, c=c, n_users=40, n_items=50)
         if case == "empty-levels":
@@ -220,20 +222,19 @@ class TestFactorizedPass:
             log_wv[:, 5] = -np.inf
             log_rate[:, :, 0] = -np.inf
         inputs = (log_wu, log_wv, log_rate, gu, items, ridx)
-        want = pair_pass_reference(*inputs, beta)
-        prebuilt = dict(layout=kernels.level_layout(ridx, log_rate.shape[2]),
-                        users=kernels.tempered(log_wu, beta))
-        for kwargs in ({}, prebuilt):
-            got = kernels.pair_pass(*inputs, beta, **kwargs)
-            assert len(got) == 6
-            for name, have, ref in zip(("cluster_u", "cluster_v", "by_user", "by_item",
-                                        "by_level", "log_normalizers"), got, want):
-                np.testing.assert_array_equal(have, ref, err_msg=name)
-        assert np.isneginf(want[5]).any() == (case == "dead")
-        if beta == 1.0:
-            for kwargs in ({}, prebuilt):
-                np.testing.assert_array_equal(kernels.pair_log_normalizers(*inputs, **kwargs),
-                                              want[5])
+        expected, _ = _reference_pass(*inputs, beta)
+        got = kernels.pair_pass(*inputs, beta)
+        assert len(got) == 6
+        for name, have, want in zip(
+            ("cluster_u", "cluster_v", "by_user", "by_item", "by_level"), got, expected
+        ):
+            assert have.shape == want.shape, name
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_array_equal(kernels.pair_log_normalizers(*inputs),
+                                      kernels.pair_pass(*inputs, 1.0)[5])
+        dead = (gu == 2) | (items == 5) | (ridx == 0) if case == "dead" \
+            else np.zeros(len(ridx), bool)
+        assert np.array_equal(np.isneginf(got[5]), dead)
 
     def test_tempered_normalizer_is_tempered_logsumexp(self):
         log_wu, log_wv, log_rate, gu, items, ridx = _entity_inputs(13, s=20)

@@ -3,8 +3,8 @@
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts every array a call holds at once.  Each bound is the arrays that
 the call needs by design plus its inputs, and each sits below the array
-that the bound rules out: a whole-chunk init draw, or a (cells, K)
-gather.
+that the bound rules out: a whole-chunk init draw, a per-triple (S, K)
+array in the EM pass, or a (cells, K) gather.
 """
 
 import tracemalloc
@@ -18,6 +18,7 @@ from pclf import (
     cluster_rating_matrices,
     em,
     init_params,
+    kernels,
     memberships,
 )
 from pclf import data
@@ -92,3 +93,26 @@ def test_predict_cells_holds_slices_not_cells():
     assert bound < 2 * FLOAT * k * np.sum((du == 0) & (dv == 0))
     peak = traced_peak(predict_cells, params, mats, mems, weights, cells)
     assert peak < bound, (peak, bound)
+
+
+def test_pair_pass_holds_no_per_triple_user_rows():
+    k, c, n_triples, n_users, n_items, levels = 20, 4, 20_000, 500, 300, 5
+    rng = np.random.default_rng(3)
+    log_wu = np.log(rng.random((k, n_users)))
+    log_wv = np.log(rng.random((c, n_items)))
+    log_rate = np.log(rng.dirichlet(np.ones(levels), size=(k, c)))
+    gu = rng.integers(0, n_users, n_triples)
+    items = rng.integers(0, n_items, n_triples)
+    ridx = rng.integers(0, levels, n_triples)
+    gathers = 2 * n_triples * c            # each triple's level-table row and item row
+    # keys, normalizers and their temporaries, one column copy for bincount
+    vectors = 6 * n_triples
+    tables = 2 * levels * n_users * c      # the (level, user) table and its sums W
+    # the user table, and the statistics with one temporary each
+    stats = k * n_users + 2 * (k * n_users + c * n_items + levels * k * c)
+    bound = FLOAT * (gathers + vectors + tables + stats)
+    # the bound rules out one (S, K) array
+    assert bound < FLOAT * n_triples * k
+    for beta in (0.7, 1.0):
+        peak = traced_peak(kernels.pair_pass, log_wu, log_wv, log_rate, gu, items, ridx, beta)
+        assert peak < bound, (peak, bound)
