@@ -8,6 +8,7 @@ repeats the split/train/score cycle over seeds and aggregates per
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -466,19 +467,17 @@ def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
     matrix with ``nmf_rank`` and ``nmf_iters``, seeded with ``config.seed``.
 
     BLAS runs on one thread during the fit, so that every product gives
-    the same bits whatever the CPU count; the previous count is restored.
-    The count belongs to the process, so fits on concurrent threads of
-    one process would race on it.
+    the same bits whatever the CPU count (``_single_blas_thread``).  The
+    setter is called only if the count is not 1 already, and the count
+    is then restored; a ``run_experiment`` worker inherits a count of 1,
+    so it never calls the setter.  The count belongs to the process, so
+    fits on concurrent threads of one process would race on it.
     """
     inference.PredictionWeights(w1=tuple(w1))   # rejects a weight outside [0, 1]
     if kind == "nmf" and dataset.n_domains != 1:
         raise ModelError(f"nmf trains one domain at a time, got {dataset.n_domains} domains")
     k, t = n_user_clusters, n_common_clusters
-    threads = _openblas_threads()
-    if threads is not None:
-        before = threads[1]()
-        threads[0](1)
-    try:
+    with _single_blas_thread():
         if kind == "nmf":
             factors = baselines.nmf_train(baselines.domain_matrix(dataset, 0),
                                           rank=nmf_rank, iters=nmf_iters, seed=config.seed)
@@ -493,9 +492,6 @@ def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
             params, trace = baselines.fmm_train(dataset, k, t, config)
         else:
             raise ModelError(f"unknown model {kind!r}")
-    finally:
-        if threads is not None:
-            threads[0](before)
     return Checkpoint(model_kind=kind, seed=config.seed, trace=trace, params=params,
                       default_w1=checkpoint_w1(params.dims, w1))
 
@@ -593,13 +589,22 @@ def _openblas_threads():
     return None
 
 
-def _one_blas_thread() -> None:
-    """Worker initializer: run BLAS on one thread, so that n workers do not
-    run n x n BLAS threads, in ``fit`` or while they score.  Without an
-    OpenBLAS setter the count is left as is."""
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with OpenBLAS on one thread, then give back the count
+    it had.  The setter is called only if the count is not 1 already: in
+    a forked child any setter call restarts OpenBLAS's thread pool, whose
+    helper thread then busy-waits on a CPU.  Without an OpenBLAS setter
+    the count is left as is."""
     threads = _openblas_threads()
-    if threads is not None:
+    before = 1 if threads is None else threads[1]()
+    if before != 1:
         threads[0](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            threads[0](before)
 
 
 @dataclass
@@ -664,9 +669,14 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     worker per usable CPU and at most one per fit, each running BLAS on
     one thread.  Workers are forked, so they inherit the imported modules
     instead of importing numpy again; the pool forks them before it starts
-    its own thread.  Results are read in config order: rows, ``note`` and
-    ``log`` lines keep it, and ``log`` receives a setting's lines once all
-    its models are fitted.  The first exception raised in a fit, in config
+    its own thread.  The parent sets the BLAS count to 1 before the fork
+    and gives its caller's count back once the pool has joined, on success
+    and on every error.  Workers inherit the 1 and never call OpenBLAS's
+    setter, which in a forked child restarts OpenBLAS's thread pool, whose
+    helper thread then busy-waits on the CPU another worker needs.
+    Results are read in config order: rows, ``note`` and ``log`` lines
+    keep it, and ``log`` receives a setting's lines once all its models
+    are fitted.  The first exception raised in a fit, in config
     order, reaches the caller with its type and message, and no queued fit
     starts after it.  A worker that dies becomes a ``ModelError`` naming
     the first setting left without a result and its models without one.
@@ -679,8 +689,8 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     settings, n_domains = _settings(config)
     rows: list[ResultRow] = []
     n_workers = max(1, min(len(os.sched_getaffinity(0)), sum(len(s.fits) for s in settings)))
-    with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_one_blas_thread) as pool:
+    with _single_blas_thread(), ProcessPoolExecutor(
+            n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [[pool.submit(_model_maes, model, s.train_ds, s.evals, config, s.seed, z)
                     for model, z in s.fits] for s in settings]
         try:

@@ -464,34 +464,55 @@ class TestWorkerPool:
         return _synthetic_config(given_n=[3, 15, 6], models=list(KNOWN_MODELS),
                                  n_repeats=2, nmf_rank=3, nmf_iters=20, **overrides)
 
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_fit_runs_one_blas_thread_and_restores_the_count(self, monkeypatch, fails):
-        from pclf.evaluate import _openblas_threads, fit
+    @pytest.fixture
+    def blas_count(self):
+        """The OpenBLAS thread-count getter, with the count set to 2 for the
+        test (workers would inherit it even on one CPU) and given back
+        after it; a getter of None without an OpenBLAS setter."""
+        from pclf.evaluate import _openblas_threads
 
         threads = _openblas_threads()
         if threads is None:
-            pytest.skip("no OpenBLAS thread-count setter in this process")
+            yield lambda: None
+            return
         set_threads, get_threads = threads
-        seen = []
+        before = get_threads()
+        set_threads(2)
+        try:
+            yield get_threads
+        finally:
+            set_threads(before)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_fit_runs_one_blas_thread_and_restores_the_count(self, monkeypatch, fails):
+        from pclf import evaluate
+
+        count, calls, seen = [0], [], []
+
+        def set_threads(n):
+            calls.append(n)
+            count[0] = n
 
         def nmf_train(*args, **kwargs):
-            seen.append(get_threads())
+            seen.append(count[0])
             if fails:
                 raise DataError("matrix has no observed entries")
             return baselines.NmfFactors(np.ones((2, 1)), np.ones((2, 1)), rank=1)
 
+        monkeypatch.setattr(evaluate, "_openblas_threads",
+                            lambda: (set_threads, lambda: count[0]))
         monkeypatch.setattr(baselines, "nmf_train", nmf_train)
         dataset = CrossDomainDataset.from_indexed(5, np.array([[0, 0, 0, 3], [0, 1, 1, 4]]),
                                                   [2], [2])
-        before = get_threads()
-        set_threads(2)
-        try:
+        # at a count of 1 no setter call: in a forked worker it would start
+        # OpenBLAS's thread pool again
+        for before, expected_calls in ((1, []), (2, [1, 2])):
+            count[0] = before
+            calls.clear()
+            seen.clear()
             with contextlib.suppress(DataError):
-                fit("nmf", dataset, 2, 2, 1, TrainConfig(), [0.5], 1, 5)
-            after = get_threads()
-        finally:
-            set_threads(before)
-        assert seen == [1] and after == 2
+                evaluate.fit("nmf", dataset, 2, 2, 1, TrainConfig(), [0.5], 1, 5)
+            assert (seen, calls, count[0]) == ([1], expected_calls, before)
 
     @pytest.mark.parametrize("one_cpu", [False, True])
     @pytest.mark.parametrize("resample", [False, True])
@@ -531,34 +552,53 @@ class TestWorkerPool:
         assert len(report.rows) == 2 * 4   # repeats x models, domain 1 only
         assert lines[0] == "note: given=15 domain=0 has no eval ratings"
 
-    def test_workers_run_one_blas_thread(self, monkeypatch):
-        from pclf.evaluate import _openblas_threads
-
-        threads = _openblas_threads()
-        if threads is None:
+    def test_workers_run_one_blas_thread(self, monkeypatch, blas_count):
+        if blas_count() is None:
             pytest.skip("no OpenBLAS thread-count setter in this process")
-        set_threads, get_threads = threads
 
         def on_one_thread(function):   # nmf_predict scores outside fit
             def run(*args, **kwargs):
-                if get_threads() != 1:
-                    raise ModelError(f"nmf ran on {get_threads()} BLAS threads")
+                if blas_count() != 1:
+                    raise ModelError(f"nmf ran on {blas_count()} BLAS threads")
                 return function(*args, **kwargs)
             return run
 
         for name in ("nmf_train", "nmf_predict"):
             monkeypatch.setattr(baselines, name, on_one_thread(getattr(baselines, name)))
-        before = get_threads()
-        set_threads(2)   # workers inherit two threads even on one CPU
-        try:
-            report = run_experiment(self._config())
-        finally:
-            set_threads(before)
+        report = run_experiment(self._config())
         assert len([r for r in report.rows if r.model == "nmf"]) == 2 * 2 * 2
+
+    def test_workers_start_no_blas_thread(self, monkeypatch, blas_count):
+        from pclf import evaluate
+
+        if blas_count() is None:
+            pytest.skip("no OpenBLAS thread-count setter in this process")
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count a process's threads")
+        parent, fit = os.getpid(), evaluate.fit
+
+        def check(when):
+            native = len(os.listdir("/proc/self/task"))
+            if os.getpid() == parent:
+                raise ModelError("a fit ran in the parent")
+            if native != 1 or blas_count() != 1:
+                raise ModelError(f"worker runs {native} threads and BLAS on {blas_count()} "
+                                 f"{when} its fit")
+
+        def checked_fit(*args, **kwargs):
+            check("before")
+            ckpt = fit(*args, **kwargs)
+            check("after")
+            return ckpt
+
+        monkeypatch.setattr(evaluate, "fit", checked_fit)
+        report = run_experiment(self._config())
+        assert len(report.rows) == 2 * 2 * 4 * 2   # repeats x scored givens x models x domains
+        assert blas_count() == 2
 
     @pytest.mark.parametrize("one_cpu", [False, True])
     def test_worker_death_in_later_setting_named(self, tmp_path, monkeypatch, capsys,
-                                                 one_cpu):
+                                                 blas_count, one_cpu):
         from pclf.cli import main
 
         raw = _synthetic_raw(given_n=[3, 15, 6], models=list(KNOWN_MODELS), n_repeats=2,
@@ -576,8 +616,10 @@ class TestWorkerPool:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         (tmp_path / "config.json").write_text(json.dumps(raw))
         out = tmp_path / "results"
+        before = blas_count()
         assert main(["evaluate", "--config", str(tmp_path / "config.json"),
                      "--out", str(out)]) == 1
+        assert blas_count() == before
         err = capsys.readouterr().err.splitlines()
         assert err[:1] == ["note: given=15 domain=0 has no eval ratings"]
         assert err[-1].startswith("error: a worker process died during repeat=1 given=3; "
@@ -589,13 +631,15 @@ class TestWorkerPool:
         assert not out.exists()   # --out is made only after the run succeeds
 
     @pytest.mark.parametrize("error", [DataError, ModelError])
-    def test_worker_error_reaches_caller(self, monkeypatch, error):
+    def test_worker_error_reaches_caller(self, monkeypatch, blas_count, error):
         def fail(*args, **kwargs):
             raise error("nmf failed in a worker")
 
         monkeypatch.setattr(baselines, "nmf_train", fail)
+        before = blas_count()
         with pytest.raises(error) as raised:
             run_experiment(self._config())
+        assert blas_count() == before
         assert type(raised.value) is error
         assert str(raised.value) == "nmf failed in a worker"
 
