@@ -32,6 +32,7 @@ from .em import (
     TrainConfig,
     e_step,
     init_params,
+    init_params_many,
     log_likelihood,
     m_step,
     train,
@@ -92,6 +93,7 @@ __all__ = [
     "fmm_train",
     "given_n_split",
     "init_params",
+    "init_params_many",
     "load_checkpoint",
     "load_dataset",
     "log_likelihood",

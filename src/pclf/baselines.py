@@ -12,6 +12,27 @@ from .data import CrossDomainDataset, DataError
 from .em import ModelDims, ModelError, PclfParams, TraceEntry, TrainConfig, train
 
 
+def model_dims(
+    kind: str,
+    dataset: CrossDomainDataset,
+    n_user_clusters: int,
+    n_common_clusters: int,
+    n_specific_clusters=0,
+) -> ModelDims:
+    """The dims of a cluster-level model of ``kind`` on ``dataset``: pclf
+    with ``n_specific_clusters`` (an int, or one per domain); rmgm-like
+    with none in any domain, on two or more domains; fmm with none, on a
+    single-domain dataset."""
+    if kind not in ("pclf", "rmgm-like", "fmm"):
+        raise ModelError(f"unknown model {kind!r}")
+    if kind == "rmgm-like" and dataset.n_domains < 2:
+        raise ModelError(f"rmgm-like needs at least 2 domains, got {dataset.n_domains}")
+    if kind == "fmm" and dataset.n_domains != 1:
+        raise ModelError(f"fmm needs a single-domain dataset, got {dataset.n_domains} domains")
+    return ModelDims.from_dataset(dataset, n_user_clusters, n_common_clusters,
+                                  n_specific_clusters if kind == "pclf" else 0)
+
+
 def fmm_train(
     dataset: CrossDomainDataset,
     n_user_clusters: int,
@@ -20,12 +41,7 @@ def fmm_train(
 ) -> tuple[PclfParams, list[TraceEntry]]:
     """Single-domain mixture model: the shared trainer on Z=1 with the
     specific component disabled.  Predict with w1 = 1."""
-    if dataset.n_domains != 1:
-        raise ModelError(
-            f"fmm_train needs a single-domain dataset, got {dataset.n_domains} domains"
-        )
-    dims = ModelDims.from_dataset(dataset, n_user_clusters, n_item_clusters, (0,))
-    return train(dataset, dims, config)
+    return train(dataset, model_dims("fmm", dataset, n_user_clusters, n_item_clusters), config)
 
 
 def common_only_train(
@@ -39,12 +55,8 @@ def common_only_train(
     All specific components are disabled, so every domain shares the one
     pooled co-clustering.  Predict with w1 = 1.
     """
-    if dataset.n_domains < 2:
-        raise ModelError("common_only_train needs at least 2 domains")
-    dims = ModelDims.from_dataset(
-        dataset, n_user_clusters, n_item_clusters, (0,) * dataset.n_domains
-    )
-    return train(dataset, dims, config)
+    return train(dataset, model_dims("rmgm-like", dataset, n_user_clusters, n_item_clusters),
+                 config)
 
 
 @dataclass

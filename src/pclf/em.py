@@ -293,9 +293,11 @@ def _responsibilities(dataset, families, blocks) -> Responsibilities:
     return Responsibilities(p0=slots[0], pz=slots[1:])
 
 
-def _init_stats(rng, fam: _Family, dims: ModelDims):
-    """``fam``'s ``kernels.pair_stats`` of responsibilities drawn from ``rng``
-    into one buffer; a family without triples is one empty chunk."""
+def _init_stats(fam: _Family, dims: ModelDims):
+    """``fam``'s ``kernels.pair_stats`` of random responsibilities, as a
+    consumer: it yields each block of its one buffer for the caller to
+    fill with the stream's next ``block.size`` draws, and returns the
+    statistics.  A family without triples is one empty chunk."""
     k, c, s = dims.n_user_clusters, fam.n_clusters, len(fam.ridx)
     step = INIT_BLOCK_ROWS if k > 1 and c > 1 else INIT_CHUNK_ROWS
     buffer = np.empty((min(max(s, 1), step), k, c))
@@ -304,12 +306,65 @@ def _init_stats(rng, fam: _Family, dims: ModelDims):
         chunk = kernels.ChunkStats(hi - lo, k, c, dims.n_levels)
         for b in range(lo, max(hi, lo + 1), step):
             block = buffer[:min(step, hi - b)]
-            rng.standard_gamma(0.5, out=block)  # the numbers gamma(0.5) draws
+            yield block   # filled with the numbers gamma(0.5) draws
             block /= block.sum(axis=(1, 2), keepdims=True)
             chunk.add(block, fam.ridx[b:b + len(block)])
         part = chunk.result(fam.gu[lo:hi], fam.items[lo:hi], dims.total_users, fam.n_items)
         total = part if lo == 0 else [x + y for x, y in zip(total, part)]
     return total
+
+
+def _init_job(dims: ModelDims, dataset: CrossDomainDataset, floor: float):
+    """One job's ``init_params`` as a consumer of one stream: its families
+    one after another (``_init_stats``); returns the parameters."""
+    families = _families(dims, dataset)
+    stats = []
+    for fam in families:
+        stats.append((yield from _init_stats(fam, dims)))
+    return _params_from_stats(dims, families, stats, floor)
+
+
+def init_params_many(jobs, seed: int, floor: float = 1e-10) -> list[PclfParams]:
+    """``[init_params(dims, dataset, seed, floor) for dims, dataset in jobs]``,
+    bit for bit, from one random stream.
+
+    Every job of one seed reads the same gamma(0.5) stream from its
+    start, so each job's draws are a prefix of the longest job's.  The
+    stream is drawn once: the job furthest behind (the first such in
+    ``jobs`` order) takes its next block, copied from the draws that a job
+    ahead of it made already, and what no job has drawn yet is drawn into
+    a window that starts at that job.  The window holds at most one block
+    of the job that grew it, and the last job left, once past the window,
+    draws straight into its block.
+    """
+    for dims, dataset in jobs:
+        _check_dims(dims, dataset)
+    rng = np.random.default_rng(seed)
+    runs = [_init_job(dims, dataset, floor) for dims, dataset in jobs]
+    blocks = [next(run) for run in runs]   # each job's block to fill next
+    done = [0] * len(runs)                 # the draws each job has taken
+    params = [None] * len(runs)
+    window, start = np.empty(0), 0         # the stream's draws [start, start + window.size)
+    live = list(range(len(runs)))
+    while live:
+        i = min(live, key=done.__getitem__)
+        block, lo = blocks[i], done[i] - start
+        if len(live) == 1 and lo >= window.size:
+            rng.standard_gamma(0.5, out=block)
+        else:
+            if window.size - lo < block.size:
+                grown = np.empty(block.size)
+                grown[:window.size - lo] = window[lo:]
+                rng.standard_gamma(0.5, out=grown[window.size - lo:])
+                window, start, lo = grown, done[i], 0
+            np.copyto(block, window[lo:lo + block.size].reshape(block.shape))
+        done[i] += block.size
+        try:
+            blocks[i] = next(runs[i])
+        except StopIteration as stop:
+            params[i] = stop.value
+            live.remove(i)
+    return params
 
 
 def init_params(
@@ -333,13 +388,10 @@ def init_params(
     chunk.  A family with a length-1 cluster axis (K = 1 or C = 1) is
     drawn a whole chunk at a time, since numpy sums its reductions
     pairwise; such a draw holds at most ``INIT_CHUNK_ROWS`` * max(K, C)
-    values.
+    values.  This is the one-job case of ``init_params_many``, which
+    draws straight into each block.
     """
-    _check_dims(dims, dataset)
-    rng = np.random.default_rng(seed)
-    families = _families(dims, dataset)
-    stats = [_init_stats(rng, fam, dims) for fam in families]
-    return _params_from_stats(dims, families, stats, floor)
+    return init_params_many([(dims, dataset)], seed, floor)[0]
 
 
 def e_step(params: PclfParams, dataset: CrossDomainDataset, beta: float = 1.0) -> Responsibilities:
@@ -464,9 +516,15 @@ def train(
     dataset: CrossDomainDataset,
     dims: ModelDims,
     config: TrainConfig = TrainConfig(),
+    init: PclfParams | None = None,
 ) -> tuple[PclfParams, list[TraceEntry]]:
     """Annealed EM: for each beta in the schedule, alternate E and M steps
     until the relative log-likelihood change drops below tolerance.
+
+    EM starts from ``init`` if given, which must have ``dims``, and
+    otherwise from ``init_params(dims, dataset, config.seed,
+    config.smoothing_floor)``; a caller that passes that start, made
+    elsewhere (``init_params_many``), gets the same fit.
 
     The tolerance is not consulted during the first ``min_iters_per_beta``
     iterations: runs started from near-symmetric random parameters move
@@ -484,7 +542,12 @@ def train(
     iteration.
     """
     _check_dims(dims, dataset)
-    params = init_params(dims, dataset, config.seed, floor=config.smoothing_floor)
+    if init is None:
+        params = init_params(dims, dataset, config.seed, floor=config.smoothing_floor)
+    elif init.dims != dims:
+        raise ModelError("the initial parameters' dims do not match the model dims")
+    else:
+        params = init
     families = _families(dims, dataset)
     trace: list[TraceEntry] = []
     for beta in config.beta_schedule:

@@ -32,7 +32,7 @@ from .data import (
     read_json,
     select_subset,
 )
-from .em import ModelDims, ModelError, PclfParams, TrainConfig, train
+from .em import ModelDims, ModelError, PclfParams, TrainConfig, init_params_many, train
 
 
 def mae(predictions, truths) -> float:
@@ -283,6 +283,10 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in KNOWN_MODELS]
         if unknown:
             raise DataError(f"unknown models {unknown}; known: {list(KNOWN_MODELS)}")
+        for name, values in (("given_n", self.given_n), ("models", self.models)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise DataError(f"{name} lists {repeated[0]!r} more than once")
         if (self.synthetic is None) == (not self.domains):
             raise DataError("config needs exactly one of 'domains' or 'synthetic'")
         n_domains = self.synthetic.dims.n_domains if self.synthetic else len(self.domains)
@@ -456,12 +460,13 @@ def _assert_no_leak(train_ds: CrossDomainDataset, evals) -> None:
 
 def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
         n_common_clusters: int, n_specific_clusters, config: TrainConfig, w1,
-        nmf_rank: int, nmf_iters: int) -> Checkpoint:
+        nmf_rank: int, nmf_iters: int, init: PclfParams | None = None) -> Checkpoint:
     """Fit a model of ``kind`` on ``dataset``, as ``pclf train`` does.
 
-    Every kind but nmf is the cluster-level model: pclf with
-    ``n_specific_clusters`` (an int, or one per domain); rmgm-like with
-    none in any domain; fmm the same on a single-domain dataset.  The
+    Every kind but nmf is the cluster-level model, trained from ``init``
+    if given (``train``), on the dims of ``baselines.model_dims``: pclf
+    with ``n_specific_clusters`` (an int, or one per domain); rmgm-like
+    with none in any domain; fmm the same on a single-domain dataset.  The
     checkpoint's ``default_w1`` is ``checkpoint_w1`` of ``w1`` (one per
     domain, each in [0, 1]).  nmf factorizes the one domain's rating
     matrix with ``nmf_rank`` and ``nmf_iters``, seeded with ``config.seed``.
@@ -476,22 +481,15 @@ def fit(kind: str, dataset: CrossDomainDataset, n_user_clusters: int,
     inference.PredictionWeights(w1=tuple(w1))   # rejects a weight outside [0, 1]
     if kind == "nmf" and dataset.n_domains != 1:
         raise ModelError(f"nmf trains one domain at a time, got {dataset.n_domains} domains")
-    k, t = n_user_clusters, n_common_clusters
     with _single_blas_thread():
         if kind == "nmf":
             factors = baselines.nmf_train(baselines.domain_matrix(dataset, 0),
                                           rank=nmf_rank, iters=nmf_iters, seed=config.seed)
             return Checkpoint(model_kind=kind, seed=config.seed, trace=[], factors=factors,
                               n_levels=dataset.n_levels)
-        if kind == "pclf":
-            dims = ModelDims.from_dataset(dataset, k, t, n_specific_clusters)
-            params, trace = train(dataset, dims, config)
-        elif kind == "rmgm-like":
-            params, trace = baselines.common_only_train(dataset, k, t, config)
-        elif kind == "fmm":
-            params, trace = baselines.fmm_train(dataset, k, t, config)
-        else:
-            raise ModelError(f"unknown model {kind!r}")
+        dims = baselines.model_dims(kind, dataset, n_user_clusters, n_common_clusters,
+                                    n_specific_clusters)
+        params, trace = train(dataset, dims, config, init)
     return Checkpoint(model_kind=kind, seed=config.seed, trace=trace, params=params,
                       default_w1=checkpoint_w1(params.dims, w1))
 
@@ -510,16 +508,17 @@ def _model_maes(
     config: ExperimentConfig,
     seed: int,
     domain: int | None = None,
+    init: PclfParams | None = None,
 ) -> dict[int, float]:
-    """Fit one model and return its MAE per scored domain, given each
-    domain's eval set as (users, items, ratings) arrays.  pclf and
-    rmgm-like are fitted on the pooled training set and score every domain
-    with eval ratings; fmm and nmf are fitted on ``domain`` alone and
-    score it."""
+    """Fit one model, from ``init`` if given, and return its MAE per
+    scored domain, given each domain's eval set as (users, items, ratings)
+    arrays.  pclf and rmgm-like are fitted on the pooled training set and
+    score every domain with eval ratings; fmm and nmf are fitted on
+    ``domain`` alone (``_fit_dataset``) and score it."""
     w1 = config.weights if config.weights is not None else [inference.DEFAULT_W1] * len(evals)
-    ckpt = fit(model, train_ds if domain is None else train_ds.domain_view(domain),
+    ckpt = fit(model, _fit_dataset(train_ds, domain),
                config.dims["K"], config.dims["T"], config.dims["L"],
-               replace(config.train, seed=seed), w1, config.nmf_rank, config.nmf_iters)
+               replace(config.train, seed=seed), w1, config.nmf_rank, config.nmf_iters, init)
     if ckpt.factors is None:
         params = ckpt.params
         mats, mems = inference.cluster_rating_matrices(params), inference.memberships(params)
@@ -539,6 +538,12 @@ def _model_maes(
 
 
 _POOLED = ("pclf", "rmgm-like")   # fitted on every domain's training ratings at once
+
+
+def _fit_dataset(train_ds: CrossDomainDataset, domain: int | None) -> CrossDomainDataset:
+    """What a fit on ``domain`` trains on: the pooled training set, or
+    with a domain, that domain's view of it."""
+    return train_ds if domain is None else train_ds.domain_view(domain)
 
 
 def _fits(models: list[str], evals) -> list[tuple[str, int | None]]:
@@ -654,6 +659,137 @@ def _settings(config: ExperimentConfig) -> tuple[list[_Setting], int]:
     return settings, dataset.n_domains
 
 
+# a ``run_experiment`` worker's (config, settings), which its tasks read
+# instead of having their inputs pickled; None in every other process
+_RUN: tuple[ExperimentConfig, list[_Setting]] | None = None
+
+
+def _start_worker(config: ExperimentConfig, settings: list[_Setting]) -> None:
+    """The pool's worker initializer: a forked worker gets its arguments
+    without pickling, from the memory it shares with the parent."""
+    global _RUN
+    _RUN = (config, settings)
+
+
+def _fit_task(i: int, j: int, init: PclfParams | None) -> dict[int, float]:
+    """In a worker: ``_model_maes`` of setting ``i``'s fit ``j``."""
+    config, settings = _RUN
+    s = settings[i]
+    model, domain = s.fits[j]
+    return _model_maes(model, s.train_ds, s.evals, config, s.seed, domain, init)
+
+
+def _repeat_init(fits: list[tuple[int, int]]) -> list[PclfParams]:
+    """In a worker: the initial parameters of one repeat's cluster fits,
+    each given as (setting, fit), from one random stream
+    (``init_params_many``): what each fit's ``train`` would draw itself."""
+    config, settings = _RUN
+    k, t, l = (config.dims[key] for key in ("K", "T", "L"))
+    jobs = []
+    for i, j in fits:
+        model, domain = settings[i].fits[j]
+        dataset = _fit_dataset(settings[i].train_ds, domain)
+        jobs.append((baselines.model_dims(model, dataset, k, t, l), dataset))
+    return init_params_many(jobs, settings[fits[0][0]].seed, config.train.smoothing_floor)
+
+
+def _failed(exc: BaseException):
+    """A future that holds ``exc``."""
+    from concurrent.futures import Future
+
+    future = Future()
+    future.set_exception(exc)
+    return future
+
+
+class _Tasks:
+    """A run's tasks on ``pool``, submitted one repeat at a time so that
+    each cluster fit starts from its repeat's shared init.
+
+    A repeat starts with one task that computes the initial parameters of
+    all its cluster fits (``_repeat_init``) and, if ``ahead``, with its
+    NMF fits, which keep the other workers busy meanwhile.  Once the init
+    is back, the repeat's other fits follow in config order, and the next
+    repeat starts; without ``ahead`` every fit goes in config order, so
+    one worker runs them in that order.  An init that fails gives its
+    error to each cluster fit of its repeat, and no later repeat starts.
+    """
+
+    def __init__(self, pool, n_repeats: int, settings: list[_Setting], ahead: bool):
+        self.pool, self.settings, self.ahead = pool, settings, ahead
+        self.by_repeat = [[i for i, s in enumerate(settings) if s.repeat == r]
+                          for r in range(n_repeats)]
+        self.futures = [[None] * len(s.fits) for s in settings]
+        self.pending = None   # (repeat, its cluster fits as (setting, fit), init future)
+        self.next = 0         # the next repeat to start
+        self._start()
+
+    def _submit(self, fn, *args):
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return self.pool.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            return _failed(exc)
+
+    def _start(self) -> None:
+        """Start repeats until one waits for its init."""
+        while self.pending is None and self.next < len(self.by_repeat):
+            r = self.next
+            self.next += 1
+            keys = [(i, j) for i in self.by_repeat[r]
+                    for j, (model, _) in enumerate(self.settings[i].fits) if model != "nmf"]
+            if not keys:
+                self._submit_rest(r, {})
+                continue
+            init = self._submit(_repeat_init, keys)
+            self.pending = (r, keys, init)
+            if self.ahead:
+                self._submit_rest(r, None)
+
+    def _submit_rest(self, r: int, starts) -> None:
+        """Submit repeat ``r``'s fits not submitted yet, in config order:
+        with ``starts`` None only its NMF fits, otherwise every fit, a
+        cluster fit from its initial parameters in ``starts``."""
+        for i in self.by_repeat[r]:
+            s = self.settings[i]
+            for j, (model, z) in enumerate(s.fits):
+                if self.futures[i][j] is None and (starts is not None or model == "nmf"):
+                    self.futures[i][j] = self._submit(_fit_task, i, j, (starts or {}).get((i, j)))
+
+    def _finish(self) -> None:
+        """Wait for the pending init, submit the rest of its repeat, and
+        start the next repeat."""
+        r, keys, init = self.pending
+        self.pending = None
+        try:
+            starts = dict(zip(keys, init.result()))
+        except Exception as exc:
+            for i, j in keys:
+                self.futures[i][j] = _failed(exc)
+            self.next = len(self.by_repeat)
+            starts = {}
+        self._submit_rest(r, starts)
+        self._start()
+
+    def futures_of(self, i: int) -> list:
+        """Setting ``i``'s futures, one per fit, once all are submitted."""
+        while any(f is None for f in self.futures[i]):
+            self._finish()
+        return self.futures[i]
+
+    def result(self, future):
+        """``future``'s result; an init that comes back meanwhile has the
+        rest of its repeat submitted at once."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        while self.pending is not None and not future.done():
+            wait([future, self.pending[2]], return_when=FIRST_COMPLETED)
+            if self.pending[2].done():
+                self._finish()
+        return future.result()
+
+
 def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
     """Repeated Given-N evaluation of every configured model.
 
@@ -664,22 +800,31 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     A (given-N, domain) split with no eval ratings scores nothing: its
     cells get no rows, and ``note`` (if given) receives one line for it.
 
-    Every setting is split before any model is fitted.  Each fit
-    (``_fits``) is then one task for one pool of worker processes: one
-    worker per usable CPU and at most one per fit, each running BLAS on
-    one thread.  Workers are forked, so they inherit the imported modules
-    instead of importing numpy again; the pool forks them before it starts
-    its own thread.  The parent sets the BLAS count to 1 before the fork
-    and gives its caller's count back once the pool has joined, on success
-    and on every error.  Workers inherit the 1 and never call OpenBLAS's
-    setter, which in a forked child restarts OpenBLAS's thread pool, whose
-    helper thread then busy-waits on the CPU another worker needs.
-    Results are read in config order: rows, ``note`` and ``log`` lines
-    keep it, and ``log`` receives a setting's lines once all its models
-    are fitted.  The first exception raised in a fit, in config
-    order, reaches the caller with its type and message, and no queued fit
-    starts after it.  A worker that dies becomes a ``ModelError`` naming
-    the first setting left without a result and its models without one.
+    Every setting is split before any model is fitted.  The fits
+    (``_fits``) and one init task per repeat are then tasks for one pool
+    of worker processes: one worker per usable CPU and at most one per
+    fit, each running BLAS on one thread.  Every cluster fit of a repeat
+    (pclf, rmgm-like, fmm) draws the same seeded gamma(0.5) stream for its
+    start, so the repeat's init task draws it once for all of them
+    (``_repeat_init``) and each fit starts from its result: the
+    parameters its own ``init_params`` would give.  The NMF fits fill
+    the other workers while the init runs; on one worker the fits run in
+    config order (``_Tasks``).  Workers are forked, so they inherit the
+    imported modules instead of importing numpy again, and the config and
+    settings, which their tasks read instead of pickled copies
+    (``_start_worker``); the pool forks them before it starts its own
+    thread.  The parent sets the BLAS count to 1 before the fork and gives
+    its caller's count back once the pool has joined, on success and on
+    every error.  Workers inherit the 1 and never call OpenBLAS's setter,
+    which in a forked child restarts OpenBLAS's thread pool, whose helper
+    thread then busy-waits on the CPU another worker needs.  Results are
+    read in config order: rows, ``note`` and ``log`` lines keep it, and ``log`` receives a setting's lines once
+    all its models are fitted.  The first exception raised in a fit, in
+    config order, reaches the caller with its type and message, and no
+    queued fit starts after it; an exception raised in an init task is the
+    error of its repeat's first cluster fit.  A worker that dies becomes a
+    ``ModelError`` naming the first setting left without a result and its
+    models without one.
     """
     # imported here so that the other commands do not load them (2 MB RSS)
     import multiprocessing
@@ -690,17 +835,18 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     rows: list[ResultRow] = []
     n_workers = max(1, min(len(os.sched_getaffinity(0)), sum(len(s.fits) for s in settings)))
     with _single_blas_thread(), ProcessPoolExecutor(
-            n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [[pool.submit(_model_maes, model, s.train_ds, s.evals, config, s.seed, z)
-                    for model, z in s.fits] for s in settings]
+            n_workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(config, settings)) as pool:
+        tasks = _Tasks(pool, config.n_repeats, settings, ahead=n_workers > 1)
         try:
-            for s, fits in zip(settings, futures):
+            for i, s in enumerate(settings):
                 if note is not None:
                     for line in s.notes:
                         note(line)
+                fits = tasks.futures_of(i)
                 maes: dict[str, dict[int, float]] = {}
                 for (model, _), future in zip(s.fits, fits):
-                    maes.setdefault(model, {}).update(future.result())
+                    maes.setdefault(model, {}).update(tasks.result(future))
                 for model, per_domain in maes.items():
                     rows.extend(ResultRow(model, z, s.given, s.repeat, value)
                                 for z, value in per_domain.items())

@@ -320,6 +320,8 @@ class TestPredict:
     ["evaluate", {"synthetic": {"Z": 1}}],
     ["evaluate", {"nmf_rank": "x"}],
     ["evaluate", {"given_n": 5}],
+    ["evaluate", {"given_n": [3, 3]}],
+    ["evaluate", {"models": ["pclf", "fmm", "pclf"]}],
     ["evaluate", {"n_repeats": None}],
     ["evaluate", {"train": {"beta_schedule": 1.0}}],
     ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "L": 2}}],
@@ -369,7 +371,8 @@ class TestPredict:
         "seed-negative", "floor-nan", "floor-inf", "tol-nan", "config-max-iters-0",
         "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
         "config-weights-above-1", "config-synthetic-missing-key", "config-nmf-rank-string",
-        "config-given-n-not-list", "config-n-repeats-null", "config-beta-schedule-number",
+        "config-given-n-not-list", "config-given-n-repeated",
+        "config-models-repeated", "config-n-repeats-null", "config-beta-schedule-number",
         "config-synthetic-L-int", "config-dims-K-string", "config-base-seed-negative",
         "config-synthetic-seed-negative", "config-train-seed-negative", "config-floor-nan",
         "config-floor-inf", "config-tol-nan", "spec-missing-key",

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclf import em, kernels
 from pclf import (
@@ -15,6 +17,7 @@ from pclf import (
     TrainConfig,
     e_step,
     init_params,
+    init_params_many,
     log_likelihood,
     m_step,
     train,
@@ -261,6 +264,65 @@ class TestInitParams:
         )
         with pytest.raises(ModelError):
             init_params(wrong, tiny_dataset, seed=0)
+
+
+@st.composite
+def init_jobs(draw):
+    """Jobs on one two-domain dataset and on its domain views, each with
+    its own K and C: L_z = 0 domains, K = 1 or C = 1 families, and
+    domain 1 empty in some draws."""
+    users, items, levels = (6, 5), (7, 4), 4
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    rows = [(z, rng.integers(users[z]), rng.integers(items[z]), rng.integers(1, levels + 1))
+            for z, n in enumerate((draw(st.integers(1, 23)), draw(st.integers(0, 23))))
+            for _ in range(n)]
+    ds = CrossDomainDataset.from_indexed(n_levels=levels, triples=np.array(rows),
+                                         n_users=list(users), n_items=list(items))
+    jobs = []
+    for _ in range(draw(st.integers(1, 5))):
+        view = draw(st.sampled_from([None, 0, 1]))
+        dataset = ds if view is None else ds.domain_view(view)
+        specific = tuple(draw(st.integers(0, 3)) for _ in range(dataset.n_domains))
+        dims = ModelDims.from_dataset(dataset, draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                                      specific)
+        jobs.append((dims, dataset))
+    return jobs
+
+
+class TestInitParamsMany:
+    @settings(max_examples=80, deadline=None)
+    @given(jobs=init_jobs(), seed=st.integers(0, 2**32 - 1), chunk_rows=st.integers(1, 9),
+           block_rows=st.integers(1, 4), floor=st.sampled_from([0.0, 1e-10]))
+    def test_matches_each_jobs_init(self, jobs, seed, chunk_rows, block_rows, floor):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(em, "INIT_CHUNK_ROWS", chunk_rows)
+            mp.setattr(em, "INIT_BLOCK_ROWS", block_rows)
+            want = [init_params(dims, ds, seed, floor) for dims, ds in jobs]
+            got = init_params_many(jobs, seed, floor)
+        assert len(got) == len(want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.dims == b.dims
+            for (name, x), (_, y) in zip(param_arrays(a), param_arrays(b)):
+                assert np.array_equal(x, y), (i, name)
+
+    def test_dims_mismatch(self, tiny_dataset):
+        good = ModelDims.from_dataset(tiny_dataset, 2, 2, 1)
+        wrong = ModelDims.from_dataset(tiny_dataset.domain_view(0), 2, 2, 1)
+        with pytest.raises(ModelError, match="model dims do not match the dataset"):
+            init_params_many([(good, tiny_dataset), (wrong, tiny_dataset)], seed=0)
+
+    def test_train_from_given_init_matches_own_init(self, tiny_dataset):
+        dims = ModelDims.from_dataset(tiny_dataset, 2, 2, (1, 0))
+        config = TrainConfig(beta_schedule=(0.8, 1.0), max_iters_per_beta=3, seed=4)
+        start = init_params_many([(dims, tiny_dataset)], config.seed, config.smoothing_floor)[0]
+        want, want_trace = train(tiny_dataset, dims, config)
+        got, got_trace = train(tiny_dataset, dims, config, init=start)
+        assert got_trace == want_trace
+        for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
+            assert np.array_equal(a, b), name
+        other = ModelDims.from_dataset(tiny_dataset, 3, 2, (1, 0))
+        with pytest.raises(ModelError, match="initial parameters' dims"):
+            train(tiny_dataset, other, config, init=start)
 
 
 class TestEStep:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import time
@@ -282,6 +283,14 @@ class TestExperimentConfig:
         with pytest.raises(DataError, match="rmgm-like needs at least 2 domains, the config has 1"):
             config_from_dict(one)
         config_from_dict({**one, "models": ["pclf", "fmm", "nmf"]})
+
+    @pytest.mark.parametrize("field, values, named", [
+        ("given_n", [3, 5, 3], "given_n lists 3 more than once"),
+        ("models", ["pclf", "fmm", "pclf"], "models lists 'pclf' more than once"),
+    ])
+    def test_repeated_value_named(self, field, values, named):
+        with pytest.raises(DataError, match=named):
+            _synthetic_config(**{field: values})
 
     def test_dims_missing_key_named(self):
         with pytest.raises(DataError, match="'T'"):
@@ -642,6 +651,102 @@ class TestWorkerPool:
         assert blas_count() == before
         assert type(raised.value) is error
         assert str(raised.value) == "nmf failed in a worker"
+
+    def test_cluster_fits_start_from_their_own_init(self, monkeypatch):
+        from pclf import em, evaluate
+
+        parent, train = os.getpid(), evaluate.train
+
+        def checked_train(dataset, dims, config, init=None):
+            if init is None or os.getpid() == parent:
+                raise ModelError("a cluster fit did not get its shared start in a worker")
+            own = em.init_params(dims, dataset, config.seed, config.smoothing_floor)
+            for name in ("prior_u", "prior_vcom", "prior_vspe", "cond_u", "cond_vcom",
+                         "cond_vspe", "rate_com", "rate_spe"):
+                a, b = getattr(init, name), getattr(own, name)
+                if not all(map(np.array_equal, *((a, b) if isinstance(a, list) else ([a], [b])))):
+                    raise ModelError(f"the shared start differs from the fit's own in {name}")
+            return train(dataset, dims, config, init)
+
+        monkeypatch.setattr(evaluate, "train", checked_train)
+        report = run_experiment(self._config())
+        assert len(report.rows) == 2 * 2 * 4 * 2   # repeats x scored givens x models x domains
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    @pytest.mark.parametrize("models, nmf_fails, message", [
+        (["nmf", "fmm", "pclf"], False, "init failed in a worker"),
+        (["pclf", "nmf"], True, "init failed in a worker"),
+        (["nmf", "pclf"], True, "nmf failed in a worker"),
+    ], ids=["nmf-ok-then-fmm", "pclf-first", "failing-nmf-first"])
+    def test_init_error_is_the_first_cluster_fits(self, monkeypatch, blas_count, one_cpu,
+                                                  models, nmf_fails, message):
+        from pclf import evaluate
+
+        many, nmf_train = evaluate.init_params_many, baselines.nmf_train
+
+        def init_fails_in_repeat_one(jobs, seed, floor):
+            if seed == 1:
+                raise ModelError("init failed in a worker")
+            return many(jobs, seed, floor)
+
+        def nmf_fails_in_repeat_one(*args, seed, **kwargs):
+            if seed == 1 and nmf_fails:
+                raise DataError("nmf failed in a worker")
+            return nmf_train(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(evaluate, "init_params_many", init_fails_in_repeat_one)
+        monkeypatch.setattr(baselines, "nmf_train", nmf_fails_in_repeat_one)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = _synthetic_config(given_n=[3, 15, 6], models=models, n_repeats=2,
+                                   nmf_rank=3, nmf_iters=20)
+        expected = []   # every line of repeat 0, and none of repeat 1
+        run_experiment_reference(dataclasses.replace(config, n_repeats=1),
+                                 log=expected.append, note=expected.append)
+        lines, before = [], blas_count()
+        with pytest.raises((ModelError, DataError)) as raised:
+            run_experiment(config, log=lines.append, note=lines.append)
+        assert blas_count() == before
+        assert str(raised.value) == message
+        assert type(raised.value) is (ModelError if message.startswith("init") else DataError)
+        assert lines == expected
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_worker_death_in_init_named(self, tmp_path, monkeypatch, capsys, blas_count,
+                                        one_cpu):
+        from pclf import evaluate
+        from pclf.cli import main
+
+        raw = _synthetic_raw(given_n=[3, 15, 6], models=list(KNOWN_MODELS), n_repeats=2,
+                             nmf_rank=3, nmf_iters=20)
+        many = evaluate.init_params_many
+
+        def die_in_repeat_one(jobs, seed, floor):
+            if seed == raw["base_seed"] + 1:
+                time.sleep(0.5)   # let the other worker finish repeat 0's fits
+                os._exit(3)
+            return many(jobs, seed, floor)
+
+        monkeypatch.setattr(evaluate, "init_params_many", die_in_repeat_one)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "results"
+        before = blas_count()
+        assert main(["evaluate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 1
+        assert blas_count() == before
+        err = capsys.readouterr().err.splitlines()
+        assert err[:1] == ["note: given=15 domain=0 has no eval ratings"]
+        assert err[-1].startswith("error: a worker process died during repeat=1 given=3; "
+                                  "models without a result: ")
+        lost = err[-1].rsplit(": ", 1)[1].split(", ")
+        # no cluster fit of repeat 1 starts without its init; on one CPU
+        # its NMF fits wait for the init too, to keep config order
+        assert lost[:3] == ["pclf", "rmgm-like", "fmm"] and lost[3:] in ([], ["nmf"])
+        if one_cpu:
+            assert lost == list(KNOWN_MODELS)
+        assert not out.exists()
 
 
 class TestReportTable:

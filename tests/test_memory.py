@@ -3,8 +3,9 @@
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts every array a call holds at once.  Each bound is the arrays that
 the call needs by design plus its inputs, and each sits below the array
-that the bound rules out: a whole-chunk init draw, a per-triple (S, K)
-array in the EM pass, or a (cells, K) gather.
+that the bound rules out: a whole-chunk init draw, a shared init stream
+kept whole, a per-triple (S, K) array in the EM pass, or a (cells, K)
+gather.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ from pclf import (
     cluster_rating_matrices,
     em,
     init_params,
+    init_params_many,
     kernels,
     memberships,
 )
@@ -68,6 +70,45 @@ def test_init_params_holds_blocks_not_chunks():
     # the bound rules out drawing a whole chunk
     assert bound < FLOAT * em.INIT_CHUNK_ROWS * k * c
     peak = traced_peak(init_params, dims, ds, 0)
+    assert peak < bound, (peak, bound)
+
+
+def test_init_params_many_holds_a_window_not_the_stream():
+    # pclf, rmgm-like and fmm on each domain view, all at K = 20, C = 15,
+    # on 8400 pooled triples: each pooled family has three chunks, each
+    # per-domain family two
+    k, c, levels, users, items, per_domain = 20, 15, 5, (300, 300), (400, 400), 4200
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([
+        np.column_stack([np.full(per_domain, z), rng.integers(0, users[z], per_domain),
+                         rng.integers(0, items[z], per_domain),
+                         rng.integers(1, levels + 1, per_domain)])
+        for z in range(2)
+    ])
+    ds = CrossDomainDataset.from_indexed(n_levels=levels, triples=rows, n_users=list(users),
+                                         n_items=list(items))
+    views = [ds.domain_view(z) for z in range(2)]
+    jobs = [(ModelDims.from_dataset(ds, k, c, c), ds), (ModelDims.from_dataset(ds, k, c, 0), ds),
+            *((ModelDims.from_dataset(view, k, c, 0), view) for view in views)]
+    block = em.INIT_BLOCK_ROWS * k * c
+    # the window of draws past the slowest job, and the one it grows into
+    window = 2 * block
+    # per job: its draw buffer, its chunk's ru, rv and by_level, the
+    # statistics of its families as in test_init_params_holds_blocks_not_chunks,
+    # and its families' index columns
+    per_job = 0
+    for dims, dataset in jobs:
+        n_items = (dims.total_items, *(n for n, l in zip(dims.n_items, dims.n_specific_clusters)
+                                       if l))
+        per_job += (block + em.INIT_CHUNK_ROWS * (k + c) + levels * k * c
+                    + 4 * sum(k * dims.total_users + c * n + k * c * levels for n in n_items)
+                    + 8 * sum(dataset.n_ratings))
+    copies = block   # one block's rows copied by a reduction
+    bound = FLOAT * (window + per_job + copies)
+    # the bound rules out keeping the longest job's stream, pclf's
+    stream = sum(s * k * c for s in (2 * per_domain, per_domain, per_domain))
+    assert bound < FLOAT * stream
+    peak = traced_peak(init_params_many, jobs, 0)
     assert peak < bound, (peak, bound)
 
 
