@@ -284,6 +284,8 @@ class ExperimentConfig:
         if unknown:
             raise DataError(f"unknown models {unknown}; known: {list(KNOWN_MODELS)}")
         for name, values in (("given_n", self.given_n), ("models", self.models)):
+            if not values:
+                raise DataError(f"{name} must list at least one value")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise DataError(f"{name} lists {repeated[0]!r} more than once")
@@ -292,8 +294,7 @@ class ExperimentConfig:
         n_domains = self.synthetic.dims.n_domains if self.synthetic else len(self.domains)
         if self.weights is not None and (
                 not isinstance(self.weights, (list, tuple)) or len(self.weights) != n_domains
-                or not all(isinstance(w, (int, float)) and 0.0 <= w <= 1.0
-                           for w in self.weights)):
+                or not all(_is(w, float) and 0.0 <= w <= 1.0 for w in self.weights)):
             raise DataError(f"weights needs one value in [0, 1] per domain ({n_domains}), "
                             f"got {self.weights!r}")
         k, t, l = (self.dims.get(key) for key in ("K", "T", "L"))
@@ -702,92 +703,42 @@ def _failed(exc: BaseException):
     return future
 
 
-class _Tasks:
-    """A run's tasks on ``pool``, submitted one repeat at a time so that
-    each cluster fit starts from its repeat's shared init.
+def _submit(pool, fn, *args):
+    """``pool.submit(fn, *args)``, or a future that holds the error of a
+    pool that a worker's death has broken."""
+    from concurrent.futures.process import BrokenProcessPool
 
-    A repeat starts with one task that computes the initial parameters of
-    all its cluster fits (``_repeat_init``) and, if ``ahead``, with its
-    NMF fits, which keep the other workers busy meanwhile.  Once the init
-    is back, the repeat's other fits follow in config order, and the next
-    repeat starts; without ``ahead`` every fit goes in config order, so
-    one worker runs them in that order.  An init that fails gives its
-    error to each cluster fit of its repeat, and no later repeat starts.
-    """
+    try:
+        return pool.submit(fn, *args)
+    except BrokenProcessPool as exc:
+        return _failed(exc)
 
-    def __init__(self, pool, n_repeats: int, settings: list[_Setting], ahead: bool):
-        self.pool, self.settings, self.ahead = pool, settings, ahead
-        self.by_repeat = [[i for i, s in enumerate(settings) if s.repeat == r]
-                          for r in range(n_repeats)]
-        self.futures = [[None] * len(s.fits) for s in settings]
-        self.pending = None   # (repeat, its cluster fits as (setting, fit), init future)
-        self.next = 0         # the next repeat to start
-        self._start()
 
-    def _submit(self, fn, *args):
-        from concurrent.futures.process import BrokenProcessPool
+def _submit_repeat(pool, settings: list[_Setting], r: int, ahead: bool) -> dict:
+    """Submit repeat ``r``'s fits to ``pool``; their futures by (setting, fit).
 
+    The repeat's init task (``_repeat_init``) goes first and, if
+    ``ahead``, the NMF fits follow it at once to fill the other workers.
+    Once the init is back, every fit not submitted yet follows in config
+    order, each cluster fit from its start; without ``ahead`` one worker
+    thus runs the repeat in config order.  An init that raises gives its
+    error to each cluster fit."""
+    fits = [(i, j) for i, s in enumerate(settings) if s.repeat == r for j in range(len(s.fits))]
+    cluster = [(i, j) for i, j in fits if settings[i].fits[j][0] != "nmf"]
+    futures, starts = {}, {}
+    if cluster:
+        init = _submit(pool, _repeat_init, cluster)
+        if ahead:
+            futures = {key: _submit(pool, _fit_task, *key, None)
+                       for key in fits if key not in cluster}
         try:
-            return self.pool.submit(fn, *args)
-        except BrokenProcessPool as exc:
-            return _failed(exc)
-
-    def _start(self) -> None:
-        """Start repeats until one waits for its init."""
-        while self.pending is None and self.next < len(self.by_repeat):
-            r = self.next
-            self.next += 1
-            keys = [(i, j) for i in self.by_repeat[r]
-                    for j, (model, _) in enumerate(self.settings[i].fits) if model != "nmf"]
-            if not keys:
-                self._submit_rest(r, {})
-                continue
-            init = self._submit(_repeat_init, keys)
-            self.pending = (r, keys, init)
-            if self.ahead:
-                self._submit_rest(r, None)
-
-    def _submit_rest(self, r: int, starts) -> None:
-        """Submit repeat ``r``'s fits not submitted yet, in config order:
-        with ``starts`` None only its NMF fits, otherwise every fit, a
-        cluster fit from its initial parameters in ``starts``."""
-        for i in self.by_repeat[r]:
-            s = self.settings[i]
-            for j, (model, z) in enumerate(s.fits):
-                if self.futures[i][j] is None and (starts is not None or model == "nmf"):
-                    self.futures[i][j] = self._submit(_fit_task, i, j, (starts or {}).get((i, j)))
-
-    def _finish(self) -> None:
-        """Wait for the pending init, submit the rest of its repeat, and
-        start the next repeat."""
-        r, keys, init = self.pending
-        self.pending = None
-        try:
-            starts = dict(zip(keys, init.result()))
+            starts = dict(zip(cluster, init.result()))
         except Exception as exc:
-            for i, j in keys:
-                self.futures[i][j] = _failed(exc)
-            self.next = len(self.by_repeat)
-            starts = {}
-        self._submit_rest(r, starts)
-        self._start()
-
-    def futures_of(self, i: int) -> list:
-        """Setting ``i``'s futures, one per fit, once all are submitted."""
-        while any(f is None for f in self.futures[i]):
-            self._finish()
-        return self.futures[i]
-
-    def result(self, future):
-        """``future``'s result; an init that comes back meanwhile has the
-        rest of its repeat submitted at once."""
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        while self.pending is not None and not future.done():
-            wait([future, self.pending[2]], return_when=FIRST_COMPLETED)
-            if self.pending[2].done():
-                self._finish()
-        return future.result()
+            futures.update(dict.fromkeys(cluster, _failed(exc)))
+    for key in fits:
+        if key not in futures:
+            futures[key] = _submit(pool, _fit_task, *key, starts.get(key))
+    return futures
 
 
 def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
@@ -807,21 +758,26 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     (pclf, rmgm-like, fmm) draws the same seeded gamma(0.5) stream for its
     start, so the repeat's init task draws it once for all of them
     (``_repeat_init``) and each fit starts from its result: the
-    parameters its own ``init_params`` would give.  The NMF fits fill
-    the other workers while the init runs; on one worker the fits run in
-    config order (``_Tasks``).  Workers are forked, so they inherit the
-    imported modules instead of importing numpy again, and the config and
-    settings, which their tasks read instead of pickled copies
-    (``_start_worker``); the pool forks them before it starts its own
-    thread.  The parent sets the BLAS count to 1 before the fork and gives
-    its caller's count back once the pool has joined, on success and on
-    every error.  Workers inherit the 1 and never call OpenBLAS's setter,
-    which in a forked child restarts OpenBLAS's thread pool, whose helper
-    thread then busy-waits on the CPU another worker needs.  Results are
-    read in config order: rows, ``note`` and ``log`` lines keep it, and ``log`` receives a setting's lines once
-    all its models are fitted.  The first exception raised in a fit, in
-    config order, reaches the caller with its type and message, and no
-    queued fit starts after it; an exception raised in an init task is the
+    parameters its own ``init_params`` would give.  Repeats are submitted
+    one at a time (``_submit_repeat``) and one ahead of the repeat being
+    read, so a repeat's init waits in the queue behind the cluster fits
+    of the one before; the NMF fits fill the other workers while an init
+    runs, and on one worker the fits run in config order.  Workers are
+    forked, so they inherit the imported modules instead of importing
+    numpy again, and the config and settings, which their tasks read
+    instead of pickled copies (``_start_worker``); the pool forks them
+    before it starts its own thread.  The parent sets the BLAS count to 1
+    before the fork and gives its caller's count back once the pool has
+    joined, on success and on every error.  Workers inherit the 1 and
+    never call OpenBLAS's setter, which in a forked child restarts
+    OpenBLAS's thread pool, whose helper thread then busy-waits on the CPU
+    another worker needs.  Results are read in config order: rows,
+    ``note`` and ``log`` lines keep it, and ``log`` receives a setting's
+    lines once all its models are fitted and the next repeat's init is
+    back.  The first exception raised in a fit, in config order, reaches
+    the caller with its type and message; no later repeat is submitted
+    once a failed fit or init is seen, and no queued fit starts after the
+    error reaches the caller.  An exception raised in an init task is the
     error of its repeat's first cluster fit.  A worker that dies becomes a
     ``ModelError`` naming the first setting left without a result and its
     models without one.
@@ -837,16 +793,21 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     with _single_blas_thread(), ProcessPoolExecutor(
             n_workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(config, settings)) as pool:
-        tasks = _Tasks(pool, config.n_repeats, settings, ahead=n_workers > 1)
+        futures, submitted = {}, 0
         try:
             for i, s in enumerate(settings):
                 if note is not None:
                     for line in s.notes:
                         note(line)
-                fits = tasks.futures_of(i)
+                while (submitted < min(s.repeat + 2, config.n_repeats)
+                       and not any(f.done() and f.exception() is not None
+                                   for f in futures.values())):
+                    futures.update(_submit_repeat(pool, settings, submitted, n_workers > 1))
+                    submitted += 1
+                fits = [futures[i, j] for j in range(len(s.fits))]
                 maes: dict[str, dict[int, float]] = {}
                 for (model, _), future in zip(s.fits, fits):
-                    maes.setdefault(model, {}).update(tasks.result(future))
+                    maes.setdefault(model, {}).update(future.result())
                 for model, per_domain in maes.items():
                     rows.extend(ResultRow(model, z, s.given, s.repeat, value)
                                 for z, value in per_domain.items())

@@ -317,11 +317,14 @@ class TestPredict:
     ["evaluate", {"nmf_rank": 0}],
     ["evaluate", {"weights": [0.5]}],
     ["evaluate", {"weights": [0.5, 1.5]}],
+    ["evaluate", {"weights": [True, False]}],
     ["evaluate", {"synthetic": {"Z": 1}}],
     ["evaluate", {"nmf_rank": "x"}],
     ["evaluate", {"given_n": 5}],
     ["evaluate", {"given_n": [3, 3]}],
     ["evaluate", {"models": ["pclf", "fmm", "pclf"]}],
+    ["evaluate", {"given_n": []}],
+    ["evaluate", {"models": []}],
     ["evaluate", {"n_repeats": None}],
     ["evaluate", {"train": {"beta_schedule": 1.0}}],
     ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "L": 2}}],
@@ -370,9 +373,10 @@ class TestPredict:
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
         "seed-negative", "floor-nan", "floor-inf", "tol-nan", "config-max-iters-0",
         "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
-        "config-weights-above-1", "config-synthetic-missing-key", "config-nmf-rank-string",
-        "config-given-n-not-list", "config-given-n-repeated",
-        "config-models-repeated", "config-n-repeats-null", "config-beta-schedule-number",
+        "config-weights-above-1", "config-weights-bool", "config-synthetic-missing-key",
+        "config-nmf-rank-string", "config-given-n-not-list", "config-given-n-repeated",
+        "config-models-repeated", "config-given-n-empty", "config-models-empty",
+        "config-n-repeats-null", "config-beta-schedule-number",
         "config-synthetic-L-int", "config-dims-K-string", "config-base-seed-negative",
         "config-synthetic-seed-negative", "config-train-seed-negative", "config-floor-nan",
         "config-floor-inf", "config-tol-nan", "spec-missing-key",
@@ -1080,9 +1084,10 @@ def test_evaluate_worker_death_one_line(tmp_path, monkeypatch, capsys, one_cpu):
 
 
 def test_evaluate_no_models_one_line(tmp_path, capsys):
-    rc, _ = _evaluate_small(tmp_path, models=[])
+    rc, out = _evaluate_small(tmp_path, models=[])
     assert rc == 1
-    assert capsys.readouterr().err == "error: cannot render an empty report\n"
+    assert capsys.readouterr().err == "error: models must list at least one value\n"
+    assert not out.exists()   # refused when the config is read
 
 
 @pytest.mark.parametrize("line, reason", [

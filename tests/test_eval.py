@@ -292,6 +292,11 @@ class TestExperimentConfig:
         with pytest.raises(DataError, match=named):
             _synthetic_config(**{field: values})
 
+    @pytest.mark.parametrize("field", ["given_n", "models"])
+    def test_empty_list_named(self, field):
+        with pytest.raises(DataError, match=f"{field} must list at least one value"):
+            _synthetic_config(**{field: []})
+
     def test_dims_missing_key_named(self):
         with pytest.raises(DataError, match="'T'"):
             _synthetic_config(dims={"K": 2, "L": [1, 1]})
@@ -302,7 +307,7 @@ class TestExperimentConfig:
             _synthetic_config(nmf_rank=nmf_rank)
 
     @pytest.mark.parametrize("weights", [[0.5], [0.5, 0.5, 0.5], [0.5, 1.5], [-0.1, 0.5],
-                                         [0.5, "a"], 0.5])
+                                         [0.5, "a"], [True, 0.5], 0.5])
     def test_weights_one_per_domain_in_unit_interval(self, weights):
         with pytest.raises(DataError, match=r"weights needs one value in \[0, 1\] per domain"):
             _synthetic_config(weights=weights)
@@ -710,6 +715,28 @@ class TestWorkerPool:
         assert str(raised.value) == message
         assert type(raised.value) is (ModelError if message.startswith("init") else DataError)
         assert lines == expected
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_init_error_starts_no_later_repeat(self, tmp_path, monkeypatch, one_cpu):
+        from pclf import evaluate
+
+        many, seeds = evaluate.init_params_many, tmp_path / "init-seeds"
+
+        def init_fails_in_repeat_one(jobs, seed, floor):
+            with open(seeds, "a", encoding="utf-8") as fh:   # inits run in workers
+                fh.write(f"{seed}\n")
+            if seed == 1:
+                raise ModelError("init failed in a worker")
+            return many(jobs, seed, floor)
+
+        monkeypatch.setattr(evaluate, "init_params_many", init_fails_in_repeat_one)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = _synthetic_config(given_n=[3, 15, 6], models=["nmf", "fmm", "pclf"],
+                                   n_repeats=3, nmf_rank=3, nmf_iters=20)
+        with pytest.raises(ModelError, match="init failed in a worker"):
+            run_experiment(config)
+        assert seeds.read_text(encoding="utf-8").split() == ["0", "1"]
 
     @pytest.mark.parametrize("one_cpu", [False, True])
     def test_worker_death_in_init_named(self, tmp_path, monkeypatch, capsys, blas_count,
