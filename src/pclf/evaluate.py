@@ -714,31 +714,37 @@ def _submit(pool, fn, *args):
         return _failed(exc)
 
 
-def _submit_repeat(pool, settings: list[_Setting], r: int, ahead: bool) -> dict:
-    """Submit repeat ``r``'s fits to ``pool``; their futures by (setting, fit).
+def _submit_repeats(pool, settings: list[_Setting], n_repeats: int, ahead: bool, futures: dict):
+    """Submit every repeat's fits to ``pool``, their futures into ``futures``
+    by (setting, fit): a generator that yields each repeat's init future
+    and goes on once resumed with the init back.
 
-    The repeat's init task (``_repeat_init``) goes first and, if
-    ``ahead``, the NMF fits follow it at once to fill the other workers.
-    Once the init is back, every fit not submitted yet follows in config
-    order, each cluster fit from its start; without ``ahead`` one worker
-    thus runs the repeat in config order.  An init that raises gives its
-    error to each cluster fit."""
-    fits = [(i, j) for i, s in enumerate(settings) if s.repeat == r for j in range(len(s.fits))]
-    cluster = [(i, j) for i, j in fits if settings[i].fits[j][0] != "nmf"]
-    futures, starts = {}, {}
-    if cluster:
-        init = _submit(pool, _repeat_init, cluster)
-        if ahead:
-            futures = {key: _submit(pool, _fit_task, *key, None)
-                       for key in fits if key not in cluster}
-        try:
-            starts = dict(zip(cluster, init.result()))
-        except Exception as exc:
-            futures.update(dict.fromkeys(cluster, _failed(exc)))
-    for key in fits:
-        if key not in futures:
-            futures[key] = _submit(pool, _fit_task, *key, starts.get(key))
-    return futures
+    A repeat's init task (``_repeat_init``) goes first and, if ``ahead``,
+    its NMF fits follow at once to fill the other workers.  Once the init
+    is back, every fit not submitted yet follows in config order, each
+    cluster fit from its start, and then the next repeat's init, which so
+    queues behind them; without ``ahead`` one worker thus runs the fits in
+    config order.  An init that raises gives its error to each cluster
+    fit; no later repeat is submitted once a future holds an error."""
+    for r in range(n_repeats):
+        if any(f.done() and f.exception() is not None for f in futures.values()):
+            return
+        fits = [(i, j) for i, s in enumerate(settings) if s.repeat == r for j in range(len(s.fits))]
+        cluster = [(i, j) for i, j in fits if settings[i].fits[j][0] != "nmf"]
+        starts = {}
+        if cluster:
+            init = _submit(pool, _repeat_init, cluster)
+            if ahead:
+                futures.update({key: _submit(pool, _fit_task, *key, None)
+                                for key in fits if key not in cluster})
+            yield init
+            try:
+                starts = dict(zip(cluster, init.result()))
+            except Exception as exc:
+                futures.update(dict.fromkeys(cluster, _failed(exc)))
+        for key in fits:
+            if key not in futures:
+                futures[key] = _submit(pool, _fit_task, *key, starts.get(key))
 
 
 def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsReport:
@@ -758,12 +764,10 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     (pclf, rmgm-like, fmm) draws the same seeded gamma(0.5) stream for its
     start, so the repeat's init task draws it once for all of them
     (``_repeat_init``) and each fit starts from its result: the
-    parameters its own ``init_params`` would give.  Repeats are submitted
-    one at a time (``_submit_repeat``) and one ahead of the repeat being
-    read, so a repeat's init waits in the queue behind the cluster fits
-    of the one before; the NMF fits fill the other workers while an init
-    runs, and on one worker the fits run in config order.  Workers are
-    forked, so they inherit the imported modules instead of importing
+    parameters its own ``init_params`` would give.  While the caller waits
+    on a fit, each init that comes back has the rest of its repeat and the
+    next repeat's init submitted at once (``_submit_repeats``).  Workers
+    are forked, so they inherit the imported modules instead of importing
     numpy again, and the config and settings, which their tasks read
     instead of pickled copies (``_start_worker``); the pool forks them
     before it starts its own thread.  The parent sets the BLAS count to 1
@@ -773,18 +777,16 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     OpenBLAS's thread pool, whose helper thread then busy-waits on the CPU
     another worker needs.  Results are read in config order: rows,
     ``note`` and ``log`` lines keep it, and ``log`` receives a setting's
-    lines once all its models are fitted and the next repeat's init is
-    back.  The first exception raised in a fit, in config order, reaches
-    the caller with its type and message; no later repeat is submitted
-    once a failed fit or init is seen, and no queued fit starts after the
-    error reaches the caller.  An exception raised in an init task is the
-    error of its repeat's first cluster fit.  A worker that dies becomes a
-    ``ModelError`` naming the first setting left without a result and its
-    models without one.
+    lines once all its models are fitted.  The first exception raised in
+    a fit, in config order, reaches the caller with its type and message
+    once that fit ends, and no queued fit starts after it; an exception
+    raised in an init task is the error of its repeat's first cluster fit.
+    A worker that dies becomes a ``ModelError`` naming the first setting
+    left without a result and its models without one.
     """
     # imported here so that the other commands do not load them (2 MB RSS)
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
     settings, n_domains = _settings(config)
@@ -793,21 +795,22 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     with _single_blas_thread(), ProcessPoolExecutor(
             n_workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(config, settings)) as pool:
-        futures, submitted = {}, 0
+        futures = {}
+        chain = _submit_repeats(pool, settings, config.n_repeats, n_workers > 1, futures)
         try:
+            init = next(chain, None)
             for i, s in enumerate(settings):
                 if note is not None:
                     for line in s.notes:
                         note(line)
-                while (submitted < min(s.repeat + 2, config.n_repeats)
-                       and not any(f.done() and f.exception() is not None
-                                   for f in futures.values())):
-                    futures.update(_submit_repeat(pool, settings, submitted, n_workers > 1))
-                    submitted += 1
-                fits = [futures[i, j] for j in range(len(s.fits))]
                 maes: dict[str, dict[int, float]] = {}
-                for (model, _), future in zip(s.fits, fits):
-                    maes.setdefault(model, {}).update(future.result())
+                for j, (model, _) in enumerate(s.fits):
+                    # wait for the fit; an init back meanwhile lets the chain go on
+                    while init is not None and not ((i, j) in futures and futures[i, j].done()):
+                        wait({init, futures.get((i, j), init)}, return_when=FIRST_COMPLETED)
+                        if init.done():
+                            init = next(chain, None)
+                    maes.setdefault(model, {}).update(futures[i, j].result())
                 for model, per_domain in maes.items():
                     rows.extend(ResultRow(model, z, s.given, s.repeat, value)
                                 for z, value in per_domain.items())
@@ -815,10 +818,11 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
                         log(f"repeat={s.repeat} given={s.given} model={model} "
                             + " ".join(f"mae[d{z}]={v:.4f}" for z, v in per_domain.items()))
         except BrokenProcessPool as exc:
-            # results are read in config order, so ``s`` is the first
-            # setting with a broken future
-            lost = dict.fromkeys(model for (model, _), future in zip(s.fits, fits)
-                                 if isinstance(future.exception(), BrokenProcessPool))
+            # results are read in config order, so ``s`` is the first setting
+            # with a broken future; a fit not submitted has no result either
+            lost = dict.fromkeys(model for j, (model, _) in enumerate(s.fits)
+                                 if (i, j) not in futures
+                                 or isinstance(futures[i, j].exception(), BrokenProcessPool))
             raise ModelError(f"a worker process died during repeat={s.repeat} given={s.given}; "
                              f"models without a result: {', '.join(lost)}") from exc
         except BaseException:

@@ -738,6 +738,65 @@ class TestWorkerPool:
             run_experiment(config)
         assert seeds.read_text(encoding="utf-8").split() == ["0", "1"]
 
+    def test_inits_run_ahead_of_the_reader(self, tmp_path, monkeypatch):
+        # while repeat 0's first NMF fit runs on one worker, the other runs
+        # every later repeat's init: an init that is back has the rest of its
+        # repeat and the next init submitted, whatever fit the caller awaits
+        from pclf import evaluate
+
+        many, nmf_train = evaluate.init_params_many, baselines.nmf_train
+        last_init, first_fit = tmp_path / "last-init", tmp_path / "first-fit"
+
+        def init_marked(jobs, seed, floor):
+            params = many(jobs, seed, floor)
+            if seed == 2:
+                last_init.touch()
+            return params
+
+        def first_fit_waits(*args, seed, **kwargs):
+            try:
+                open(first_fit, "x", encoding="utf-8").close()   # one fit waits
+            except FileExistsError:
+                return nmf_train(*args, seed=seed, **kwargs)
+            deadline = time.monotonic() + 30
+            while not last_init.exists():
+                if time.monotonic() > deadline:
+                    raise ModelError("repeat 2's init did not run during repeat 0's first fit")
+                time.sleep(0.01)
+            return nmf_train(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(evaluate, "init_params_many", init_marked)
+        monkeypatch.setattr(baselines, "nmf_train", first_fit_waits)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = _synthetic_config(given_n=[3], models=["nmf", "pclf"], n_repeats=3,
+                                   nmf_rank=3, nmf_iters=20)
+        report = run_experiment(config)
+        assert report.rows == run_experiment_reference(config).rows
+
+    def test_fit_error_cancels_the_rest_of_its_repeat(self, tmp_path, monkeypatch):
+        # one worker: the error of repeat 0's first fit reaches the caller
+        # before the fits queued behind it start, but for the few calls the
+        # pool has handed the worker ahead of the cancel
+        from pclf import evaluate
+
+        model_maes, started = evaluate._model_maes, tmp_path / "started"
+
+        def first_pclf_fails(model, *args):
+            with open(started, "a", encoding="utf-8") as fh:   # fits run in workers
+                fh.write(f"{model}\n")
+            if model == "pclf" and started.read_text(encoding="utf-8") == "pclf\n":
+                raise ModelError("pclf failed in a worker")
+            return model_maes(model, *args)
+
+        monkeypatch.setattr(evaluate, "_model_maes", first_pclf_fails)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = _synthetic_config(given_n=[3, 6], models=list(KNOWN_MODELS), n_repeats=2,
+                                   nmf_rank=3, nmf_iters=20)
+        with pytest.raises(ModelError, match="pclf failed in a worker"):
+            run_experiment(config)
+        behind = sum(len(s.fits) for s in evaluate._settings(config)[0] if s.repeat == 0) - 1
+        assert len(started.read_text(encoding="utf-8").split()) - 1 <= 3 < behind
+
     @pytest.mark.parametrize("one_cpu", [False, True])
     def test_worker_death_in_init_named(self, tmp_path, monkeypatch, capsys, blas_count,
                                         one_cpu):
