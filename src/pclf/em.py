@@ -330,40 +330,37 @@ def init_params_many(jobs, seed: int, floor: float = 1e-10) -> list[PclfParams]:
 
     Every job of one seed reads the same gamma(0.5) stream from its
     start, so each job's draws are a prefix of the longest job's.  The
-    stream is drawn once: the job furthest behind (the first such in
-    ``jobs`` order) takes its next block, copied from the draws that a job
-    ahead of it made already, and what no job has drawn yet is drawn into
-    a window that starts at that job.  The window holds at most one block
-    of the job that grew it, and the last job left, once past the window,
-    draws straight into its block.
+    jobs take the stream in lockstep, and each value is drawn once: every
+    step draws as many values as the live job nearest the end of its
+    block has left, straight into the first live job's block, and copies
+    them into the other live jobs' blocks.  A job whose block is full
+    moves on to its next one.  No draw is held between steps, and a
+    single job draws straight into its own blocks.
     """
     for dims, dataset in jobs:
         _check_dims(dims, dataset)
     rng = np.random.default_rng(seed)
     runs = [_init_job(dims, dataset, floor) for dims, dataset in jobs]
-    blocks = [next(run) for run in runs]   # each job's block to fill next
-    done = [0] * len(runs)                 # the draws each job has taken
+    # each job's block to fill next, as a flat view, and how much of it is filled
+    blocks = [next(run).reshape(-1) for run in runs]
+    filled = [0] * len(runs)
     params = [None] * len(runs)
-    window, start = np.empty(0), 0         # the stream's draws [start, start + window.size)
     live = list(range(len(runs)))
     while live:
-        i = min(live, key=done.__getitem__)
-        block, lo = blocks[i], done[i] - start
-        if len(live) == 1 and lo >= window.size:
-            rng.standard_gamma(0.5, out=block)
-        else:
-            if window.size - lo < block.size:
-                grown = np.empty(block.size)
-                grown[:window.size - lo] = window[lo:]
-                rng.standard_gamma(0.5, out=grown[window.size - lo:])
-                window, start, lo = grown, done[i], 0
-            np.copyto(block, window[lo:lo + block.size].reshape(block.shape))
-        done[i] += block.size
-        try:
-            blocks[i] = next(runs[i])
-        except StopIteration as stop:
-            params[i] = stop.value
-            live.remove(i)
+        n = min(blocks[i].size - filled[i] for i in live)
+        first, *rest = live
+        piece = blocks[first][filled[first]:filled[first] + n]
+        rng.standard_gamma(0.5, out=piece)
+        for i in rest:
+            blocks[i][filled[i]:filled[i] + n] = piece
+        for i in live[:]:
+            filled[i] += n
+            if filled[i] == blocks[i].size:
+                try:
+                    blocks[i], filled[i] = next(runs[i]).reshape(-1), 0
+                except StopIteration as stop:
+                    params[i] = stop.value
+                    live.remove(i)
     return params
 
 

@@ -833,6 +833,17 @@ def run_experiment(config: ExperimentConfig, log=None, note=None) -> ResultsRepo
     return ResultsReport(rows=rows, domain_names=names, given_n=list(config.given_n))
 
 
+def _csv_line(fields) -> str:
+    """One CSV record ending in a newline: a field holding a comma, a double
+    quote or a line break is quoted, as ``csv.QUOTE_MINIMAL`` does.  Unlike
+    ``csv.writer`` with a newline line end, it quotes a lone carriage
+    return too, which a reader would otherwise take for a line end."""
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if any(ch in f for ch in ',"\r\n') else f
+        for f in fields
+    ) + "\n"
+
+
 def report_table(report: ResultsReport, fmt: str = "plain") -> str:
     """Aggregated mean-MAE table: one row per (domain, model), one column
     per Given-N setting, four decimal places; ``n/a`` where no repeat
@@ -850,8 +861,7 @@ def report_table(report: ResultsReport, fmt: str = "plain") -> str:
                      else "n/a" for g in givens]
             body.append([report.domain_names[z], model] + cells)
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in body]
-        return "\n".join(lines) + "\n"
+        return "".join(_csv_line(row) for row in [header] + body)
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for row in body:

@@ -325,6 +325,43 @@ class TestInitParamsMany:
             train(tiny_dataset, other, config, init=start)
 
 
+class _CountingRng:
+    """A generator that counts the values its ``standard_gamma`` calls draw."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_gamma(self, shape, size=None, out=None, **kwargs):
+        self.drawn += out.size if out is not None else int(np.prod(size))
+        return self.rng.standard_gamma(shape, size=size, out=out, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_init_params_many_draws_the_stream_once(monkeypatch, tiny_dataset):
+    # pclf, rmgm-like and fmm on each domain view, in blocks smaller than a
+    # family, so the jobs' blocks end at different points of the stream
+    views = [tiny_dataset.domain_view(z) for z in range(2)]
+    jobs = [(ModelDims.from_dataset(tiny_dataset, 3, 2, (2, 1)), tiny_dataset),
+            (ModelDims.from_dataset(tiny_dataset, 2, 3, 0), tiny_dataset),
+            *((ModelDims.from_dataset(view, 3, 2, 0), view) for view in views)]
+    longest = max(sum(len(fam.ridx) * dims.n_user_clusters * fam.n_clusters
+                      for fam in em._families(dims, ds)) for dims, ds in jobs)
+    rngs = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        rngs.append(_CountingRng(real(seed)))
+        return rngs[-1]
+
+    monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 3)
+    monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 2)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    init_params_many(jobs, 5)
+    assert sum(rng.drawn for rng in rngs) == longest
+
+
 class TestEStep:
     def test_uniform_params_give_uniform_responsibilities(self, tiny_dataset):
         dims = ModelDims.from_dataset(tiny_dataset, 2, 3, (2, 2))

@@ -112,6 +112,15 @@ class TestParseRatings:
         )
         assert out == [RawRating("U1", "I1", 4.0)]
 
+    @pytest.mark.parametrize("columns", [(0, 1, -1), (0, 1, -5), (-2, 1, 2)],
+                             ids=["last-field", "past-the-row", "user"])
+    def test_negative_column_refused(self, tmp_path, columns):
+        path = tmp_path / "r.tsv"
+        path.write_text("1\t1\t3\textra\n")
+        negative = min(columns)
+        with pytest.raises(DataError, match=f"must not be negative, got {negative}$"):
+            parse_ratings(str(path), column_map=columns)
+
     def test_preserves_file_order(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("b\tx\t2\na\ty\t5\n")

@@ -1,5 +1,7 @@
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import os
 import time
@@ -876,6 +878,16 @@ class TestReportTable:
             z = 0 if domain_name == "d0" else 1
             for g, value in zip((5, 10), fields[2:]):
                 assert float(value) == pytest.approx(report.mean(model, z, g), abs=5e-5)
+
+    def test_csv_quotes_domain_names(self):
+        names = ['a,"b', "Books, Movies", "two\nlines", "cr\ronly"]
+        rows = [ResultRow("pclf", z, 5, 0, 0.5) for z in range(len(names))]
+        text = report_table(ResultsReport(rows=rows, domain_names=names), fmt="csv")
+        records = list(csv.reader(io.StringIO(text, newline="")))
+        assert records == [["dataset", "model", "given5"]] + [[n, "pclf", "0.5000"]
+                                                              for n in names]
+        # plain names keep their unquoted bytes
+        assert report_table(self._report(), fmt="csv").splitlines()[1] == "d0,pclf,0.6252,0.5994"
 
     def test_empty_report_rejected(self):
         with pytest.raises(DataError):

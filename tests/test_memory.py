@@ -73,7 +73,7 @@ def test_init_params_holds_blocks_not_chunks():
     assert peak < bound, (peak, bound)
 
 
-def test_init_params_many_holds_a_window_not_the_stream():
+def test_init_params_many_holds_blocks_not_the_stream():
     # pclf, rmgm-like and fmm on each domain view, all at K = 20, C = 15,
     # on 8400 pooled triples: each pooled family has three chunks, each
     # per-domain family two
@@ -91,8 +91,6 @@ def test_init_params_many_holds_a_window_not_the_stream():
     jobs = [(ModelDims.from_dataset(ds, k, c, c), ds), (ModelDims.from_dataset(ds, k, c, 0), ds),
             *((ModelDims.from_dataset(view, k, c, 0), view) for view in views)]
     block = em.INIT_BLOCK_ROWS * k * c
-    # the window of draws past the slowest job, and the one it grows into
-    window = 2 * block
     # per job: its draw buffer, its chunk's ru, rv and by_level, the
     # statistics of its families as in test_init_params_holds_blocks_not_chunks,
     # and its families' index columns
@@ -104,7 +102,7 @@ def test_init_params_many_holds_a_window_not_the_stream():
                     + 4 * sum(k * dims.total_users + c * n + k * c * levels for n in n_items)
                     + 8 * sum(dataset.n_ratings))
     copies = block   # one block's rows copied by a reduction
-    bound = FLOAT * (window + per_job + copies)
+    bound = FLOAT * (per_job + copies)
     # the bound rules out keeping the longest job's stream, pclf's
     stream = sum(s * k * c for s in (2 * per_domain, per_domain, per_domain))
     assert bound < FLOAT * stream
