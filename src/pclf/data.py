@@ -100,16 +100,19 @@ def parse_ratings(
 ) -> list[RawRating]:
     """Read one rating per line from a delimited text file.
 
-    ``column_map`` gives the (user, item, rating) column positions, none
-    of them negative.  Rows are validated against ``scale`` bounds; any
-    malformed row, or a rating that is not a finite number, is reported
-    with its 1-based line number.  Blank lines are skipped.
+    ``column_map`` gives the (user, item, rating) column positions: three
+    distinct ones, none of them negative.  Rows are validated against
+    ``scale`` bounds; any malformed row, or a rating that is not a finite
+    number, is reported with its 1-based line number.  Blank lines are
+    skipped.
     """
     if not delimiter:
         raise DataError("the delimiter must not be empty")
     for col in column_map:
         if col < 0:
             raise DataError(f"column indices must not be negative, got {col}")
+    if len(set(column_map)) != len(column_map):
+        raise DataError(f"column indices must be distinct, got {list(column_map)}")
     ucol, icol, rcol = column_map
     needed = max(column_map) + 1
     out = []

@@ -19,8 +19,7 @@ from . import kernels
 from .data import CrossDomainDataset
 
 PROB_ATOL = 1e-12  # every stored distribution must sum to 1 within this
-INIT_CHUNK_ROWS = 4096  # triples per reduction chunk in init_params
-INIT_BLOCK_ROWS = 512  # triples per random draw within a chunk; bounds init's memory
+INIT_BLOCK_ROWS = 512  # triples per random draw and reduction in init_params; bounds its memory
 
 
 class ModelError(ValueError):
@@ -294,22 +293,21 @@ def _responsibilities(dataset, families, blocks) -> Responsibilities:
 
 
 def _init_stats(fam: _Family, dims: ModelDims):
-    """``fam``'s ``kernels.pair_stats`` of random responsibilities, as a
-    consumer: it yields each block of its one buffer for the caller to
-    fill with the stream's next ``block.size`` draws, and returns the
-    statistics.  A family without triples is one empty chunk."""
-    k, c, s = dims.n_user_clusters, fam.n_clusters, len(fam.ridx)
-    step = INIT_BLOCK_ROWS if k > 1 and c > 1 else INIT_CHUNK_ROWS
-    buffer = np.empty((min(max(s, 1), step), k, c))
-    for lo in range(0, max(s, 1), INIT_CHUNK_ROWS):
-        hi = min(lo + INIT_CHUNK_ROWS, s)
-        chunk = kernels.ChunkStats(hi - lo, k, c, dims.n_levels)
-        for b in range(lo, max(hi, lo + 1), step):
-            block = buffer[:min(step, hi - b)]
-            yield block   # filled with the numbers gamma(0.5) draws
-            block /= block.sum(axis=(1, 2), keepdims=True)
-            chunk.add(block, fam.ridx[b:b + len(block)])
-        part = chunk.result(fam.gu[lo:hi], fam.items[lo:hi], dims.total_users, fam.n_items)
+    """``fam``'s statistics of random responsibilities, as a consumer: for
+    each ``INIT_BLOCK_ROWS`` triples it yields that block of its one buffer
+    for the caller to fill with the stream's next ``block.size`` draws,
+    normalizes it, and adds its ``kernels.pair_stats`` to the total in
+    block order; it returns the total.  A family without triples is one
+    empty block."""
+    s = len(fam.ridx)
+    buffer = np.empty((min(s, INIT_BLOCK_ROWS), dims.n_user_clusters, fam.n_clusters))
+    for lo in range(0, max(s, 1), INIT_BLOCK_ROWS):
+        rows = slice(lo, lo + INIT_BLOCK_ROWS)
+        block = buffer[:len(fam.ridx[rows])]
+        yield block   # filled with the numbers gamma(0.5) draws
+        block /= block.sum(axis=(1, 2), keepdims=True)
+        part = kernels.pair_stats(block, fam.gu[rows], fam.items[rows], fam.ridx[rows],
+                                  dims.total_users, fam.n_items, dims.n_levels)
         total = part if lo == 0 else [x + y for x, y in zip(total, part)]
     return total
 
@@ -377,15 +375,11 @@ def init_params(
     responsibilities over many triples yields almost-symmetric parameters
     from which EM barely moves, while heavier-tailed draws give each
     triple a preferred cluster pair and break the symmetry immediately.
-    The families are drawn one after another from one stream.  Each
-    reduces its triples ``INIT_CHUNK_ROWS`` at a time, and draws and
-    reduces each chunk in blocks of ``INIT_BLOCK_ROWS`` triples
-    (``kernels.ChunkStats``), which consumes the same random stream and
-    gives the same bits as one draw and one ``kernels.pair_stats`` per
-    chunk.  A family with a length-1 cluster axis (K = 1 or C = 1) is
-    drawn a whole chunk at a time, since numpy sums its reductions
-    pairwise; such a draw holds at most ``INIT_CHUNK_ROWS`` * max(K, C)
-    values.  This is the one-job case of ``init_params_many``, which
+    The families are drawn one after another from one stream, each in
+    blocks of ``INIT_BLOCK_ROWS`` triples that are normalized and reduced
+    by ``kernels.pair_stats`` before the next draw, so a draw holds at
+    most ``INIT_BLOCK_ROWS`` * K * C values.  The block statistics add up
+    in block order.  This is the one-job case of ``init_params_many``, which
     draws straight into each block.
     """
     return init_params_many([(dims, dataset)], seed, floor)[0]

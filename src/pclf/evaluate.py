@@ -246,6 +246,10 @@ class DomainSource:
     columns: tuple[int, int, int] = (0, 1, 2)
     skip_header: bool = False
 
+    def __post_init__(self):
+        if "\n" in self.name or "\r" in self.name:   # it would split a row of table.txt
+            raise DataError(f"a domain name must not hold a line break, got {self.name!r}")
+
 
 @dataclass
 class ExperimentConfig:

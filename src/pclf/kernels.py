@@ -20,13 +20,8 @@ log-likelihood after an M step from the next iteration's pass.
 The log-space kernels ``pair_responsibilities``, ``pair_log_likelihood``
 and ``pair_stats`` materialize the (S, K, C) posterior tensor.  They are
 the reference that the public ``em.e_step``/``em.m_step`` and the tests
-use.  ``pair_stats`` is ``ChunkStats`` fed one whole tensor;
-``em.init_params`` feeds ``ChunkStats`` its random responsibilities in
-row blocks, continuing the level and item-cluster sums from block to
-block in row order, so both give the bits of one ``np.bincount`` per
-column.  numpy sums a lone contiguous run pairwise instead, which a
-running sum cannot reproduce, so a chunk with a length-1 cluster axis
-(K = 1 or C = 1) comes in one block.
+use; ``em.init_params`` also reduces each block of its random
+responsibilities with ``pair_stats``.
 """
 
 from __future__ import annotations
@@ -73,84 +68,29 @@ def pair_stats(resp, gu, gv, ridx, n_users, n_items, n_levels):
 
     Returns (cluster mass (K,), cluster mass (C,), per-user mass (K, U),
     per-item mass (C, V), per-level mass (K, C, R)), each C-contiguous.
-    Every entry adds the same terms in the same order as one
-    ``np.bincount`` per column would, so the bits are those of that form.
-    This is ``ChunkStats`` fed the whole tensor as one block.
+    The entity masses are one ``np.bincount`` per user or item cluster.
+    The level masses are one ``np.bincount`` over (level, cluster pair)
+    keys, whose every bin adds its terms in row order, so it has the bits
+    of one bincount per column.  The cluster masses sum the entity masses,
+    as in ``pair_pass``.
     """
-    acc = ChunkStats(*resp.shape, n_levels)
-    acc.add(resp, ridx)
-    return acc.result(gu, gv, n_users, n_items)
-
-
-class ChunkStats:
-    """``pair_stats`` of one chunk of ``n_rows`` triples, fed in row blocks.
-
-    ``add`` takes the chunk's responsibilities in consecutive row blocks;
-    ``result`` returns what ``pair_stats`` returns for the whole chunk,
-    bit for bit.  The row-local parts fill (n_rows, K) and (n_rows, C)
-    arrays ``ru``/``rv``.  ``by_level`` and ``cluster_v`` continue across
-    blocks as ``np.add.reduce`` over [running sum; new rows]: numpy adds
-    along a strided axis in row order, so that gives the bits of one
-    reduction over the whole chunk.  ``cluster_u`` and the per-entity
-    bincounts run once, in ``result``, on ``ru``/``rv``.
-
-    numpy sums a lone contiguous run pairwise, not in row order.  A
-    cluster axis of length 1 (K = 1 or C = 1) turns the tensor reductions
-    into such runs, so such a chunk keeps the direct forms and must come
-    in one block.
-    """
-
-    def __init__(self, n_rows, n_uc, n_ic, n_levels):
-        self.ru = np.empty((n_rows, n_uc))
-        self.rv = np.empty((n_rows, n_ic))
-        self.cluster_u = None   # set by a one-block chunk of a length-1 axis
-        self.cluster_v = np.zeros(n_ic)
-        self.by_level = np.zeros((n_levels, n_uc * n_ic))
-        self.filled = 0
-
-    def add(self, resp, ridx):
-        """Reduce the chunk's next ``len(resp)`` rows, at levels ``ridx``."""
-        s, n_uc, n_ic = resp.shape
-        lo, hi = self.filled, self.filled + s
-        np.sum(resp, axis=2, out=self.ru[lo:hi])
-        flat = resp.reshape(s, n_uc * n_ic)
-        if n_uc == 1 or n_ic == 1:
-            if (lo, hi) != (0, len(self.ru)):
-                raise ValueError("a chunk with a length-1 cluster axis comes in one block")
-            self.cluster_u = resp.sum(axis=(0, 2))
-            self.cluster_v = resp.sum(axis=(0, 1))
-            np.sum(resp, axis=1, out=self.rv)
-            self.by_level = np.stack([
-                np.bincount(ridx, weights=col, minlength=len(self.by_level)) for col in flat.T
-            ], axis=1)
-        else:
-            rv = self.rv[lo:hi]
-            rv[:] = resp[:, 0]
-            for k in range(1, n_uc):
-                rv += resp[:, k]
-            self.cluster_v = np.add.reduce(
-                np.concatenate([self.cluster_v[None], flat.reshape(s * n_uc, n_ic)]))
-            for r, running in enumerate(self.by_level):
-                rows = flat[ridx == r]
-                if len(rows):
-                    running[:] = np.add.reduce(np.concatenate([running[None], rows]))
-        self.filled = hi
-
-    def result(self, gu, gv, n_users, n_items):
-        """The chunk's statistics; ``gu``/``gv`` index its rows' users and items."""
-        n_uc, n_ic = self.ru.shape[1], self.rv.shape[1]
-        # column-wise bincount beats np.add.at by an order of magnitude here
-        by_user = np.stack([
-            np.bincount(gu, weights=self.ru[:, k], minlength=n_users) for k in range(n_uc)
-        ])
-        by_item = np.stack([
-            np.bincount(gv, weights=self.rv[:, c], minlength=n_items) for c in range(n_ic)
-        ])
-        return (
-            self.ru.sum(axis=0) if self.cluster_u is None else self.cluster_u,
-            self.cluster_v, by_user, by_item,
-            np.ascontiguousarray(self.by_level.T).reshape(n_uc, n_ic, -1),
-        )
+    n_uc, n_ic = resp.shape[1:]
+    ru = resp.sum(axis=2)
+    rv = resp.sum(axis=1)
+    # column-wise bincount beats np.add.at by an order of magnitude here
+    by_user = np.stack([
+        np.bincount(gu, weights=ru[:, k], minlength=n_users) for k in range(n_uc)
+    ])
+    by_item = np.stack([
+        np.bincount(gv, weights=rv[:, c], minlength=n_items) for c in range(n_ic)
+    ])
+    pairs = n_uc * n_ic
+    key = ridx[:, None] * pairs + np.arange(pairs)
+    by_level = np.bincount(key.ravel(), weights=resp.ravel(), minlength=n_levels * pairs)
+    return (
+        by_user.sum(axis=1), by_item.sum(axis=1), by_user, by_item,
+        np.ascontiguousarray(by_level.reshape(n_levels, n_uc, n_ic).transpose(1, 2, 0)),
+    )
 
 
 def tempered(log_w, beta):

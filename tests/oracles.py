@@ -268,11 +268,9 @@ def run_experiment_reference(config, log=None, note=None):
 
 def pair_stats_reference(resp, gu, gv, ridx, n_users, n_items, n_levels):
     """``kernels.pair_stats`` from one ``np.bincount`` per statistic column,
-    each adding its triples in index order, and ``resp.sum`` over the
-    cluster axes."""
+    each adding its triples in index order; the cluster masses are the
+    entity sums of its own ``by_user`` and ``by_item``."""
     s, n_uc, n_ic = resp.shape
-    cluster_u = resp.sum(axis=(0, 2))
-    cluster_v = resp.sum(axis=(0, 1))
     ru = resp.sum(axis=2)
     rv = resp.sum(axis=1)
     by_user = np.stack([
@@ -286,7 +284,7 @@ def pair_stats_reference(resp, gu, gv, ridx, n_users, n_items, n_levels):
         np.bincount(ridx, weights=flat[:, i], minlength=n_levels)
         for i in range(n_uc * n_ic)
     ]).reshape(n_uc, n_ic, n_levels)
-    return cluster_u, cluster_v, by_user, by_item, by_level
+    return by_user.sum(axis=1), by_item.sum(axis=1), by_user, by_item, by_level
 
 
 def train_reference(dataset, dims, config):
@@ -319,8 +317,9 @@ def train_reference(dataset, dims, config):
 
 
 def init_params_reference(dims, dataset, seed, floor=1e-10):
-    """``init_params`` drawing each chunk with ``rng.gamma`` and reducing it
-    with ``pair_stats_reference`` before the next draw, on one thread."""
+    """``init_params`` drawing each block of ``em.INIT_BLOCK_ROWS`` triples
+    with ``rng.gamma`` and reducing it with ``pair_stats_reference`` before
+    the next draw, on one thread."""
     from pclf import em
 
     rng = np.random.default_rng(seed)
@@ -328,8 +327,8 @@ def init_params_reference(dims, dataset, seed, floor=1e-10):
     stats = []
     for fam in families:
         total = None
-        for lo in range(0, max(len(fam.ridx), 1), em.INIT_CHUNK_ROWS):
-            rows = slice(lo, lo + em.INIT_CHUNK_ROWS)
+        for lo in range(0, max(len(fam.ridx), 1), em.INIT_BLOCK_ROWS):
+            rows = slice(lo, lo + em.INIT_BLOCK_ROWS)
             block = rng.gamma(
                 0.5, size=(len(fam.ridx[rows]), dims.n_user_clusters, fam.n_clusters)
             )

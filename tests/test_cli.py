@@ -354,6 +354,7 @@ class TestPredict:
     ["ingest", "RAW", "--select-users", "-3"],
     ["ingest", "RAW", "--levels", "100000000000000000000"],
     ["ingest", "RAW", "--columns", "0,1,-5"],
+    ["ingest", "RAW", "--columns", "0,0,2"],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW_NAN",
                                              "scale": {"min": 1, "max": 5}}]}],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW",
@@ -365,6 +366,10 @@ class TestPredict:
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "scale": {"min": 1, "max": 5}}],
                   "subset": {"n_users": -3, "n_items": 2}}],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "columns": [0, 1, -9],
+                                             "scale": {"min": 1, "max": 5}}]}],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "columns": [0, 0, 2],
+                                             "scale": {"min": 1, "max": 5}}]}],
+    ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "name": "two\nlines",
                                              "scale": {"min": 1, "max": 5}}]}],
     # rmgm-like pools the domains, so it needs two, whichever source gives them
     ["evaluate", {**RAW_DOMAIN, "models": list(KNOWN_MODELS),
@@ -387,9 +392,10 @@ class TestPredict:
         "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int", "complete-with-cell",
         "complete-with-mix-specific", "ingest-rating-nan", "ingest-scale-inf",
         "ingest-delimiter-empty", "ingest-select-users-negative", "ingest-levels-past-int64",
-        "ingest-columns-negative", "config-rating-nan", "config-scale-inf",
-        "config-scale-past-float", "config-delimiter-empty", "config-subset-negative",
-        "config-columns-negative", "config-rmgm-one-domain", "config-rmgm-synthetic-Z-1"])
+        "ingest-columns-negative", "ingest-columns-repeated", "config-rating-nan",
+        "config-scale-inf", "config-scale-past-float", "config-delimiter-empty",
+        "config-subset-negative", "config-columns-negative", "config-columns-repeated",
+        "config-name-line-break", "config-rmgm-one-domain", "config-rmgm-synthetic-Z-1"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"

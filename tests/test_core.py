@@ -75,18 +75,18 @@ def permute_params(params, perm_k=None, perm_t=None, perm_l=None):
     )
 
 
-# init's draw sizes within a chunk: one row, sizes that divide no chunk
-# the tests use (7, 5 or 4096 rows), and the shipped size
+# init's block sizes: one row, sizes that divide none of the families the
+# tests use, and the shipped size
 INIT_BLOCKS = (1, 3, 5, em.INIT_BLOCK_ROWS)
 
 
-def assert_init_matches_reference(monkeypatch, dims, ds, seed):
-    """``init_params`` at every size of ``INIT_BLOCKS`` has the bits of
-    ``init_params_reference``, which draws and reduces whole chunks."""
-    want = init_params_reference(dims, ds, seed=seed)
-    for block_rows in INIT_BLOCKS:
+def assert_init_matches_reference(monkeypatch, dims, ds, seed, blocks=INIT_BLOCKS):
+    """``init_params`` has the bits of ``init_params_reference`` at every
+    block size of ``blocks``."""
+    for block_rows in blocks:
         monkeypatch.setattr(em, "INIT_BLOCK_ROWS", block_rows)
         got = init_params(dims, ds, seed=seed)
+        want = init_params_reference(dims, ds, seed=seed)
         for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
             assert np.array_equal(a, b), (block_rows, name)
 
@@ -123,7 +123,7 @@ class TestInitParams:
             n_users=(10, 8), n_items=(7, 9),
         )
         ds = random_dataset(rng, dims, 25)
-        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 7)  # 50 pooled triples: 8 chunks
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 7)  # 50 pooled triples: 8 blocks
         got = init_params(dims, ds, seed=5)
         draw = np.random.default_rng(5)
         blocks = []
@@ -138,25 +138,25 @@ class TestInitParams:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14, err_msg=name)
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
-    @pytest.mark.parametrize("chunk_rows", [7, 4096])
+    @pytest.mark.parametrize("block_rows", [7, 4096])
     @pytest.mark.parametrize("specific", [(2, 3), (3, 0)], ids=["L", "L_z=0"])
-    def test_matches_serial_reference(self, monkeypatch, specific, chunk_rows, seed):
-        # families of widths 4, 2 and 3 (or 4 and 3); with 7 rows a chunk,
-        # 60 pooled and 30 per-domain triples end in partial chunks
+    def test_matches_serial_reference(self, monkeypatch, specific, block_rows, seed):
+        # families of widths 4, 2 and 3 (or 4 and 3); with 7 rows a block,
+        # 60 pooled and 30 per-domain triples end in partial blocks, and
+        # with 4096 each family is one block
         dims = ModelDims(
             n_domains=2, n_user_clusters=3, n_common_clusters=4,
             n_specific_clusters=specific, n_levels=5,
             n_users=(10, 8), n_items=(7, 9),
         )
         ds = random_dataset(np.random.default_rng(seed + 100), dims, 30)
-        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", chunk_rows)
-        assert_init_matches_reference(monkeypatch, dims, ds, seed)
+        assert_init_matches_reference(monkeypatch, dims, ds, seed, (block_rows,))
 
     @pytest.mark.parametrize("empty_domain", [False, True], ids=["rated", "domain-1-empty"])
     def test_wide_families_match_serial_reference(self, monkeypatch, empty_domain):
-        # families 9 x 8, 9 x 1 and 9 x 10 wide; at 7 rows a chunk, 86 pooled
-        # and 43 per-domain triples end in chunks of 2 and 1 rows, and an
-        # empty domain's family is one chunk of 0 rows
+        # families 9 x 8, 9 x 1 and 9 x 10 wide; at 5 rows a block, 86 pooled
+        # and 43 per-domain triples end in blocks of 1 and 3 rows, and an
+        # empty domain's family is one block of 0 rows
         dims = ModelDims(
             n_domains=2, n_user_clusters=9, n_common_clusters=8,
             n_specific_clusters=(1, 10), n_levels=5,
@@ -169,7 +169,6 @@ class TestInitParams:
                 triples=np.column_stack([np.zeros(43, np.int64), ds.users[0],
                                          ds.items[0], ds.ratings[0]]),
             )
-        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 7)
         assert_init_matches_reference(monkeypatch, dims, ds, 2)
 
     @pytest.mark.parametrize("k, t, specific", [
@@ -178,9 +177,9 @@ class TestInitParams:
     @pytest.mark.parametrize("empty_domain", [False, True], ids=["rated", "domain-1-empty"])
     def test_length_one_axes_match_serial_reference(self, monkeypatch, k, t, specific,
                                                     empty_domain):
-        # a length-1 cluster axis draws whole chunks while the other families
-        # draw blocks; at 5 rows a chunk, 46 pooled and 23 per-domain
-        # triples end in chunks of 1 and 3 rows
+        # a family with a length-1 cluster axis draws in blocks like the
+        # others; at 5 rows a block, 46 pooled and 23 per-domain triples end
+        # in blocks of 1 and 3 rows
         dims = ModelDims(
             n_domains=2, n_user_clusters=k, n_common_clusters=t,
             n_specific_clusters=specific, n_levels=4, n_users=(6, 5), n_items=(7, 4),
@@ -192,7 +191,6 @@ class TestInitParams:
                 triples=np.column_stack([np.zeros(23, np.int64), ds.users[0],
                                          ds.items[0], ds.ratings[0]]),
             )
-        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 5)
         assert_init_matches_reference(monkeypatch, dims, ds, 4)
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
@@ -204,10 +202,9 @@ class TestInitParams:
             n_specific_clusters=(2, 3), n_levels=5, n_users=(10, 8), n_items=(7, 9),
         )
         ds = random_dataset(np.random.default_rng(8), dims, 40)
-        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 5)
-        want = {seed: init_params_reference(dims, ds, seed=seed) for seed in range(6)}
         for block_rows in INIT_BLOCKS:
             monkeypatch.setattr(em, "INIT_BLOCK_ROWS", block_rows)
+            want = {seed: init_params_reference(dims, ds, seed=seed) for seed in range(6)}
             got = {}
 
             def run(seed):
@@ -245,7 +242,7 @@ class TestInitParams:
                 return self.rng.standard_gamma(*args, **kwargs)
 
         dims = ModelDims.from_dataset(tiny_dataset, 3, 2, (2, 2))
-        monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 2)  # 7 pooled triples: 4 chunks
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 2)  # 7 pooled triples: 4 blocks
         threads = threading.active_count()
         init_params(dims, tiny_dataset, seed=0)
         assert threading.active_count() == threads
@@ -291,11 +288,10 @@ def init_jobs(draw):
 
 class TestInitParamsMany:
     @settings(max_examples=80, deadline=None)
-    @given(jobs=init_jobs(), seed=st.integers(0, 2**32 - 1), chunk_rows=st.integers(1, 9),
-           block_rows=st.integers(1, 4), floor=st.sampled_from([0.0, 1e-10]))
-    def test_matches_each_jobs_init(self, jobs, seed, chunk_rows, block_rows, floor):
+    @given(jobs=init_jobs(), seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 9),
+           floor=st.sampled_from([0.0, 1e-10]))
+    def test_matches_each_jobs_init(self, jobs, seed, block_rows, floor):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(em, "INIT_CHUNK_ROWS", chunk_rows)
             mp.setattr(em, "INIT_BLOCK_ROWS", block_rows)
             want = [init_params(dims, ds, seed, floor) for dims, ds in jobs]
             got = init_params_many(jobs, seed, floor)
@@ -355,7 +351,6 @@ def test_init_params_many_draws_the_stream_once(monkeypatch, tiny_dataset):
         rngs.append(_CountingRng(real(seed)))
         return rngs[-1]
 
-    monkeypatch.setattr(em, "INIT_CHUNK_ROWS", 3)
     monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 2)
     monkeypatch.setattr(np.random, "default_rng", counting)
     init_params_many(jobs, 5)

@@ -121,6 +121,15 @@ class TestParseRatings:
         with pytest.raises(DataError, match=f"must not be negative, got {negative}$"):
             parse_ratings(str(path), column_map=columns)
 
+    @pytest.mark.parametrize("columns", [(0, 0, 2), (0, 1, 1), (2, 1, 2)],
+                             ids=["user-item", "item-rating", "user-rating"])
+    def test_repeated_column_refused(self, tmp_path, columns):
+        path = tmp_path / "r.tsv"
+        path.write_text("1\t2\t3\n")
+        with pytest.raises(DataError, match=r"must be distinct, got \[%s\]$"
+                           % ", ".join(map(str, columns))):
+            parse_ratings(str(path), column_map=columns)
+
     def test_preserves_file_order(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("b\tx\t2\na\ty\t5\n")

@@ -337,6 +337,8 @@ class TestExperimentConfig:
         ({"path": "r.tsv", "scale": {"min": 1}}, "missing key 'max'"),
         ({"path": "r.tsv", "scale": {"min": 1, "max": "5"}}, "'max' in domains\\[0\\] scale"),
         ({"path": "r.tsv", "scale": {"min": 1, "max": 5}, "columns": [0, 1]}, "3 entries"),
+        ({"path": "r.tsv", "scale": {"min": 1, "max": 5}, "name": "two\nlines"}, "line break"),
+        ({"path": "r.tsv", "scale": {"min": 1, "max": 5}, "name": "cr\r"}, "line break"),
     ])
     def test_domain_source_checked(self, domain, message):
         with pytest.raises(DataError, match=message):
@@ -941,17 +943,36 @@ def _planted(seed, w1):
     return ds
 
 
-def _best_trained(train_fn, seed, starts):
+def _best_trained(train_fn, seed, starts, max_iters=25):
     from pclf import TrainConfig
 
     best = None
     for i in range(starts):
-        cfg = TrainConfig(beta_schedule=(0.5, 0.75, 1.0), max_iters_per_beta=25,
+        cfg = TrainConfig(beta_schedule=(0.5, 0.75, 1.0), max_iters_per_beta=max_iters,
                           min_iters_per_beta=8, rel_ll_tol=1e-6, seed=seed + 7919 * i)
         params, trace = train_fn(cfg)
         if best is None or trace[-1].log_likelihood > best[1]:
             best = (params, trace[-1].log_likelihood)
     return best[0]
+
+
+def _harness_config(max_iters=25):
+    return _synthetic_config(
+        models=["pclf", "fmm"],
+        synthetic={
+            "Z": 2, "K": 3, "T": 2, "L": [2, 2], "R": 5,
+            "M": [60, 60], "N": [50, 50],
+            "w1": 0.6, "density": 0.3, "seed": 4,
+            "membership_concentration": 0.08,
+            "rating_sharpness": 3.0, "specific_sharpness": 4.0,
+        },
+        given_n=[5],
+        n_train_users=40,
+        dims={"K": 3, "T": 2, "L": [2, 2]},
+        weights=[0.6, 0.6],
+        train={"beta_schedule": [0.5, 0.75, 1.0], "max_iters_per_beta": max_iters},
+        n_repeats=3,
+    )
 
 
 class TestModelComparisons:
@@ -991,23 +1012,7 @@ class TestModelComparisons:
             assert abs(full - common) <= 0.02
 
     def test_harness_pclf_not_worse_than_fmm(self):
-        config = _synthetic_config(
-            models=["pclf", "fmm"],
-            synthetic={
-                "Z": 2, "K": 3, "T": 2, "L": [2, 2], "R": 5,
-                "M": [60, 60], "N": [50, 50],
-                "w1": 0.6, "density": 0.3, "seed": 4,
-                "membership_concentration": 0.08,
-                "rating_sharpness": 3.0, "specific_sharpness": 4.0,
-            },
-            given_n=[5],
-            n_train_users=40,
-            dims={"K": 3, "T": 2, "L": [2, 2]},
-            weights=[0.6, 0.6],
-            train={"beta_schedule": [0.5, 0.75, 1.0], "max_iters_per_beta": 25},
-            n_repeats=3,
-        )
-        report = run_experiment(config)
+        report = run_experiment(_harness_config())
         pclf = np.mean([report.mean("pclf", z, 5) for z in (0, 1)])
         fmm = np.mean([report.mean("fmm", z, 5) for z in (0, 1)])
         assert pclf <= fmm

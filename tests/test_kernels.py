@@ -79,7 +79,7 @@ class TestPairStats:
     change the M step's normalization and every checkpoint byte after it."""
 
     # numpy sums 8 or more contiguous terms pairwise, so C < 8 and C >= 8
-    # differ in ru; a length-1 cluster axis makes the tensor sums contiguous
+    # differ in ru; K = 1 or C = 1 makes rv or ru a sum of one term
     @pytest.mark.parametrize("k, c", [(3, 2), (4, 7), (3, 8), (5, 13), (20, 15),
                                       (1, 9), (9, 1), (1, 1)])
     @pytest.mark.parametrize("s", [0, 1, 2, 37, 600])
@@ -99,7 +99,7 @@ class TestPairStats:
         ):
             assert have.shape == ref.shape, name
             assert have.flags.c_contiguous, name
-            if s:  # an empty chunk's bincounts are int64 zeros, which normalize alike
+            if s:  # an empty block's bincounts are int64 zeros, which normalize alike
                 assert have.dtype == ref.dtype, name
             np.testing.assert_array_equal(have, ref, err_msg=name)
         assert not got[4][:, :, 2].any()
@@ -108,30 +108,40 @@ class TestPairStats:
     @pytest.mark.parametrize("s, block", [(0, 1), (1, 1), (37, 1), (37, 5), (600, 512),
                                           (600, 7), (600, 600)])
     def test_blocks_match_reference(self, k, c, s, block):
-        # a length-1 cluster axis takes its chunk in one block
-        block = s if 1 in (k, c) else block
+        # init adds the statistics of consecutive row blocks in block order;
+        # on eighths every sum is exact, so the blocks' total must equal the
+        # whole tensor's statistics at every shape, a length-1 axis included
         rng = np.random.default_rng(1000 * k + 10 * c + s)
         levels, n_u, n_v = 5, 13, 17
-        resp = rng.standard_gamma(0.5, size=(s, k, c))
+        resp = rng.integers(0, 64, size=(s, k, c)) / 8.0
         gu = rng.integers(0, n_u, size=s)
         gv = rng.integers(0, n_v, size=s)
         ridx = rng.choice([0, 1, 3, 4], size=s)
-        chunk = kernels.ChunkStats(s, k, c, levels)
-        for lo in range(0, max(s, 1), max(block, 1)):
-            chunk.add(resp[lo:lo + block], ridx[lo:lo + block])
-        got = chunk.result(gu, gv, n_u, n_v)
+        total = None
+        for lo in range(0, max(s, 1), block):
+            rows = slice(lo, lo + block)
+            part = kernels.pair_stats(resp[rows], gu[rows], gv[rows], ridx[rows], n_u, n_v, levels)
+            total = part if total is None else [a + b for a, b in zip(total, part)]
         want = pair_stats_reference(resp, gu, gv, ridx, n_u, n_v, levels)
         for name, have, ref in zip(
-            ("cluster_u", "cluster_v", "by_user", "by_item", "by_level"), got, want
+            ("cluster_u", "cluster_v", "by_user", "by_item", "by_level"), total, want
         ):
             assert have.shape == ref.shape, name
             assert have.flags.c_contiguous, name
             np.testing.assert_array_equal(have, ref, err_msg=name)
 
-    def test_length_one_axis_rejects_blocks(self):
-        chunk = kernels.ChunkStats(4, 3, 1, 5)
-        with pytest.raises(ValueError, match="one block"):
-            chunk.add(np.ones((2, 3, 1)), np.zeros(2, np.int64))
+    @pytest.mark.parametrize("k, c", [(3, 2), (20, 15), (1, 9), (9, 1), (1, 1)])
+    def test_cluster_masses_are_entity_sums(self, k, c):
+        # both pair_stats and pair_pass take the cluster masses as the sums
+        # of their per-entity masses, so init and EM normalize alike
+        rng = np.random.default_rng(10 * k + c)
+        resp = rng.standard_gamma(0.5, size=(600, k, c))
+        gu, gv, ridx = rng.integers(0, 13, 600), rng.integers(0, 17, 600), rng.integers(0, 5, 600)
+        stats = kernels.pair_stats(resp, gu, gv, ridx, 13, 17, 5)
+        entity = _entity_inputs(k, s=600, k=k, c=c, levels=5, n_users=13, n_items=17)
+        for got in (stats, kernels.pair_pass(*entity, 0.7)):
+            np.testing.assert_array_equal(got[0], got[2].sum(axis=1))
+            np.testing.assert_array_equal(got[1], got[3].sum(axis=1))
 
 
 def _entity_inputs(seed, s=60, k=3, c=4, levels=5, n_users=9, n_items=11):

@@ -3,7 +3,7 @@
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts every array a call holds at once.  Each bound is the arrays that
 the call needs by design plus its inputs, and each sits below the array
-that the bound rules out: a whole-chunk init draw, a shared init stream
+that the bound rules out: a whole-family init draw, a shared init stream
 kept whole, a per-triple (S, K) array in the EM pass, or a (cells, K)
 gather.
 """
@@ -42,8 +42,8 @@ def traced_peak(fn, *args):
 
 
 def test_init_params_holds_blocks_not_chunks():
-    # K = 20, C = 15 on 8400 pooled triples: the pooled family has three
-    # chunks, each specific family two
+    # K = 20, C = 15 on 8400 pooled triples: the pooled family has 17
+    # blocks, each specific family 9
     k, c, levels, users, items, per_domain = 20, 15, 5, (300, 300), (400, 400), 4200
     dims = ModelDims(n_domains=2, n_user_clusters=k, n_common_clusters=c,
                      n_specific_clusters=(c, c), n_levels=levels, n_users=users,
@@ -58,25 +58,24 @@ def test_init_params_holds_blocks_not_chunks():
     ds = CrossDomainDataset.from_indexed(n_levels=levels, triples=rows, n_users=list(users),
                                          n_items=list(items))
     n_triples = 2 * per_domain
-    # the draw buffer, and one block's rows copied by the reductions; no
-    # buffer or chunk outlives its family's draws into the M step
+    # the draw buffer, and the block's level keys; no buffer outlives its
+    # family's draws into the M step
     draws = 2 * em.INIT_BLOCK_ROWS * k * c
-    chunk = em.INIT_CHUNK_ROWS * (k + c) + levels * k * c       # ru, rv and by_level
-    # each family's statistics, a chunk's part, their sum and the M step's copies
+    # each family's statistics, a block's part, their sum and the M step's copies
     stats = 4 * sum(k * sum(users) + c * n_items + k * c * levels
                     for n_items in (sum(items), *items))
     inputs = 8 * n_triples                                      # the families' index columns
-    bound = FLOAT * (draws + chunk + stats + inputs)
-    # the bound rules out drawing a whole chunk
-    assert bound < FLOAT * em.INIT_CHUNK_ROWS * k * c
+    bound = FLOAT * (draws + stats + inputs)
+    # the bound rules out drawing a specific family at once
+    assert bound < FLOAT * per_domain * k * c
     peak = traced_peak(init_params, dims, ds, 0)
     assert peak < bound, (peak, bound)
 
 
 def test_init_params_many_holds_blocks_not_the_stream():
     # pclf, rmgm-like and fmm on each domain view, all at K = 20, C = 15,
-    # on 8400 pooled triples: each pooled family has three chunks, each
-    # per-domain family two
+    # on 8400 pooled triples: each pooled family has 17 blocks, each
+    # per-domain family 9
     k, c, levels, users, items, per_domain = 20, 15, 5, (300, 300), (400, 400), 4200
     rng = np.random.default_rng(0)
     rows = np.concatenate([
@@ -91,17 +90,16 @@ def test_init_params_many_holds_blocks_not_the_stream():
     jobs = [(ModelDims.from_dataset(ds, k, c, c), ds), (ModelDims.from_dataset(ds, k, c, 0), ds),
             *((ModelDims.from_dataset(view, k, c, 0), view) for view in views)]
     block = em.INIT_BLOCK_ROWS * k * c
-    # per job: its draw buffer, its chunk's ru, rv and by_level, the
-    # statistics of its families as in test_init_params_holds_blocks_not_chunks,
-    # and its families' index columns
+    # per job: its draw buffer, the statistics of its families as in
+    # test_init_params_holds_blocks_not_chunks, and its families' index columns
     per_job = 0
     for dims, dataset in jobs:
         n_items = (dims.total_items, *(n for n, l in zip(dims.n_items, dims.n_specific_clusters)
                                        if l))
-        per_job += (block + em.INIT_CHUNK_ROWS * (k + c) + levels * k * c
+        per_job += (block
                     + 4 * sum(k * dims.total_users + c * n + k * c * levels for n in n_items)
                     + 8 * sum(dataset.n_ratings))
-    copies = block   # one block's rows copied by a reduction
+    copies = block   # the level keys of one block
     bound = FLOAT * (per_job + copies)
     # the bound rules out keeping the longest job's stream, pclf's
     stream = sum(s * k * c for s in (2 * per_domain, per_domain, per_domain))
