@@ -24,6 +24,16 @@ KNOWN_MODELS = ("pclf", "rmgm-like", "fmm", "nmf")
 _HEADER_TYPES = {"format": str, "model_kind": str, "seed": int, "trace": [list],
                  "default_w1": [float], "dims": dict, "arrays": dict, "rank": int,
                  "n_levels": int, "objective": [float]}
+# the JSON type of every ``dims`` key: ModelDims' fields, each tuple a list
+_DIMS_TYPES = {"n_domains": int, "n_user_clusters": int, "n_common_clusters": int,
+               "n_specific_clusters": [int], "n_levels": int, "n_users": [int],
+               "n_items": [int]}
+# the arrays of a cluster checkpoint: these PclfParams fields, then each
+# per-domain field's list as one ``<field>_<z>`` array per domain
+_SHARED_ARRAYS = ("prior_u", "prior_vcom", "cond_u", "cond_vcom", "rate_com")
+_DOMAIN_ARRAYS = ("prior_vspe", "cond_vspe", "rate_spe")
+# the arrays of an nmf checkpoint: these NmfFactors fields
+_NMF_ARRAYS = ("u_factors", "v_factors")
 
 
 class CheckpointError(ValueError):
@@ -57,18 +67,6 @@ def _unarray(arrays: dict, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise CheckpointError(f"checkpoint array {name!r} has non-finite values")
     return arr
-
-
-def _dims_from_dict(obj: dict) -> ModelDims:
-    return ModelDims(
-        n_domains=obj["n_domains"],
-        n_user_clusters=obj["n_user_clusters"],
-        n_common_clusters=obj["n_common_clusters"],
-        n_specific_clusters=tuple(obj["n_specific_clusters"]),
-        n_levels=obj["n_levels"],
-        n_users=tuple(obj["n_users"]),
-        n_items=tuple(obj["n_items"]),
-    )
 
 
 # the C encoder; json.dump always runs the pure-Python one
@@ -115,27 +113,16 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             raise CheckpointError("nmf checkpoints need factors and n_levels")
         doc["rank"] = ckpt.factors.rank
         doc["n_levels"] = ckpt.n_levels
-        doc["arrays"] = {
-            "u_factors": ckpt.factors.u_factors,
-            "v_factors": ckpt.factors.v_factors,
-        }
+        doc["arrays"] = {name: getattr(ckpt.factors, name) for name in _NMF_ARRAYS}
         doc["objective"] = list(ckpt.factors.objective)
     else:
         if ckpt.params is None:
             raise CheckpointError(f"{ckpt.model_kind} checkpoints need params")
         p = ckpt.params
         doc["dims"] = asdict(p.dims)
-        doc["arrays"] = {
-            "prior_u": p.prior_u,
-            "prior_vcom": p.prior_vcom,
-            "cond_u": p.cond_u,
-            "cond_vcom": p.cond_vcom,
-            "rate_com": p.rate_com,
-        }
-        for z in range(p.dims.n_domains):
-            doc["arrays"][f"prior_vspe_{z}"] = p.prior_vspe[z]
-            doc["arrays"][f"cond_vspe_{z}"] = p.cond_vspe[z]
-            doc["arrays"][f"rate_spe_{z}"] = p.rate_spe[z]
+        doc["arrays"] = {name: getattr(p, name) for name in _SHARED_ARRAYS}
+        doc["arrays"].update((f"{name}_{z}", getattr(p, name)[z])
+                             for name in _DOMAIN_ARRAYS for z in range(p.dims.n_domains))
     # a failed write leaves the previous checkpoint intact
     with atomic_write(path) as fh:
         _write_document(fh, doc)
@@ -164,7 +151,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         if kind == "nmf":
             rank, n_levels = doc["rank"], doc["n_levels"]
         else:
-            dims = _dims_from_dict(doc["dims"])
+            raw = _checked(doc["dims"], _DIMS_TYPES, "dims")
+            dims = ModelDims(**{key: tuple(raw[key]) if json_type == [int] else raw[key]
+                                for key, json_type in _DIMS_TYPES.items()})
+            if default_w1 is not None and len(default_w1) != dims.n_domains:
+                raise ValueError(f"'default_w1' needs one weight per domain "
+                                 f"({dims.n_domains}), got {len(default_w1)}")
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path}: field {exc.args[0]!r} is missing") from None
     except (TypeError, ValueError) as exc:
@@ -173,27 +165,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(arrays, dict):
         raise CheckpointError(f"checkpoint {path}: 'arrays' is missing or not an object")
     if kind == "nmf":
-        factors = NmfFactors(
-            u_factors=_unarray(arrays, "u_factors"),
-            v_factors=_unarray(arrays, "v_factors"),
-            rank=rank,
-            objective=list(doc.get("objective", [])),
-        )
+        factors = NmfFactors(**{name: _unarray(arrays, name) for name in _NMF_ARRAYS},
+                             rank=rank, objective=list(doc.get("objective", [])))
         return Checkpoint(
             model_kind=kind, seed=seed, trace=trace,
             factors=factors, n_levels=n_levels, default_w1=default_w1,
         )
     domains = range(dims.n_domains)
     params = PclfParams(
-        dims=dims,
-        prior_u=_unarray(arrays, "prior_u"),
-        prior_vcom=_unarray(arrays, "prior_vcom"),
-        prior_vspe=[_unarray(arrays, f"prior_vspe_{z}") for z in domains],
-        cond_u=_unarray(arrays, "cond_u"),
-        cond_vcom=_unarray(arrays, "cond_vcom"),
-        cond_vspe=[_unarray(arrays, f"cond_vspe_{z}") for z in domains],
-        rate_com=_unarray(arrays, "rate_com"),
-        rate_spe=[_unarray(arrays, f"rate_spe_{z}") for z in domains],
+        dims=dims, **{name: _unarray(arrays, name) for name in _SHARED_ARRAYS},
+        **{name: [_unarray(arrays, f"{name}_{z}") for z in domains] for name in _DOMAIN_ARRAYS},
     )
     try:
         params.validate()

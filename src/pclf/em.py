@@ -273,13 +273,14 @@ class _Family:
 def _families(dims: ModelDims, dataset: CrossDomainDataset) -> list[_Family]:
     """The pooled common family, then one specific family per domain with L_z > 0."""
     gu, gv, r = dataset.pooled()
-    families = [_Family(0, dims.n_common_clusters, dims.total_items, gu, gv, r - 1)]
+    ridx = r - 1
+    families = [_Family(0, dims.n_common_clusters, dims.total_items, gu, gv, ridx)]
+    bounds = np.cumsum([0, *dataset.n_ratings])
     for z, l_z in enumerate(dims.n_specific_clusters):
         if l_z > 0:
-            families.append(_Family(
-                z + 1, l_z, dims.n_items[z], dataset.users[z] + dims.user_offset(z),
-                dataset.items[z], dataset.ratings[z] - 1,
-            ))
+            rows = slice(bounds[z], bounds[z + 1])
+            families.append(_Family(z + 1, l_z, dims.n_items[z], gu[rows],
+                                    dataset.items[z], ridx[rows]))
     return families
 
 

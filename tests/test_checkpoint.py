@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -274,10 +275,20 @@ class TestValidation:
         ("pclf", lambda doc: doc.__setitem__("default_w1", ["x"]), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("default_w1", None), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("seed", True), "malformed header"),
+        ("pclf", lambda doc: doc.__setitem__("default_w1", [0.5]),
+         r"'default_w1' needs one weight per domain \(2\), got 1"),
+        ("pclf", lambda doc: doc["dims"].__setitem__("n_clusters", 2),
+         "unknown key 'n_clusters' in dims"),
+        ("pclf", lambda doc: doc["dims"].__setitem__("n_user_clusters", 2.5),
+         "'n_user_clusters' in dims must be an integer, got 2.5"),
+        ("pclf", lambda doc: doc["dims"].__setitem__("n_specific_clusters", [2, "x"]),
+         "'n_specific_clusters' in dims must be a list, each an integer"),
         ("nmf", lambda doc: doc.pop("rank"), "field 'rank' is missing"),
         ("nmf", lambda doc: doc.pop("n_levels"), "field 'n_levels' is missing"),
     ], ids=["dims", "dims-field", "seed", "trace-short", "trace-value", "arrays",
-            "default-w1", "default-w1-null", "seed-true", "nmf-rank", "nmf-levels"])
+            "default-w1", "default-w1-null", "seed-true", "default-w1-short",
+            "dims-unknown-key", "dims-count-float", "dims-list-entry", "nmf-rank",
+            "nmf-levels"])
     def test_corrupt_header_named(self, tmp_path, kind, corrupt, message):
         path = tmp_path / "model.json"
         if kind == "nmf":
@@ -293,3 +304,43 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("specific", [(0,), (2,), (2, 0), (0, 3, 1), None],
+                             ids=["z1-none", "z1", "z2", "z3", "nmf"])
+    def test_save_writes_the_arrays_load_reads(self, tmp_path, monkeypatch, specific):
+        if specific is None:
+            factors = NmfFactors(u_factors=np.ones((2, 1)), v_factors=np.ones((3, 1)),
+                                 rank=1, objective=[])
+            ckpt = Checkpoint(model_kind="nmf", seed=0, trace=[], factors=factors, n_levels=5)
+            want = {"u_factors", "v_factors"}
+        else:
+            z = len(specific)
+            dims = ModelDims(n_domains=z, n_user_clusters=2, n_common_clusters=2,
+                             n_specific_clusters=specific, n_levels=3,
+                             n_users=(3,) * z, n_items=(4,) * z)
+            ckpt = Checkpoint(model_kind="pclf", seed=0, trace=[],
+                              params=random_params(np.random.default_rng(0), dims))
+            want = {"prior_u", "prior_vcom", "cond_u", "cond_vcom", "rate_com"} | {
+                f"{name}_{d}" for name in ("prior_vspe", "cond_vspe", "rate_spe")
+                for d in range(z)}
+        # the tables name every array field of the model they store
+        fields = {f.name for f in dataclasses.fields(NmfFactors if specific is None
+                                                      else PclfParams)}
+        tables = ((checkpoint._NMF_ARRAYS,) if specific is None
+                  else (checkpoint._SHARED_ARRAYS, checkpoint._DOMAIN_ARRAYS))
+        assert {name for table in tables for name in table} == fields - {
+            "dims", "rank", "objective"}
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, ckpt)
+        with open(path) as fh:
+            written = set(json.load(fh)["arrays"])
+        read = set()
+        unarray = checkpoint._unarray
+
+        def recording(arrays, name):
+            read.add(name)
+            return unarray(arrays, name)
+
+        monkeypatch.setattr(checkpoint, "_unarray", recording)
+        load_checkpoint(path)
+        assert written == read == want

@@ -493,16 +493,18 @@ def test_corrupt_manifest_one_line_error(trained, tmp_path, capsys, damage):
         assert repr(damage) in err[0]
 
 
-@pytest.mark.parametrize("field", ["dims", "seed", "trace"])
+@pytest.mark.parametrize("field", ["dims", "seed", "trace", "default_w1"])
 def test_corrupt_checkpoint_header_one_line_error(trained, capsys, field):
     _, ckpt = trained
     doc = json.load(open(ckpt))
     if field == "trace":
         doc["trace"] = [[1.0]]
+    elif field == "default_w1":
+        doc["default_w1"] = [0.5]   # one weight for two domains
     else:
         del doc[field]
     json.dump(doc, open(ckpt, "w"))
-    assert main(["predict", "--checkpoint", ckpt, "--cell", "0,0,0"]) == 1
+    assert main(["predict", "--checkpoint", ckpt, "--cell", "1,1,1"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
 
