@@ -20,10 +20,11 @@ from .em import ModelDims, ModelError, PclfParams, TraceEntry
 FORMAT_VERSION = "pclf-model-v1"
 # every model kind; its order is evaluate's default model order
 KNOWN_MODELS = ("pclf", "rmgm-like", "fmm", "nmf")
-# the JSON type of every key a checkpoint may hold, as ``data._is`` spells it
-_HEADER_TYPES = {"format": str, "model_kind": str, "seed": int, "trace": [list],
-                 "default_w1": [float], "dims": dict, "arrays": dict, "rank": int,
-                 "n_levels": int, "objective": [float]}
+# the JSON type of each header key per model family, as ``data._is`` spells
+# it; every key but default_w1 is required
+_HEADER = {"format": str, "model_kind": str, "seed": int, "trace": [list], "arrays": dict}
+_NMF_HEADER = {**_HEADER, "rank": int, "n_levels": int, "objective": [float]}
+_CLUSTER_HEADER = {**_HEADER, "dims": dict, "default_w1": [float]}
 # the JSON type of every ``dims`` key: ModelDims' fields, each tuple a list
 _DIMS_TYPES = {"n_domains": int, "n_user_clusters": int, "n_common_clusters": int,
                "n_specific_clusters": [int], "n_levels": int, "n_users": [int],
@@ -56,13 +57,11 @@ def _array(arr: np.ndarray) -> dict:
 
 
 def _unarray(arrays: dict, name: str) -> np.ndarray:
-    """Array ``name`` of a loaded document; it must exist, fit its shape and be finite."""
-    if name not in arrays:
-        raise CheckpointError(f"checkpoint array {name!r} is missing")
+    """Array ``name`` of a loaded document; it must fit its shape and be finite."""
     try:
         entry = _checked(arrays[name], {"shape": [int], "data": list}, name, ("shape", "data"))
         arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint array {name!r} is malformed: {exc!r}") from None
     if not np.isfinite(arr).all():
         raise CheckpointError(f"checkpoint array {name!r} has non-finite values")
@@ -109,15 +108,17 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     if ckpt.default_w1 is not None:
         doc["default_w1"] = [float(w) for w in ckpt.default_w1]
     if ckpt.model_kind == "nmf":
-        if ckpt.factors is None or ckpt.n_levels is None:
-            raise CheckpointError("nmf checkpoints need factors and n_levels")
+        if (ckpt.factors is None or ckpt.n_levels is None
+                or ckpt.params is not None or ckpt.default_w1 is not None):
+            raise CheckpointError("nmf checkpoints hold factors and n_levels, no params "
+                                  "or default_w1")
         doc["rank"] = ckpt.factors.rank
         doc["n_levels"] = ckpt.n_levels
         doc["arrays"] = {name: getattr(ckpt.factors, name) for name in _NMF_ARRAYS}
         doc["objective"] = list(ckpt.factors.objective)
     else:
-        if ckpt.params is None:
-            raise CheckpointError(f"{ckpt.model_kind} checkpoints need params")
+        if ckpt.params is None or ckpt.factors is not None or ckpt.n_levels is not None:
+            raise CheckpointError(f"{ckpt.model_kind} checkpoints hold params, no factors")
         p = ckpt.params
         doc["dims"] = asdict(p.dims)
         doc["arrays"] = {name: getattr(p, name) for name in _SHARED_ARRAYS}
@@ -129,6 +130,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint ``save_checkpoint`` wrote to ``path``; a key or array
+    that its model kind is not saved with, like any other fault, raises one
+    ``CheckpointError``."""
     doc = read_json(path, "checkpoint", CheckpointError)
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
@@ -140,38 +144,39 @@ def load_checkpoint(path: str) -> Checkpoint:
     kind = doc.get("model_kind")
     if kind not in KNOWN_MODELS:
         raise CheckpointError(f"unknown model_kind {kind!r}")
+    header = _NMF_HEADER if kind == "nmf" else _CLUSTER_HEADER
     try:
-        _checked(doc, _HEADER_TYPES, "checkpoint")
+        _checked(doc, header, "checkpoint", [key for key in header if key != "default_w1"])
         trace = [TraceEntry(beta=float(b), iteration=int(i), log_likelihood=float(ll))
-                 for b, i, ll in doc.get("trace", [])]
-        seed = doc["seed"]
+                 for b, i, ll in doc["trace"]]
         default_w1 = doc.get("default_w1")
-        if default_w1 is not None:
-            default_w1 = [float(w) for w in default_w1]
         if kind == "nmf":
-            rank, n_levels = doc["rank"], doc["n_levels"]
+            names = _NMF_ARRAYS
+            if doc["rank"] < 1 or doc["n_levels"] < 2:
+                raise ValueError(f"nmf needs 'rank' >= 1 and 'n_levels' >= 2, "
+                                 f"got {doc['rank']} and {doc['n_levels']}")
         else:
-            raw = _checked(doc["dims"], _DIMS_TYPES, "dims")
+            raw = _checked(doc["dims"], _DIMS_TYPES, "dims", _DIMS_TYPES)
             dims = ModelDims(**{key: tuple(raw[key]) if json_type == [int] else raw[key]
                                 for key, json_type in _DIMS_TYPES.items()})
             if default_w1 is not None and len(default_w1) != dims.n_domains:
                 raise ValueError(f"'default_w1' needs one weight per domain "
                                  f"({dims.n_domains}), got {len(default_w1)}")
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path}: field {exc.args[0]!r} is missing") from None
+            domains = range(dims.n_domains)
+            names = [*_SHARED_ARRAYS, *(f"{name}_{z}" for name in _DOMAIN_ARRAYS for z in domains)]
+        arrays = _checked(doc["arrays"], dict.fromkeys(names, dict), "arrays", names)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path}: malformed header: {exc}") from None
-    arrays = doc.get("arrays")
-    if not isinstance(arrays, dict):
-        raise CheckpointError(f"checkpoint {path}: 'arrays' is missing or not an object")
     if kind == "nmf":
-        factors = NmfFactors(**{name: _unarray(arrays, name) for name in _NMF_ARRAYS},
-                             rank=rank, objective=list(doc.get("objective", [])))
-        return Checkpoint(
-            model_kind=kind, seed=seed, trace=trace,
-            factors=factors, n_levels=n_levels, default_w1=default_w1,
-        )
-    domains = range(dims.n_domains)
+        factors = NmfFactors(**{name: _unarray(arrays, name) for name in names},
+                             rank=doc["rank"], objective=doc["objective"])
+        for name in names:
+            shape = getattr(factors, name).shape
+            if shape[1:] != (factors.rank,):
+                raise CheckpointError(f"checkpoint array {name!r} has shape {shape}, "
+                                      f"not (rows, {factors.rank}) for rank {factors.rank}")
+        return Checkpoint(model_kind=kind, seed=doc["seed"], trace=trace,
+                          factors=factors, n_levels=doc["n_levels"])
     params = PclfParams(
         dims=dims, **{name: _unarray(arrays, name) for name in _SHARED_ARRAYS},
         **{name: [_unarray(arrays, f"{name}_{z}") for z in domains] for name in _DOMAIN_ARRAYS},
@@ -180,7 +185,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         params.validate()
     except ModelError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
-    return Checkpoint(
-        model_kind=kind, seed=seed, trace=trace,
-        params=params, default_w1=default_w1,
-    )
+    return Checkpoint(model_kind=kind, seed=doc["seed"], trace=trace,
+                      params=params, default_w1=default_w1)

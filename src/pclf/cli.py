@@ -70,8 +70,6 @@ def cmd_ingest(args) -> int:
         raise DataError("--scale must be given once or once per --input")
     scales = args.scale if len(args.scale) == len(args.input) else args.scale * len(args.input)
     columns = tuple(_parse_numbers(args.columns, int, "--columns"))
-    if len(columns) != 3:
-        raise DataError(f"--columns needs 3 entries, got {args.columns!r}")
     per_domain = []
     for path, scale_text in zip(args.input, scales):
         scale = _parse_scale(scale_text, args.levels)
@@ -177,10 +175,10 @@ def cmd_predict(args) -> int:
         head = "# model_kind=nmf\ndomain,user_idx,item_idx,predicted_rating\n"
         with _output(args.out, head) as write:
             if cells is None:
-                n_users = factors.u_factors.shape[0]
-                sink, items = _row_sink(write, 0, n_users), np.arange(factors.v_factors.shape[0])
-                for u in range(n_users):
-                    sink(u, baselines.nmf_predict(factors, u, items, levels))
+                items = np.arange(factors.v_factors.shape[0])
+                with _row_sink(write, 0) as sink:
+                    for u in range(factors.u_factors.shape[0]):
+                        sink(u, baselines.nmf_predict(factors, u, items, levels))
             else:
                 values = baselines.nmf_predict(factors, cells[:, 1], cells[:, 3], levels)
                 _write_rows(write, cells[:, 0], cells[:, 1], cells[:, 3], values)
@@ -200,11 +198,9 @@ def cmd_predict(args) -> int:
     head = f"# model_kind={ckpt.model_kind} w1={','.join(f'{w:g}' for w in w1)}\n"
 
     if cells is None:
-        _check_domain(args.complete, z)
-        with _output(args.out, head + "domain,user_idx,item_idx,predicted_rating\n") as write:
-            inference.complete_matrix(params, mats, mems, weights, args.complete,
-                                      _row_sink(write, args.complete,
-                                                params.dims.n_users[args.complete]))
+        with (_output(args.out, head + "domain,user_idx,item_idx,predicted_rating\n") as write,
+              _row_sink(write, args.complete) as sink):
+            inference.complete_matrix(params, mats, mems, weights, args.complete, sink)
         return 0
 
     values = inference.predict_cells(params, mats, mems, weights, cells, args.mix_specific)
@@ -217,11 +213,6 @@ def cmd_predict(args) -> int:
         print(f"note: {unseen} of {len(cells)} cells used a uniform membership "
               "for an unseen user or item", file=sys.stderr)
     return 0
-
-
-def _check_domain(domain: int, n_domains: int) -> None:
-    if not 0 <= domain < n_domains:
-        raise DataError(f"domain {domain} out of range: the checkpoint has {n_domains}")
 
 
 def _collect_cells(args) -> np.ndarray:
@@ -276,23 +267,30 @@ def _output(path, head: str):
         yield write
 
 
-def _row_sink(write, domain: int, n_users: int):
-    """``sink(user, row)`` for one domain's rows of predictions in user
-    order.  Rows are buffered and written in blocks of about
-    ``data.BLOCK_ROWS`` cells; the last block goes out with user ``n_users - 1``."""
+@contextlib.contextmanager
+def _row_sink(write, domain: int):
+    """Yield ``sink(user, row)`` for one domain's rows of predictions in
+    user order.  Rows are buffered and written in blocks of about
+    ``data.BLOCK_ROWS`` cells; the rest goes out when the ``with`` block
+    ends without an error."""
     users, rows = [], []
+
+    def flush():
+        n_items = len(rows[0])
+        values = np.concatenate(rows)
+        _write_rows(write, np.full(len(values), domain), np.repeat(users, n_items),
+                    np.tile(np.arange(n_items), len(users)), values)
+        users.clear()
+        rows.clear()
 
     def complete_sink(u, row):
         users.append(u)
         rows.append(row)
-        if u == n_users - 1 or (len(rows) + 1) * len(row) > data.BLOCK_ROWS:
-            n_items = len(row)
-            values = np.concatenate(rows)
-            _write_rows(write, np.full(len(values), domain), np.repeat(users, n_items),
-                        np.tile(np.arange(n_items), len(users)), values)
-            users.clear()
-            rows.clear()
-    return complete_sink
+        if (len(rows) + 1) * len(row) > data.BLOCK_ROWS:
+            flush()
+    yield complete_sink
+    if rows:
+        flush()
 
 
 def cmd_evaluate(args) -> int:

@@ -100,14 +100,17 @@ def parse_ratings(
 ) -> list[RawRating]:
     """Read one rating per line from a delimited text file.
 
-    ``column_map`` gives the (user, item, rating) column positions: three
-    distinct ones, none of them negative.  Rows are validated against
+    ``column_map`` gives the (user, item, rating) column positions: exactly
+    three distinct ones, none of them negative.  Rows are validated against
     ``scale`` bounds; any malformed row, or a rating that is not a finite
     number, is reported with its 1-based line number.  Blank lines are
     skipped.
     """
     if not delimiter:
         raise DataError("the delimiter must not be empty")
+    if len(column_map) != 3:
+        raise DataError(f"the column map needs 3 entries (user, item, rating), "
+                        f"got {list(column_map)}")
     for col in column_map:
         if col < 0:
             raise DataError(f"column indices must not be negative, got {col}")

@@ -135,8 +135,7 @@ def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: Members
     dims = params.dims
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 4)
     for d in np.unique(cells[:, [0, 2]]).tolist():
-        if not 0 <= d < dims.n_domains:
-            raise ModelError(f"domain {d} out of range: the model has {dims.n_domains}")
+        _check_domain(dims, d)
     blocks = cells[:, 0] * dims.n_domains + cells[:, 2]
     out = np.empty(len(cells))
     for block in np.unique(blocks).tolist():
@@ -151,6 +150,11 @@ def predict_cells(params: PclfParams, mats: ClusterRatingMatrices, mems: Members
             items = _table_rows(cells[rows, 3], dims.n_items[dv])
             out[rows] = np.einsum("ij,ij->i", u_tab[users], v_tab[items])
     return out
+
+
+def _check_domain(dims: ModelDims, domain: int) -> None:
+    if not 0 <= domain < dims.n_domains:
+        raise ModelError(f"domain {domain} out of range: the model has {dims.n_domains}")
 
 
 def _table_rows(index: np.ndarray, size: int) -> np.ndarray:
@@ -246,8 +250,9 @@ def complete_matrix(
 
     ``sink(user_index, row)`` is called once per user in index order with
     the full row of item predictions; the dense matrix itself is never
-    materialized.
+    materialized.  A domain outside [0, Z) raises ``ModelError``.
     """
+    _check_domain(params.dims, domain)
     items = item_table(params, mats, mems, domain, weights.w1[domain])[:-1]
     for u, row in enumerate(user_table(params, mems, domain)[:-1]):
         sink(u, items @ row)

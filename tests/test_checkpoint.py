@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import tempfile
 
@@ -149,7 +150,8 @@ floats = st.one_of(
 def checkpoints(draw):
     """Any checkpoint ``save_checkpoint`` accepts: a cluster model (some
     domains without specific clusters) or NMF factors, arrays of any finite
-    floats, a trace that may be empty and ``default_w1`` that may be None."""
+    floats, a trace that may be empty and, for a cluster model, a
+    ``default_w1`` that may be None."""
     def array(*shape):
         size = int(np.prod(shape))
         return np.array(draw(st.lists(floats, min_size=size, max_size=size)),
@@ -164,8 +166,7 @@ def checkpoints(draw):
         factors = NmfFactors(u_factors=array(m, rank), v_factors=array(n, rank), rank=rank,
                              objective=draw(st.lists(floats, max_size=4)))
         return Checkpoint(model_kind=kind, seed=seed, trace=trace, factors=factors,
-                          n_levels=draw(st.integers(2, 10)),
-                          default_w1=draw(st.none() | st.lists(floats, max_size=1)))
+                          n_levels=draw(st.integers(2, 10)))
     z = draw(st.integers(1, 3))
     dims = ModelDims(
         n_domains=z, n_user_clusters=draw(st.integers(1, 3)),
@@ -212,6 +213,96 @@ class TestWriter:
         assert json.loads(blob)["arrays"]["cond_u"]["data"][:4] == AWKWARD_FLOATS[:4]
 
 
+def _saved(tmp_path, kind):
+    """The path of a saved 2-domain pclf checkpoint, or of an nmf one of rank 1."""
+    path = tmp_path / "model.json"
+    if kind == "nmf":
+        factors = NmfFactors(u_factors=np.ones((2, 1)), v_factors=np.ones((3, 1)),
+                             rank=1, objective=[1.0])
+        ckpt = Checkpoint(model_kind="nmf", seed=0, trace=[], factors=factors, n_levels=5)
+    else:
+        ckpt = Checkpoint(model_kind="pclf", seed=0, trace=[TraceEntry(1.0, 0, -3.0)],
+                          params=_params(), default_w1=[0.35, 1.0])
+    save_checkpoint(str(path), ckpt)
+    return path
+
+
+@st.composite
+def loadable_checkpoints(draw):
+    """Any checkpoint that ``load_checkpoint`` takes back: NMF factors of
+    ``rank`` columns each, or a cluster model of 1 to 3 domains (some
+    without specific clusters) whose distributions sum to 1."""
+    kind = draw(st.sampled_from(["pclf", "fmm", "rmgm-like", "nmf"]))
+    trace = [TraceEntry(*entry) for entry in draw(st.lists(
+        st.tuples(floats, st.integers(0, 60), floats), max_size=3))]
+    seed = draw(st.integers(-2 ** 63, 2 ** 63))
+    if kind == "nmf":
+        rank = draw(st.integers(1, 3))
+        u, v = (np.array(draw(st.lists(floats, min_size=n * rank, max_size=n * rank)))
+                .reshape(n, rank) for n in (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+        factors = NmfFactors(u_factors=u, v_factors=v, rank=rank,
+                             objective=draw(st.lists(floats, max_size=3)))
+        return Checkpoint(model_kind=kind, seed=seed, trace=trace, factors=factors,
+                          n_levels=draw(st.integers(2, 10)))
+    z = draw(st.integers(1, 3))
+    counts = st.lists(st.integers(1, 4), min_size=z, max_size=z)
+    dims = ModelDims(
+        n_domains=z, n_user_clusters=draw(st.integers(1, 3)),
+        n_common_clusters=draw(st.integers(1, 3)),
+        n_specific_clusters=tuple(draw(st.lists(st.integers(0, 2), min_size=z, max_size=z))),
+        n_levels=draw(st.integers(2, 5)), n_users=tuple(draw(counts)),
+        n_items=tuple(draw(counts)),
+    )
+    params = random_params(np.random.default_rng(draw(st.integers(0, 2 ** 32))), dims)
+    return Checkpoint(model_kind=kind, seed=seed, trace=trace, params=params,
+                      default_w1=draw(st.none() | st.lists(floats, min_size=z, max_size=z)))
+
+
+def _bits(value):
+    """``value`` with every array and float as its bits, so that == on two
+    of them asks for bit-identical checkpoints."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+class TestInverse:
+    @settings(max_examples=120, deadline=None)
+    @given(loadable_checkpoints(), st.data())
+    def test_load_gives_back_what_save_wrote(self, ckpt, data):
+        """Every such checkpoint loads back bit for bit; save writes
+        exactly its family's header keys, and one more header key or array
+        that the kind is not saved with is refused with a line naming it."""
+        schema = (checkpoint._NMF_HEADER if ckpt.model_kind == "nmf"
+                  else checkpoint._CLUSTER_HEADER)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_checkpoint(path, ckpt)
+            assert _bits(load_checkpoint(path)) == _bits(ckpt)
+            with open(path) as fh:
+                doc = json.load(fh)
+            assert set(doc) == set(schema) - ({"default_w1"} if ckpt.default_w1 is None
+                                              else set())
+            where = data.draw(st.sampled_from(["header", "arrays"]))
+            target = doc if where == "header" else doc["arrays"]
+            taken = set(schema) if where == "header" else set(target)
+            names = ["rank", "n_levels", "objective", "dims", "default_w1", "prior_u",
+                     "u_factors", "prior_vspe_3", "cond_vspe_0"]
+            key = data.draw((st.sampled_from(names) | st.text(min_size=1, max_size=8))
+                            .filter(lambda name: name not in taken))
+            target[key] = next(iter(doc["arrays"].values()))
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with pytest.raises(CheckpointError, match=re.escape(f"unknown key {key!r}")):
+                load_checkpoint(path)
+
+
 class TestValidation:
     def test_version_mismatch_names_both(self, tmp_path):
         path = str(tmp_path / "model.json")
@@ -245,20 +336,47 @@ class TestValidation:
                 model_kind="nmf", seed=0, trace=[],
             ))
 
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda arrays: arrays.pop("cond_vcom"), "'cond_vcom' is missing"),
-        (lambda arrays: arrays["rate_com"].update(shape=[3, 2, 4]), "'rate_com' is malformed"),
-        (lambda arrays: arrays["prior_u"]["data"].__setitem__(1, float("nan")),
+    @pytest.mark.parametrize("kind, field", [
+        ("nmf", "default_w1"), ("nmf", "params"), ("pclf", "factors"), ("fmm", "n_levels"),
+    ])
+    def test_other_family_field_refused_on_save(self, tmp_path, kind, field):
+        """save refuses a field that load would not give back."""
+        factors = NmfFactors(u_factors=np.ones((2, 1)), v_factors=np.ones((3, 1)), rank=1)
+        fields = ({"factors": factors, "n_levels": 5} if kind == "nmf"
+                  else {"params": _params()})
+        fields[field] = {"default_w1": [0.5], "params": _params(), "factors": factors,
+                         "n_levels": 5}[field]
+        path = tmp_path / "x.json"
+        with pytest.raises(CheckpointError, match="hold .*, no "):
+            save_checkpoint(str(path), Checkpoint(model_kind=kind, seed=0, trace=[], **fields))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind, corrupt, message", [
+        ("pclf", lambda arrays: arrays.pop("cond_vcom"), "arrays is missing key 'cond_vcom'"),
+        ("pclf", lambda arrays: arrays["rate_com"].update(shape=[3, 2, 4]),
+         "'rate_com' is malformed"),
+        ("pclf", lambda arrays: arrays["prior_u"]["data"].__setitem__(1, float("nan")),
          "'prior_u' has non-finite"),
-        (lambda arrays: arrays["prior_u"]["data"].__setitem__(0, 2.0),
+        ("pclf", lambda arrays: arrays["prior_u"]["data"].__setitem__(0, 2.0),
          "prior_u: distribution off"),
-        (lambda arrays: arrays["prior_u"].update(shape=None), "'prior_u' is malformed"),
-    ], ids=["missing", "shape", "nan", "unnormalized", "shape-null"])
-    def test_corrupt_array_named(self, tmp_path, corrupt, message):
-        path = tmp_path / "model.json"
-        save_checkpoint(str(path), Checkpoint(
-            model_kind="pclf", seed=0, trace=[], params=_params()
-        ))
+        ("pclf", lambda arrays: arrays["prior_u"].update(shape=None), "'prior_u' is malformed"),
+        # one domain more than dims has, as a 3-domain model would write it
+        ("pclf", lambda arrays: arrays.__setitem__("prior_vspe_2", arrays["prior_vspe_0"]),
+         "unknown key 'prior_vspe_2' in arrays"),
+        ("pclf", lambda arrays: arrays.__setitem__("u_factors", arrays["prior_u"]),
+         "unknown key 'u_factors' in arrays"),
+        ("nmf", lambda arrays: arrays.__setitem__("prior_u", arrays["u_factors"]),
+         "unknown key 'prior_u' in arrays"),
+        ("nmf", lambda arrays: arrays.pop("v_factors"), "arrays is missing key 'v_factors'"),
+        ("nmf", lambda arrays: arrays.__setitem__("u_factors", {"shape": [2, 2],
+                                                                "data": [1.0] * 4}),
+         r"'u_factors' has shape \(2, 2\), not \(rows, 1\) for rank 1"),
+        ("nmf", lambda arrays: arrays.__setitem__("v_factors", {"shape": [3], "data": [1.0] * 3}),
+         r"'v_factors' has shape \(3,\), not \(rows, 1\) for rank 1"),
+    ], ids=["missing", "shape", "nan", "unnormalized", "shape-null", "domain-past-dims",
+            "nmf-array", "nmf-cluster-array", "nmf-missing", "nmf-u-width", "nmf-v-1d"])
+    def test_corrupt_array_named(self, tmp_path, kind, corrupt, message):
+        path = _saved(tmp_path, kind)
         doc = json.loads(path.read_text())
         corrupt(doc["arrays"])
         path.write_text(json.dumps(doc))
@@ -266,12 +384,12 @@ class TestValidation:
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("kind, corrupt, message", [
-        ("pclf", lambda doc: doc.pop("dims"), "field 'dims' is missing"),
-        ("pclf", lambda doc: doc["dims"].pop("n_levels"), "field 'n_levels' is missing"),
-        ("pclf", lambda doc: doc.pop("seed"), "field 'seed' is missing"),
+        ("pclf", lambda doc: doc.pop("dims"), "checkpoint is missing key 'dims'"),
+        ("pclf", lambda doc: doc["dims"].pop("n_levels"), "dims is missing key 'n_levels'"),
+        ("pclf", lambda doc: doc.pop("seed"), "checkpoint is missing key 'seed'"),
         ("pclf", lambda doc: doc.__setitem__("trace", [[1.0]]), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, "x", 2.0]]), "malformed header"),
-        ("pclf", lambda doc: doc.pop("arrays"), "'arrays' is missing"),
+        ("pclf", lambda doc: doc.pop("arrays"), "checkpoint is missing key 'arrays'"),
         ("pclf", lambda doc: doc.__setitem__("default_w1", ["x"]), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("default_w1", None), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("seed", True), "malformed header"),
@@ -283,22 +401,31 @@ class TestValidation:
          "'n_user_clusters' in dims must be an integer, got 2.5"),
         ("pclf", lambda doc: doc["dims"].__setitem__("n_specific_clusters", [2, "x"]),
          "'n_specific_clusters' in dims must be a list, each an integer"),
-        ("nmf", lambda doc: doc.pop("rank"), "field 'rank' is missing"),
-        ("nmf", lambda doc: doc.pop("n_levels"), "field 'n_levels' is missing"),
+        ("nmf", lambda doc: doc.pop("rank"), "checkpoint is missing key 'rank'"),
+        ("nmf", lambda doc: doc.pop("n_levels"), "checkpoint is missing key 'n_levels'"),
+        ("pclf", lambda doc: doc.pop("trace"), "checkpoint is missing key 'trace'"),
+        # the other family's keys, and one no checkpoint has
+        ("pclf", lambda doc: doc.__setitem__("rank", 3), "unknown key 'rank' in checkpoint"),
+        ("pclf", lambda doc: doc.__setitem__("objective", []),
+         "unknown key 'objective' in checkpoint"),
+        ("pclf", lambda doc: doc.__setitem__("note", "x"), "unknown key 'note' in checkpoint"),
+        ("nmf", lambda doc: doc.__setitem__("dims", {}), "unknown key 'dims' in checkpoint"),
+        ("nmf", lambda doc: doc.__setitem__("default_w1", [0.5]),
+         "unknown key 'default_w1' in checkpoint"),
+        ("nmf", lambda doc: doc.pop("objective"), "checkpoint is missing key 'objective'"),
+        ("nmf", lambda doc: doc.__setitem__("rank", 7),
+         r"'u_factors' has shape \(2, 1\), not \(rows, 7\) for rank 7"),
+        ("nmf", lambda doc: doc.__setitem__("rank", 0), "'rank' >= 1"),
+        ("nmf", lambda doc: doc.__setitem__("n_levels", 1), "'n_levels' >= 2"),
+        ("nmf", lambda doc: doc.__setitem__("n_levels", 0), "'n_levels' >= 2"),
     ], ids=["dims", "dims-field", "seed", "trace-short", "trace-value", "arrays",
             "default-w1", "default-w1-null", "seed-true", "default-w1-short",
             "dims-unknown-key", "dims-count-float", "dims-list-entry", "nmf-rank",
-            "nmf-levels"])
+            "nmf-levels", "trace", "cluster-rank", "cluster-objective", "unknown-key",
+            "nmf-dims", "nmf-default-w1", "nmf-objective", "nmf-rank-wide", "nmf-rank-0",
+            "nmf-levels-1", "nmf-levels-0"])
     def test_corrupt_header_named(self, tmp_path, kind, corrupt, message):
-        path = tmp_path / "model.json"
-        if kind == "nmf":
-            factors = NmfFactors(u_factors=np.ones((2, 1)), v_factors=np.ones((3, 1)),
-                                 rank=1, objective=[1.0])
-            ckpt = Checkpoint(model_kind="nmf", seed=0, trace=[], factors=factors, n_levels=5)
-        else:
-            ckpt = Checkpoint(model_kind="pclf", seed=0, trace=[TraceEntry(1.0, 0, -3.0)],
-                              params=_params(), default_w1=[0.35, 1.0])
-        save_checkpoint(str(path), ckpt)
+        path = _saved(tmp_path, kind)
         doc = json.loads(path.read_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))

@@ -301,6 +301,7 @@ class TestPredict:
     ["predict", "--cell", "0,99999999999999999999,1"],
     ["predict", "--cell", "99999999999999999999,1,0,1"],
     ["predict", "--complete", "9"],
+    ["predict", "--complete", "-1"],
     ["train", "--betas", "x"],
     ["train", "-L", "q"],
     ["train", "--max-iters", "0"],
@@ -355,6 +356,8 @@ class TestPredict:
     ["ingest", "RAW", "--levels", "100000000000000000000"],
     ["ingest", "RAW", "--columns", "0,1,-5"],
     ["ingest", "RAW", "--columns", "0,0,2"],
+    ["ingest", "RAW", "--columns", "0,1"],
+    ["ingest", "RAW", "--columns", "0,1,2,3"],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW_NAN",
                                              "scale": {"min": 1, "max": 5}}]}],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW",
@@ -377,7 +380,8 @@ class TestPredict:
     ["evaluate", {"synthetic": {**SMALL_CONFIG["synthetic"], "Z": 1, "L": [1], "M": [14],
                                 "N": [10]}, "dims": {"K": 2, "T": 2, "L": [1]}}],
 ], ids=["cell-not-int", "cell-domain", "cell-item-domain", "0,-3,5", "0,1,1,-2",
-        "cell-past-int64", "cell-domain-past-int64", "complete-domain", "betas", "L",
+        "cell-past-int64", "cell-domain-past-int64", "complete-domain",
+        "complete-domain-negative", "betas", "L",
         "max-iters-0", "max-iters-negative", "nmf-iters-0", "w1-above-1", "w1-negative",
         "seed-negative", "floor-nan", "floor-inf", "tol-nan", "config-max-iters-0",
         "config-nmf-iters-0", "config-nmf-rank-0", "config-weights-short",
@@ -392,7 +396,8 @@ class TestPredict:
         "K-past-numpy", "nmf-rank-past-numpy", "complete-not-int", "complete-with-cell",
         "complete-with-mix-specific", "ingest-rating-nan", "ingest-scale-inf",
         "ingest-delimiter-empty", "ingest-select-users-negative", "ingest-levels-past-int64",
-        "ingest-columns-negative", "ingest-columns-repeated", "config-rating-nan",
+        "ingest-columns-negative", "ingest-columns-repeated",
+        "ingest-columns-two", "ingest-columns-four", "config-rating-nan",
         "config-scale-inf", "config-scale-past-float", "config-delimiter-empty",
         "config-subset-negative", "config-columns-negative", "config-columns-repeated",
         "config-name-line-break", "config-rmgm-one-domain", "config-rmgm-synthetic-Z-1"])
@@ -493,20 +498,36 @@ def test_corrupt_manifest_one_line_error(trained, tmp_path, capsys, damage):
         assert repr(damage) in err[0]
 
 
-@pytest.mark.parametrize("field", ["dims", "seed", "trace", "default_w1"])
-def test_corrupt_checkpoint_header_one_line_error(trained, capsys, field):
-    _, ckpt = trained
+@pytest.mark.parametrize("field", ["dims", "seed", "trace", "default_w1", "unread",
+                                   "nmf-u-width", "nmf-rank", "nmf-levels-1", "nmf-levels-0"])
+def test_corrupt_checkpoint_header_one_line_error(request, capsys, field):
+    nmf = field.startswith("nmf")
+    ckpt = request.getfixturevalue("nmf_trained") if nmf else request.getfixturevalue("trained")[1]
     doc = json.load(open(ckpt))
     if field == "trace":
         doc["trace"] = [[1.0]]
     elif field == "default_w1":
         doc["default_w1"] = [0.5]   # one weight for two domains
+    elif field == "unread":   # a third domain's array and an nmf key
+        doc["arrays"]["prior_vspe_2"] = doc["arrays"]["prior_vspe_1"]
+        doc["rank"] = 3
+    elif field == "nmf-u-width":   # rank 2, one factor column fewer
+        u = doc["arrays"]["u_factors"]
+        u["shape"][1] = 1
+        u["data"] = u["data"][::2]
+    elif field == "nmf-rank":
+        doc["rank"] = 7
+    elif nmf:
+        doc["n_levels"] = int(field[-1])
     else:
         del doc[field]
     json.dump(doc, open(ckpt, "w"))
-    assert main(["predict", "--checkpoint", ckpt, "--cell", "1,1,1"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    for argv in (["predict", "--cell", "0,1,1" if nmf else "1,1,1"],
+                 ["predict", "--complete", "0"], ["inspect"]):
+        assert main([*argv, "--checkpoint", ckpt]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
 
 
 def test_no_specific_clusters_default_w1_predicts(rating_files, tmp_path, capsys):
@@ -1475,9 +1496,9 @@ class TestCsvWriter:
         rng = np.random.default_rng(0)
         rows = rng.uniform(1, 12, size=(1002, 3))
         written = []
-        sink = cli._row_sink(written.append, 1, len(rows))
-        for u, row in enumerate(rows):
-            sink(u, row)
+        with cli._row_sink(written.append, 1) as sink:
+            for u, row in enumerate(rows):
+                sink(u, row)
         users = np.repeat(np.arange(len(rows)), 3)
         items = np.tile(np.arange(3), len(rows))
         assert "".join(written) == _formatted(np.ones_like(users), users, items, rows.ravel())

@@ -130,6 +130,15 @@ class TestParseRatings:
                            % ", ".join(map(str, columns))):
             parse_ratings(str(path), column_map=columns)
 
+    @pytest.mark.parametrize("columns", [(), (0, 1), (0, 1, 2, 3)],
+                             ids=["none", "two", "four"])
+    def test_column_count_refused(self, tmp_path, columns):
+        path = tmp_path / "r.tsv"
+        path.write_text("1\t2\t3\t4\n")
+        with pytest.raises(DataError, match=r"needs 3 entries \(user, item, rating\), "
+                           r"got \[%s\]$" % ", ".join(map(str, columns))):
+            parse_ratings(str(path), column_map=columns)
+
     def test_preserves_file_order(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("b\tx\t2\na\ty\t5\n")

@@ -366,6 +366,15 @@ class TestCompleteMatrix:
                     predict(params, mats, mems, weights, 0, u, v), abs=1e-12
                 )
 
+    @pytest.mark.parametrize("domain", [-1, 2])
+    def test_domain_out_of_range_refused(self, domain):
+        dims, params, mats, mems = _prediction_bundle(seed=18)
+        weights = PredictionWeights(w1=(0.35, 0.35))
+        calls = []
+        with pytest.raises(ModelError, match=f"domain {domain} out of range: the model has 2"):
+            complete_matrix(params, mats, mems, weights, domain, lambda *call: calls.append(call))
+        assert calls == []
+
     def test_constant_model_emits_constant(self):
         dims, params, mats, mems = _prediction_bundle(seed=17)
         mats.s_com[:] = 3.3
