@@ -9,12 +9,13 @@ separators), so identical models produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .baselines import NmfFactors
-from .data import _checked, atomic_write, read_json
+from .data import _checked, _is, atomic_write, read_json
 from .em import ModelDims, ModelError, PclfParams, TraceEntry
 
 FORMAT_VERSION = "pclf-model-v1"
@@ -68,6 +69,22 @@ def _unarray(arrays: dict, name: str) -> np.ndarray:
     return arr
 
 
+def _seed_and_trace(doc: dict) -> list[TraceEntry]:
+    """``doc``'s trace, once its ``seed`` is >= 0, as ``TrainConfig`` asks,
+    and each trace entry is [beta, iteration, log-likelihood]: two finite
+    numbers around an integer >= 0.  Else ``ValueError`` names the fault."""
+    if doc["seed"] < 0:
+        raise ValueError(f"'seed' must be >= 0, got {doc['seed']}")
+    for n, entry in enumerate(doc["trace"]):
+        if not (len(entry) == 3 and _is(entry[0], float) and _is(entry[1], int)
+                and _is(entry[2], float) and math.isfinite(entry[0]) and entry[1] >= 0
+                and math.isfinite(entry[2])):
+            raise ValueError(f"trace entry {n} must be [beta, iteration >= 0, log-likelihood] "
+                             f"with finite numbers, got {json.dumps(entry)}")
+    return [TraceEntry(beta=float(b), iteration=i, log_likelihood=float(ll))
+            for b, i, ll in doc["trace"]]
+
+
 # the C encoder; json.dump always runs the pure-Python one
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -105,6 +122,10 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "seed": ckpt.seed,
         "trace": [[t.beta, t.iteration, t.log_likelihood] for t in ckpt.trace],
     }
+    try:
+        _seed_and_trace(doc)   # what load would refuse
+    except ValueError as exc:
+        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from None
     if ckpt.default_w1 is not None:
         doc["default_w1"] = [float(w) for w in ckpt.default_w1]
     if ckpt.model_kind == "nmf":
@@ -147,8 +168,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     header = _NMF_HEADER if kind == "nmf" else _CLUSTER_HEADER
     try:
         _checked(doc, header, "checkpoint", [key for key in header if key != "default_w1"])
-        trace = [TraceEntry(beta=float(b), iteration=int(i), log_likelihood=float(ll))
-                 for b, i, ll in doc["trace"]]
+        trace = _seed_and_trace(doc)
         default_w1 = doc.get("default_w1")
         if kind == "nmf":
             names = _NMF_ARRAYS

@@ -11,6 +11,8 @@ raised toward 1 to dodge poor local maxima.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,10 @@ from .data import CrossDomainDataset
 
 PROB_ATOL = 1e-12  # every stored distribution must sum to 1 within this
 INIT_BLOCK_ROWS = 512  # triples per random draw and reduction in init_params; bounds its memory
+INIT_STRETCH = 2**17  # init stream values one thread draws at a time; the helper's buffer holds one
+# numpy's gamma(0.5) takes this many 64-bit draws per value on average, with a
+# standard deviation of about GAMMA_RAWS_SD * sqrt(n) over n values
+GAMMA_RAWS, GAMMA_RAWS_SD = 2.2945, 0.75
 
 
 class ModelError(ValueError):
@@ -323,6 +329,139 @@ def _init_job(dims: ModelDims, dataset: CrossDomainDataset, floor: float):
     return _params_from_stats(dims, families, stats, floor)
 
 
+def _stream_length(dims: ModelDims, dataset: CrossDomainDataset) -> int:
+    """How many values ``init_params`` draws: K * C per triple of each family."""
+    n = dataset.n_ratings
+    return dims.n_user_clusters * (sum(n) * dims.n_common_clusters
+                                   + sum(s * l for s, l in zip(n, dims.n_specific_clusters)))
+
+
+def _state_key(state: dict) -> tuple:
+    """A PCG64 state as a hashable value; equal keys continue with equal draws."""
+    return (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+            state["uinteger"])
+
+
+def _draw_stretch(state: dict, lead: int, out: np.ndarray, window: int, every: int):
+    """Fill ``out`` with gamma(0.5) values drawn from a PCG64 at ``state``
+    advanced by ``lead`` raw draws.  Returns ``{state key: i}`` for the
+    state before every ``every``-th value i among the first ``window``,
+    and the final state."""
+    bits = np.random.PCG64()
+    bits.state = state
+    bits.advance(lead)
+    rng = np.random.Generator(bits)
+    records, at = {}, 0
+    while at < min(window, len(out)):
+        records[_state_key(bits.state)] = at
+        rng.standard_gamma(0.5, out=out[at:at + every])
+        at += every
+    rng.standard_gamma(0.5, out=out[at:])
+    return records, bits.state
+
+
+class _Helper:
+    """``fn(*args)`` on one new thread: ``join`` waits for it, and
+    ``result`` returns its value or raises its exception."""
+
+    def __init__(self, fn, *args):
+        self._outcome = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args),
+                                        name="pclf-init-draw")
+        self._thread.start()
+
+    def _run(self, fn, args):
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as exc:  # handed to the caller by result()
+            self._outcome = (None, exc)
+
+    def join(self):
+        self._thread.join()
+
+    def result(self):
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
+def _stream_segments(rng, total: int):
+    """The gamma(0.5) stream of ``rng`` as segments in stream order, each
+    ``(values, n)``: the next n values are ``values``, or the caller draws
+    them from ``rng`` when ``values`` is None.  The last segment has no end.
+
+    The caller draws the stream in stretches of ``INIT_STRETCH`` values.
+    While it draws one, a helper thread draws the next one into a buffer,
+    from a copy of ``rng`` advanced to a little before where that stretch
+    should start: by the mean raw draws of a stretch less 6 standard
+    deviations.  The helper records its state every few values across a
+    window of 12 standard deviations.  At the end of its stretch the
+    caller draws single values until its state equals a recorded one,
+    takes the helper's values from there and the helper's final state,
+    and draws the following stretch.  Equal states continue with equal
+    draws, so the stream is exact however far off the estimate was; if no
+    state matches, the caller draws that stretch itself.  A stream that
+    fits in one stretch starts no thread.
+    """
+    sd = GAMMA_RAWS_SD * math.sqrt(INIT_STRETCH)
+    lead = max(0, round(GAMMA_RAWS * INIT_STRETCH - 6 * sd))
+    window = math.ceil(12 * sd / GAMMA_RAWS)   # in values
+    every = max(1, window // 32)   # about 32 recorded states
+    left, buffer = total, None
+    while left > INIT_STRETCH:
+        if buffer is None:
+            buffer = np.empty(INIT_STRETCH)
+        count = min(INIT_STRETCH, left - INIT_STRETCH + window)
+        helper = _Helper(_draw_stretch, rng.bit_generator.state, lead, buffer[:count],
+                         window, every)
+        try:
+            yield None, INIT_STRETCH
+        finally:
+            helper.join()
+        left -= INIT_STRETCH
+        records, final = helper.result()
+        for _ in range(window + every):
+            at = records.get(_state_key(rng.bit_generator.state))
+            if at is not None:
+                yield buffer[at:count], count - at
+                left -= count - at
+                rng.bit_generator.state = final
+                break
+            yield None, 1
+            left -= 1
+    yield None, math.inf
+
+
+class _GammaStream:
+    """One seed's gamma(0.5) stream, ``total`` values long, handed out in
+    order by ``fill``: the values of ``np.random.default_rng(seed)
+    .standard_gamma(0.5, size=total)``, bit for bit (``_stream_segments``).
+    ``close`` joins a helper that is still drawing."""
+
+    def __init__(self, seed: int, total: int):
+        self.rng = np.random.default_rng(seed)
+        self._segments = _stream_segments(self.rng, total)
+        self._values, self._left = None, 0   # the segment being taken, and its values left
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill the 1-d ``out`` with the stream's next ``out.size`` values."""
+        at = 0
+        while at < out.size:
+            if not self._left:
+                self._values, self._left = next(self._segments)
+            n = min(out.size - at, self._left)
+            if self._values is None:
+                self.rng.standard_gamma(0.5, out=out[at:at + n])
+            else:
+                out[at:at + n] = self._values[len(self._values) - self._left:][:n]
+            at += n
+            self._left -= n
+
+    def close(self) -> None:
+        self._segments.close()
+
+
 def init_params_many(jobs, seed: int, floor: float = 1e-10) -> list[PclfParams]:
     """``[init_params(dims, dataset, seed, floor) for dims, dataset in jobs]``,
     bit for bit, from one random stream.
@@ -330,36 +469,44 @@ def init_params_many(jobs, seed: int, floor: float = 1e-10) -> list[PclfParams]:
     Every job of one seed reads the same gamma(0.5) stream from its
     start, so each job's draws are a prefix of the longest job's.  The
     jobs take the stream in lockstep, and each value is drawn once: every
-    step draws as many values as the live job nearest the end of its
+    step takes as many values as the live job nearest the end of its
     block has left, straight into the first live job's block, and copies
     them into the other live jobs' blocks.  A job whose block is full
     moves on to its next one.  No draw is held between steps, and a
-    single job draws straight into its own blocks.
+    single job takes the stream straight into its own blocks.  The values
+    come from ``_GammaStream``: on a stream longer than ``INIT_STRETCH``
+    values, a helper thread draws every other stretch into one buffer of
+    that size while this thread draws and reduces the one before.  The
+    helper is joined before this returns, on error too, and its exception
+    reaches the caller.
     """
     for dims, dataset in jobs:
         _check_dims(dims, dataset)
-    rng = np.random.default_rng(seed)
+    stream = _GammaStream(seed, max((_stream_length(*job) for job in jobs), default=0))
     runs = [_init_job(dims, dataset, floor) for dims, dataset in jobs]
     # each job's block to fill next, as a flat view, and how much of it is filled
     blocks = [next(run).reshape(-1) for run in runs]
     filled = [0] * len(runs)
     params = [None] * len(runs)
     live = list(range(len(runs)))
-    while live:
-        n = min(blocks[i].size - filled[i] for i in live)
-        first, *rest = live
-        piece = blocks[first][filled[first]:filled[first] + n]
-        rng.standard_gamma(0.5, out=piece)
-        for i in rest:
-            blocks[i][filled[i]:filled[i] + n] = piece
-        for i in live[:]:
-            filled[i] += n
-            if filled[i] == blocks[i].size:
-                try:
-                    blocks[i], filled[i] = next(runs[i]).reshape(-1), 0
-                except StopIteration as stop:
-                    params[i] = stop.value
-                    live.remove(i)
+    try:
+        while live:
+            n = min(blocks[i].size - filled[i] for i in live)
+            first, *rest = live
+            piece = blocks[first][filled[first]:filled[first] + n]
+            stream.fill(piece)
+            for i in rest:
+                blocks[i][filled[i]:filled[i] + n] = piece
+            for i in live[:]:
+                filled[i] += n
+                if filled[i] == blocks[i].size:
+                    try:
+                        blocks[i], filled[i] = next(runs[i]).reshape(-1), 0
+                    except StopIteration as stop:
+                        params[i] = stop.value
+                        live.remove(i)
+    finally:
+        stream.close()
     return params
 
 
@@ -380,8 +527,11 @@ def init_params(
     blocks of ``INIT_BLOCK_ROWS`` triples that are normalized and reduced
     by ``kernels.pair_stats`` before the next draw, so a draw holds at
     most ``INIT_BLOCK_ROWS`` * K * C values.  The block statistics add up
-    in block order.  This is the one-job case of ``init_params_many``, which
-    draws straight into each block.
+    in block order.  This is the one-job case of ``init_params_many``,
+    which takes the stream straight into each block.  A stream longer than
+    ``INIT_STRETCH`` values is drawn on two threads (``_stream_segments``),
+    with the bits of ``np.random.default_rng(seed).standard_gamma(0.5)``
+    on one.
     """
     return init_params_many([(dims, dataset)], seed, floor)[0]
 

@@ -160,7 +160,7 @@ def checkpoints(draw):
     kind = draw(st.sampled_from(["pclf", "fmm", "rmgm-like", "nmf"]))
     trace = [TraceEntry(*entry) for entry in draw(st.lists(
         st.tuples(floats, st.integers(0, 60), floats), max_size=4))]
-    seed = draw(st.integers(-2 ** 63, 2 ** 63))
+    seed = draw(st.integers(0, 2 ** 63))
     if kind == "nmf":
         m, n, rank = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
         factors = NmfFactors(u_factors=array(m, rank), v_factors=array(n, rank), rank=rank,
@@ -235,7 +235,7 @@ def loadable_checkpoints(draw):
     kind = draw(st.sampled_from(["pclf", "fmm", "rmgm-like", "nmf"]))
     trace = [TraceEntry(*entry) for entry in draw(st.lists(
         st.tuples(floats, st.integers(0, 60), floats), max_size=3))]
-    seed = draw(st.integers(-2 ** 63, 2 ** 63))
+    seed = draw(st.integers(0, 2 ** 63))
     if kind == "nmf":
         rank = draw(st.integers(1, 3))
         u, v = (np.array(draw(st.lists(floats, min_size=n * rank, max_size=n * rank)))
@@ -330,6 +330,20 @@ class TestValidation:
                 model_kind="mystery", seed=0, trace=[], params=_params()
             ))
 
+    @pytest.mark.parametrize("seed, trace, message", [
+        (-1, [], "'seed' must be >= 0, got -1"),
+        (0, [TraceEntry(1.0, 0, -3.0), TraceEntry(1.0, 1, float("nan"))],
+         r"trace entry 1 .*, got \[1.0, 1, NaN\]"),
+        (0, [TraceEntry(1.0, -1, -3.0)], r"trace entry 0 .*, got \[1.0, -1, -3.0\]"),
+    ], ids=["seed-negative", "trace-nan", "trace-negative-iteration"])
+    def test_unloadable_header_refused_on_save(self, tmp_path, seed, trace, message):
+        """save refuses a seed or trace entry that load would refuse."""
+        path = tmp_path / "x.json"
+        with pytest.raises(CheckpointError, match=message):
+            save_checkpoint(str(path), Checkpoint(model_kind="pclf", seed=seed, trace=trace,
+                                                  params=_params()))
+        assert not path.exists()
+
     def test_nmf_requires_factors(self, tmp_path):
         with pytest.raises(CheckpointError, match="factors"):
             save_checkpoint(str(tmp_path / "x.json"), Checkpoint(
@@ -389,6 +403,22 @@ class TestValidation:
         ("pclf", lambda doc: doc.pop("seed"), "checkpoint is missing key 'seed'"),
         ("pclf", lambda doc: doc.__setitem__("trace", [[1.0]]), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, "x", 2.0]]), "malformed header"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, 0, 2.0], [1.0, 0]]),
+         r"trace entry 1 must be \[beta, iteration >= 0, log-likelihood\] with finite "
+         r"numbers, got \[1.0, 0\]"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [["0.5", 2.7, "-3"]]),
+         r'trace entry 0 .*, got \["0.5", 2.7, "-3"\]'),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, 0, 2.0], [True, False, 1]]),
+         r"trace entry 1 .*, got \[true, false, 1\]"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, 0, float("nan")]]),
+         r"trace entry 0 .*, got \[1.0, 0, NaN\]"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[float("inf"), 0, -3.0]]),
+         r"trace entry 0 .*, got \[Infinity, 0, -3.0\]"),
+        ("pclf", lambda doc: doc.__setitem__("trace", [[1.0, -1, -3.0]]),
+         r"trace entry 0 .*, got \[1.0, -1, -3.0\]"),
+        ("nmf", lambda doc: doc.__setitem__("trace", [[1.0, 0]]), r"trace entry 0 .*\[1.0, 0\]"),
+        ("pclf", lambda doc: doc.__setitem__("seed", -1), "'seed' must be >= 0, got -1"),
+        ("nmf", lambda doc: doc.__setitem__("seed", -2), "'seed' must be >= 0, got -2"),
         ("pclf", lambda doc: doc.pop("arrays"), "checkpoint is missing key 'arrays'"),
         ("pclf", lambda doc: doc.__setitem__("default_w1", ["x"]), "malformed header"),
         ("pclf", lambda doc: doc.__setitem__("default_w1", None), "malformed header"),
@@ -418,7 +448,10 @@ class TestValidation:
         ("nmf", lambda doc: doc.__setitem__("rank", 0), "'rank' >= 1"),
         ("nmf", lambda doc: doc.__setitem__("n_levels", 1), "'n_levels' >= 2"),
         ("nmf", lambda doc: doc.__setitem__("n_levels", 0), "'n_levels' >= 2"),
-    ], ids=["dims", "dims-field", "seed", "trace-short", "trace-value", "arrays",
+    ], ids=["dims", "dims-field", "seed", "trace-short", "trace-value", "trace-pair",
+            "trace-strings", "trace-bools", "trace-nan", "trace-inf-beta",
+            "trace-negative-iteration", "nmf-trace-pair", "seed-negative", "nmf-seed-negative",
+            "arrays",
             "default-w1", "default-w1-null", "seed-true", "default-w1-short",
             "dims-unknown-key", "dims-count-float", "dims-list-entry", "nmf-rank",
             "nmf-levels", "trace", "cluster-rank", "cluster-objective", "unknown-key",

@@ -499,6 +499,7 @@ def test_corrupt_manifest_one_line_error(trained, tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("field", ["dims", "seed", "trace", "default_w1", "unread",
+                                   "trace-types", "trace-nan", "trace-pair", "seed-negative",
                                    "nmf-u-width", "nmf-rank", "nmf-levels-1", "nmf-levels-0"])
 def test_corrupt_checkpoint_header_one_line_error(request, capsys, field):
     nmf = field.startswith("nmf")
@@ -506,6 +507,14 @@ def test_corrupt_checkpoint_header_one_line_error(request, capsys, field):
     doc = json.load(open(ckpt))
     if field == "trace":
         doc["trace"] = [[1.0]]
+    elif field == "trace-types":
+        doc["trace"] = [["0.5", 2.7, "-3"], [True, False, 1]]
+    elif field == "trace-nan":
+        doc["trace"][-1][2] = float("nan")
+    elif field == "trace-pair":
+        doc["trace"][-1] = doc["trace"][-1][:2]
+    elif field == "seed-negative":
+        doc["seed"] = -1
     elif field == "default_w1":
         doc["default_w1"] = [0.5]   # one weight for two domains
     elif field == "unread":   # a third domain's array and an nmf key

@@ -202,8 +202,11 @@ class TestInitParams:
             n_specific_clusters=(2, 3), n_levels=5, n_users=(10, 8), n_items=(7, 9),
         )
         ds = random_dataset(np.random.default_rng(8), dims, 40)
-        for block_rows in INIT_BLOCKS:
+        # and, at 3 rows a block, stretches of 50 of the 1560 values, so that
+        # each call runs a helper thread
+        for block_rows, stretch in (*((b, em.INIT_STRETCH) for b in INIT_BLOCKS), (3, 50)):
             monkeypatch.setattr(em, "INIT_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(em, "INIT_STRETCH", stretch)
             want = {seed: init_params_reference(dims, ds, seed=seed) for seed in range(6)}
             got = {}
 
@@ -355,6 +358,148 @@ def test_init_params_many_draws_the_stream_once(monkeypatch, tiny_dataset):
     monkeypatch.setattr(np.random, "default_rng", counting)
     init_params_many(jobs, 5)
     assert sum(rng.drawn for rng in rngs) == longest
+
+
+STRETCH = 1000  # values per stretch in the stream tests
+
+
+def counted_helpers(monkeypatch):
+    """``{"helpers": n, "joins": m}``, counting the helper stretches that
+    ``em._GammaStream`` starts and those whose values the caller takes."""
+    counts = {"helpers": 0, "joins": 0}
+    draw, segments = em._draw_stretch, em._stream_segments
+
+    def drawing(*args):
+        counts["helpers"] += 1
+        return draw(*args)
+
+    def segmenting(rng, total):
+        inner = segments(rng, total)
+        try:
+            for values, n in inner:
+                counts["joins"] += values is not None
+                yield values, n
+        finally:
+            inner.close()
+
+    monkeypatch.setattr(em, "_draw_stretch", drawing)
+    monkeypatch.setattr(em, "_stream_segments", segmenting)
+    return counts
+
+
+def take_stream(seed, n):
+    """The first n values of ``em._GammaStream(seed, n)``, taken in pieces
+    of 1 to 300 values."""
+    pieces = np.random.default_rng(seed + 1)
+    stream, out, at = em._GammaStream(seed, n), np.empty(n), 0
+    try:
+        while at < n:
+            size = int(pieces.integers(1, 301))
+            stream.fill(out[at:at + size])
+            at += size
+    finally:
+        stream.close()
+    return out
+
+
+def helper_dims():
+    """3 x 4, 3 x 2 and 3 x 3 families on 40 triples a domain: 1560 values."""
+    dims = ModelDims(n_domains=2, n_user_clusters=3, n_common_clusters=4,
+                     n_specific_clusters=(2, 3), n_levels=5, n_users=(10, 8), n_items=(7, 9))
+    return dims, random_dataset(np.random.default_rng(8), dims, 40)
+
+
+class TestGammaStream:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    def test_matches_one_draw_around_stretch_edges(self, monkeypatch, seed):
+        monkeypatch.setattr(em, "INIT_STRETCH", STRETCH)
+        counts = counted_helpers(monkeypatch)
+        threads = threading.active_count()
+        for n in (0, 1, STRETCH - 1, STRETCH, STRETCH + 1, 2 * STRETCH - 1, 2 * STRETCH,
+                  2 * STRETCH + 1, 3 * STRETCH, 7 * STRETCH + 13):
+            want = np.random.default_rng(seed).standard_gamma(0.5, size=n)
+            assert np.array_equal(take_stream(seed, n), want), n
+        assert threading.active_count() == threads
+        assert 0 < counts["joins"] <= counts["helpers"], counts
+
+    @pytest.mark.parametrize("raws", [1.0, 4.0], ids=["behind", "ahead"])
+    def test_exact_when_no_state_matches(self, monkeypatch, raws):
+        # a helper started far behind or far ahead of its stretch records no
+        # state the caller reaches, so the caller draws every value itself
+        monkeypatch.setattr(em, "INIT_STRETCH", STRETCH)
+        monkeypatch.setattr(em, "GAMMA_RAWS", raws)
+        counts = counted_helpers(monkeypatch)
+        for seed in (0, 3):
+            want = np.random.default_rng(seed).standard_gamma(0.5, size=5 * STRETCH + 7)
+            assert np.array_equal(take_stream(seed, len(want)), want)
+        assert counts["joins"] == 0 and counts["helpers"] == 8, counts
+
+    def test_init_params_matches_reference_with_helpers(self, monkeypatch):
+        dims, ds = helper_dims()
+        counts = counted_helpers(monkeypatch)
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 3)
+        monkeypatch.setattr(em, "INIT_STRETCH", 100)
+        for seed in range(4):
+            got, want = init_params(dims, ds, seed), init_params_reference(dims, ds, seed)
+            for (name, a), (_, b) in zip(param_arrays(got), param_arrays(want)):
+                assert np.array_equal(a, b), (seed, name)
+        assert 0 < counts["joins"] <= counts["helpers"], counts
+
+    @pytest.mark.parametrize("failing", [1, 3])
+    def test_helper_error_reaches_caller(self, monkeypatch, failing):
+        class DrawError(Exception):
+            pass
+
+        calls = []
+        draw = em._draw_stretch
+
+        def fails(*args):
+            calls.append(None)
+            if len(calls) == failing:
+                raise DrawError("helper out of entropy")
+            return draw(*args)
+
+        dims, ds = helper_dims()
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 3)
+        monkeypatch.setattr(em, "INIT_STRETCH", 100)
+        monkeypatch.setattr(em, "_draw_stretch", fails)
+        threads = threading.active_count()
+        with pytest.raises(DrawError, match="^helper out of entropy$"):
+            init_params(dims, ds, seed=0)
+        assert len(calls) == failing
+        assert threading.active_count() == threads
+
+    def test_caller_error_joins_running_helper(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        class ThirdDrawFails:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_gamma(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise DrawError("no entropy left")
+                return self.rng.standard_gamma(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        dims, ds = helper_dims()
+        # 36 values a block: the third draw is inside the first stretch,
+        # while the first helper draws the second
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 3)
+        monkeypatch.setattr(em, "INIT_STRETCH", 100)
+        counts = counted_helpers(monkeypatch)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(em.np.random, "default_rng",
+                            lambda seed: ThirdDrawFails(default_rng(seed)))
+        threads = threading.active_count()
+        with pytest.raises(DrawError, match="no entropy left"):
+            init_params(dims, ds, seed=0)
+        assert counts["helpers"] == 1 and counts["joins"] == 0, counts
+        assert threading.active_count() == threads
 
 
 class TestEStep:
