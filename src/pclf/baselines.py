@@ -109,16 +109,20 @@ def nmf_train(
     w = present.astype(float)   # values is already 0 where w is
     eps = 1e-12
     objective = []
-    uv = u @ v.T   # each iteration's objective product is the next one's first
+    # uv is u @ v.T masked by w, each iteration's objective product the next
+    # one's first; w is 0 or 1 and uv >= 0, so values - uv is the masked
+    # residual bit for bit
+    uv = u @ v.T
+    uv *= w
+    resid = np.empty_like(values)
     for _ in range(iters):
-        uv *= w
         u *= (values @ v) / (uv @ v + eps)
-        uv = u @ v.T
+        np.matmul(u, v.T, out=uv)
         uv *= w
         v *= (values.T @ u) / (uv.T @ u + eps)
-        uv = u @ v.T
-        resid = values - uv
-        resid *= w
+        np.matmul(u, v.T, out=uv)
+        uv *= w
+        np.subtract(values, uv, out=resid)
         np.square(resid, out=resid)
         objective.append(float(resid.sum()))
     return NmfFactors(u_factors=u, v_factors=v, rank=rank, objective=objective)

@@ -12,7 +12,6 @@ raised toward 1 to dodge poor local maxima.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,40 +359,14 @@ def _draw_stretch(state: dict, lead: int, out: np.ndarray, window: int, every: i
     return records, bits.state
 
 
-class _Helper:
-    """``fn(*args)`` on one new thread: ``join`` waits for it, and
-    ``result`` returns its value or raises its exception."""
-
-    def __init__(self, fn, *args):
-        self._outcome = None
-        self._thread = threading.Thread(target=self._run, args=(fn, args),
-                                        name="pclf-init-draw")
-        self._thread.start()
-
-    def _run(self, fn, args):
-        try:
-            self._outcome = (fn(*args), None)
-        except BaseException as exc:  # handed to the caller by result()
-            self._outcome = (None, exc)
-
-    def join(self):
-        self._thread.join()
-
-    def result(self):
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
 def _stream_segments(rng, total: int):
     """The gamma(0.5) stream of ``rng`` as segments in stream order, each
     ``(values, n)``: the next n values are ``values``, or the caller draws
     them from ``rng`` when ``values`` is None.  The last segment has no end.
 
     The caller draws the stream in stretches of ``INIT_STRETCH`` values.
-    While it draws one, a helper thread draws the next one into a buffer,
-    from a copy of ``rng`` advanced to a little before where that stretch
+    While it draws one, a helper draws the next one into a buffer, from a
+    copy of ``rng`` advanced to a little before where that stretch
     should start: by the mean raw draws of a stretch less 6 standard
     deviations.  The helper records its state every few values across a
     window of 12 standard deviations.  At the end of its stretch the
@@ -401,35 +374,38 @@ def _stream_segments(rng, total: int):
     takes the helper's values from there and the helper's final state,
     and draws the following stretch.  Equal states continue with equal
     draws, so the stream is exact however far off the estimate was; if no
-    state matches, the caller draws that stretch itself.  A stream that
-    fits in one stretch starts no thread.
+    state matches, the caller draws that stretch itself.  Every helper
+    runs on the one worker thread of an executor that the stream enters
+    once; leaving it joins the thread, before the last segment or when
+    the caller closes this generator.  A helper's exception reaches the
+    caller through its future.  A stream that fits in one stretch starts
+    no thread.
     """
     sd = GAMMA_RAWS_SD * math.sqrt(INIT_STRETCH)
     lead = max(0, round(GAMMA_RAWS * INIT_STRETCH - 6 * sd))
     window = math.ceil(12 * sd / GAMMA_RAWS)   # in values
     every = max(1, window // 32)   # about 32 recorded states
-    left, buffer = total, None
-    while left > INIT_STRETCH:
-        if buffer is None:
-            buffer = np.empty(INIT_STRETCH)
-        count = min(INIT_STRETCH, left - INIT_STRETCH + window)
-        helper = _Helper(_draw_stretch, rng.bit_generator.state, lead, buffer[:count],
-                         window, every)
-        try:
-            yield None, INIT_STRETCH
-        finally:
-            helper.join()
-        left -= INIT_STRETCH
-        records, final = helper.result()
-        for _ in range(window + every):
-            at = records.get(_state_key(rng.bit_generator.state))
-            if at is not None:
-                yield buffer[at:count], count - at
-                left -= count - at
-                rng.bit_generator.state = final
-                break
-            yield None, 1
-            left -= 1
+    if total > INIT_STRETCH:
+        from concurrent.futures import ThreadPoolExecutor
+
+        left, buffer = total, np.empty(INIT_STRETCH)
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pclf-init-draw") as pool:
+            while left > INIT_STRETCH:
+                count = min(INIT_STRETCH, left - INIT_STRETCH + window)
+                helper = pool.submit(_draw_stretch, rng.bit_generator.state, lead,
+                                     buffer[:count], window, every)
+                yield None, INIT_STRETCH
+                left -= INIT_STRETCH
+                records, final = helper.result()
+                for _ in range(window + every):
+                    at = records.get(_state_key(rng.bit_generator.state))
+                    if at is not None:
+                        yield buffer[at:count], count - at
+                        left -= count - at
+                        rng.bit_generator.state = final
+                        break
+                    yield None, 1
+                    left -= 1
     yield None, math.inf
 
 
@@ -475,10 +451,10 @@ def init_params_many(jobs, seed: int, floor: float = 1e-10) -> list[PclfParams]:
     moves on to its next one.  No draw is held between steps, and a
     single job takes the stream straight into its own blocks.  The values
     come from ``_GammaStream``: on a stream longer than ``INIT_STRETCH``
-    values, a helper thread draws every other stretch into one buffer of
-    that size while this thread draws and reduces the one before.  The
-    helper is joined before this returns, on error too, and its exception
-    reaches the caller.
+    values, one executor worker thread for the whole stream draws every
+    other stretch into one buffer of that size while this thread draws and
+    reduces the one before.  The worker is joined before this returns, on
+    error too, and a helper stretch's exception reaches the caller.
     """
     for dims, dataset in jobs:
         _check_dims(dims, dataset)
@@ -529,9 +505,9 @@ def init_params(
     most ``INIT_BLOCK_ROWS`` * K * C values.  The block statistics add up
     in block order.  This is the one-job case of ``init_params_many``,
     which takes the stream straight into each block.  A stream longer than
-    ``INIT_STRETCH`` values is drawn on two threads (``_stream_segments``),
-    with the bits of ``np.random.default_rng(seed).standard_gamma(0.5)``
-    on one.
+    ``INIT_STRETCH`` values is drawn on this thread and one executor
+    worker thread started for the stream (``_stream_segments``), with the
+    bits of ``np.random.default_rng(seed).standard_gamma(0.5)`` on one.
     """
     return init_params_many([(dims, dataset)], seed, floor)[0]
 

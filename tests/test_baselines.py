@@ -197,15 +197,18 @@ class TestNmf:
         factors = nmf_train(matrix, rank=1, iters=300, seed=4)
         assert nmf_predict(factors, 0, 0, 5) == pytest.approx(5.0, abs=1e-2)
 
-    @pytest.mark.parametrize("case", range(12))
+    @pytest.mark.parametrize("case", range(13))
     def test_matches_reference_loop(self, case):
+        # case 12 is given-n-planted's NMF shape: rank 20 on a ~4%-dense
+        # 300 x 500 matrix
         rng = np.random.default_rng(100 + case)
-        m, n = (1, 1) if case == 0 else rng.integers(1, 40, size=2)
-        density = (1.0, 0.02, 0.3, 0.7)[case % 4]
+        m, n = {0: (1, 1), 12: (300, 500)}.get(case) or rng.integers(1, 40, size=2)
+        density = 0.04 if case == 12 else (1.0, 0.02, 0.3, 0.7)[case % 4]
         matrix = rng.integers(1, 6, size=(m, n)).astype(float)
         matrix[rng.random((m, n)) >= density] = np.nan
         matrix.flat[rng.integers(m * n)] = 3.0   # at least one observed cell
-        rank, iters = int(rng.integers(1, 8)), int(rng.integers(0, 40))
+        rank, iters = (20, 5) if case == 12 else (int(rng.integers(1, 8)),
+                                                  int(rng.integers(0, 40)))
         got = nmf_train(matrix, rank=rank, iters=iters, seed=case)
         ref = nmf_reference(matrix, rank=rank, iters=iters, seed=case)
         np.testing.assert_array_equal(got.u_factors, ref.u_factors)

@@ -501,6 +501,29 @@ class TestGammaStream:
         assert counts["helpers"] == 1 and counts["joins"] == 0, counts
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("stretch,helpers", [(100, 9), (1559, 1), (1560, 0), (5000, 0)])
+    def test_one_helper_thread_per_stream(self, monkeypatch, stretch, helpers):
+        # helper_dims' 1560 values: every helper stretch of a stream runs on
+        # one thread, and a stream of at most one stretch starts none
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            if thread.name.startswith("pclf-init-draw"):
+                starts.append(thread.name)
+            start(thread)
+
+        dims, ds = helper_dims()
+        counts = counted_helpers(monkeypatch)
+        monkeypatch.setattr(em, "INIT_BLOCK_ROWS", 3)
+        monkeypatch.setattr(em, "INIT_STRETCH", stretch)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        threads = threading.active_count()
+        init_params(dims, ds, seed=0)
+        assert counts["helpers"] == helpers, counts
+        assert len(starts) == min(helpers, 1), starts
+        assert threading.active_count() == threads
+
 
 class TestEStep:
     def test_uniform_params_give_uniform_responsibilities(self, tiny_dataset):
