@@ -71,10 +71,14 @@ def _unarray(arrays: dict, name: str) -> np.ndarray:
 
 def _seed_and_trace(doc: dict) -> list[TraceEntry]:
     """``doc``'s trace, once its ``seed`` is >= 0, as ``TrainConfig`` asks,
-    and each trace entry is [beta, iteration, log-likelihood]: two finite
-    numbers around an integer >= 0.  Else ``ValueError`` names the fault."""
+    each trace entry is [beta, iteration, log-likelihood]: two finite
+    numbers around an integer >= 0, and each ``objective`` entry, if it has
+    one, is finite.  Else ``ValueError`` names the fault."""
     if doc["seed"] < 0:
         raise ValueError(f"'seed' must be >= 0, got {doc['seed']}")
+    for n, value in enumerate(doc.get("objective", ())):
+        if not math.isfinite(value):
+            raise ValueError(f"objective entry {n} must be finite, got {json.dumps(value)}")
     for n, entry in enumerate(doc["trace"]):
         if not (len(entry) == 3 and _is(entry[0], float) and _is(entry[1], int)
                 and _is(entry[2], float) and math.isfinite(entry[0]) and entry[1] >= 0
@@ -122,10 +126,6 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "seed": ckpt.seed,
         "trace": [[t.beta, t.iteration, t.log_likelihood] for t in ckpt.trace],
     }
-    try:
-        _seed_and_trace(doc)   # what load would refuse
-    except ValueError as exc:
-        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from None
     if ckpt.default_w1 is not None:
         doc["default_w1"] = [float(w) for w in ckpt.default_w1]
     if ckpt.model_kind == "nmf":
@@ -145,6 +145,10 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         doc["arrays"] = {name: getattr(p, name) for name in _SHARED_ARRAYS}
         doc["arrays"].update((f"{name}_{z}", getattr(p, name)[z])
                              for name in _DOMAIN_ARRAYS for z in range(p.dims.n_domains))
+    try:
+        _seed_and_trace(doc)   # what load would refuse
+    except ValueError as exc:
+        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from None
     # a failed write leaves the previous checkpoint intact
     with atomic_write(path) as fh:
         _write_document(fh, doc)

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 
 import numpy as np
 
-from . import baselines, data, evaluate, inference
+from . import baselines, evaluate, inference
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -34,6 +35,7 @@ from .data import (
     parse_ratings,
     read_int_rows,
     read_json,
+    row_blocks,
     save_dataset,
     select_subset,
     text_lines,
@@ -175,10 +177,11 @@ def cmd_predict(args) -> int:
         head = "# model_kind=nmf\ndomain,user_idx,item_idx,predicted_rating\n"
         with _output(args.out, head) as write:
             if cells is None:
-                items = np.arange(factors.v_factors.shape[0])
-                with _row_sink(write, 0) as sink:
-                    for u in range(factors.u_factors.shape[0]):
-                        sink(u, baselines.nmf_predict(factors, u, items, levels))
+                users = np.arange(len(factors.u_factors))
+                items = np.arange(len(factors.v_factors))
+                for block in row_blocks(len(users), len(items)):
+                    _write_block(write, 0, block.start,
+                                 baselines.nmf_predict(factors, users[block, None], items, levels))
             else:
                 values = baselines.nmf_predict(factors, cells[:, 1], cells[:, 3], levels)
                 _write_rows(write, cells[:, 0], cells[:, 1], cells[:, 3], values)
@@ -198,9 +201,9 @@ def cmd_predict(args) -> int:
     head = f"# model_kind={ckpt.model_kind} w1={','.join(f'{w:g}' for w in w1)}\n"
 
     if cells is None:
-        with (_output(args.out, head + "domain,user_idx,item_idx,predicted_rating\n") as write,
-              _row_sink(write, args.complete) as sink):
-            inference.complete_matrix(params, mats, mems, weights, args.complete, sink)
+        with _output(args.out, head + "domain,user_idx,item_idx,predicted_rating\n") as write:
+            inference.complete_matrix(params, mats, mems, weights, args.complete,
+                                      functools.partial(_write_block, write, args.complete))
         return 0
 
     values = inference.predict_cells(params, mats, mems, weights, cells, args.mix_specific)
@@ -251,8 +254,9 @@ def _parse_cells_file(path: str) -> np.ndarray:
 def _output(path, head: str):
     """Yield ``write(text)`` for ``path``, through ``atomic_write``, or for
     stdout if None.  The target is opened and ``head`` written at the first
-    call, so a check that fails before any output leaves the target as it
-    was, a symlink's file or a FIFO too, and prints nothing."""
+    call, or when the ``with`` block ends without an error if none came, so
+    a check that fails before any output leaves the target as it was, a
+    symlink's file or a FIFO too, and prints nothing."""
     with contextlib.ExitStack() as stack:
         fh = None
 
@@ -265,32 +269,15 @@ def _output(path, head: str):
             fh.write(text)
 
         yield write
+        write("")
 
 
-@contextlib.contextmanager
-def _row_sink(write, domain: int):
-    """Yield ``sink(user, row)`` for one domain's rows of predictions in
-    user order.  Rows are buffered and written in blocks of about
-    ``data.BLOCK_ROWS`` cells; the rest goes out when the ``with`` block
-    ends without an error."""
-    users, rows = [], []
-
-    def flush():
-        n_items = len(rows[0])
-        values = np.concatenate(rows)
-        _write_rows(write, np.full(len(values), domain), np.repeat(users, n_items),
-                    np.tile(np.arange(n_items), len(users)), values)
-        users.clear()
-        rows.clear()
-
-    def complete_sink(u, row):
-        users.append(u)
-        rows.append(row)
-        if (len(rows) + 1) * len(row) > data.BLOCK_ROWS:
-            flush()
-    yield complete_sink
-    if rows:
-        flush()
+def _write_block(write, domain: int, first: int, rows: np.ndarray) -> None:
+    """Write CSV rows of ``domain``'s users ``first``, ``first + 1``, ...:
+    row i of ``rows`` holds user ``first + i``'s prediction for each item."""
+    n, n_items = rows.shape
+    _write_rows(write, np.full(rows.size, domain), np.repeat(np.arange(first, first + n), n_items),
+                np.tile(np.arange(n_items), n), rows.ravel())
 
 
 def cmd_evaluate(args) -> int:

@@ -495,6 +495,13 @@ def atomic_write(path: str):
 BLOCK_ROWS = 1 << 14
 
 
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Slices of consecutive rows of ``width`` cells: as many rows as fit in
+    ``BLOCK_ROWS`` cells, and at least one."""
+    step = max(1, BLOCK_ROWS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def _digit_words(text) -> np.ndarray:
     """One uint32 per number 0..999: the bytes of ``text(i)`` right-aligned
     in three, NUL-padded, then a NUL."""
@@ -678,9 +685,10 @@ def _checked(mapping, types: dict, where: str, required=()) -> dict:
 
 def load_dataset(directory: str) -> CrossDomainDataset:
     """Read a dataset written by ``save_dataset``.  The manifest's types and
-    list lengths are checked, every row must lie inside its declared sizes,
-    and a manifest's ``n_ratings``, when present, must match each domain's
-    row count; any fault raises one ``DataError``."""
+    list lengths are checked, it needs at least one domain, every row must
+    lie inside its declared sizes, and a manifest's ``n_ratings``, when
+    present, must match each domain's row count; any fault raises one
+    ``DataError``."""
     manifest_path = os.path.join(directory, "manifest.json")
     manifest = read_json(manifest_path, "dataset manifest", DataError)
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
@@ -694,6 +702,8 @@ def load_dataset(directory: str) -> CrossDomainDataset:
         if key in manifest and len(manifest[key]) != n_domains:
             raise DataError(f"{key!r} in {where} needs one entry per domain ({n_domains}), "
                             f"got {len(manifest[key])}")
+    if not n_domains:
+        raise DataError(f"{where} has no domains; at least one domain is required")
     for ids, counts in (("user_ids", "n_users"), ("item_ids", "n_items")):
         for z, (names, n) in enumerate(zip(manifest[ids], manifest[counts])):
             if len(names) != n:

@@ -248,11 +248,15 @@ def complete_matrix(
 ) -> None:
     """Stream predictions for every (user, item) cell of one domain.
 
-    ``sink(user_index, row)`` is called once per user in index order with
-    the full row of item predictions; the dense matrix itself is never
-    materialized.  A domain outside [0, Z) raises ``ModelError``.
+    ``sink(first_user, rows)`` is called once per block of consecutive
+    users, in index order, with their (n, N_z) rows of item predictions; a
+    block holds about ``data.BLOCK_ROWS`` cells, so the dense matrix itself
+    is never materialized.  Each row is its own matrix-vector product, bit
+    for bit ``item_table(...)[:-1] @ user_row``.  A domain outside [0, Z)
+    raises ``ModelError``.
     """
     _check_domain(params.dims, domain)
     items = item_table(params, mats, mems, domain, weights.w1[domain])[:-1]
-    for u, row in enumerate(user_table(params, mems, domain)[:-1]):
-        sink(u, items @ row)
+    users = user_table(params, mems, domain)[:-1, :, None]
+    for block in data.row_blocks(len(users), len(items)):
+        sink(block.start, np.matmul(items, users[block])[..., 0])

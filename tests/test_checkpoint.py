@@ -344,6 +344,17 @@ class TestValidation:
                                                   params=_params()))
         assert not path.exists()
 
+    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+    def test_non_finite_objective_refused_on_save(self, tmp_path, value, token):
+        """save refuses an objective entry that load would refuse."""
+        factors = NmfFactors(u_factors=np.ones((2, 1)), v_factors=np.ones((3, 1)), rank=1,
+                             objective=[4.0, value])
+        path = tmp_path / "x.json"
+        with pytest.raises(CheckpointError, match=f"objective entry 1 must be finite, got {token}"):
+            save_checkpoint(str(path), Checkpoint(model_kind="nmf", seed=0, trace=[],
+                                                  factors=factors, n_levels=5))
+        assert not path.exists()
+
     def test_nmf_requires_factors(self, tmp_path):
         with pytest.raises(CheckpointError, match="factors"):
             save_checkpoint(str(tmp_path / "x.json"), Checkpoint(
@@ -443,6 +454,10 @@ class TestValidation:
         ("nmf", lambda doc: doc.__setitem__("default_w1", [0.5]),
          "unknown key 'default_w1' in checkpoint"),
         ("nmf", lambda doc: doc.pop("objective"), "checkpoint is missing key 'objective'"),
+        ("nmf", lambda doc: doc.__setitem__("objective", [3.0, float("nan")]),
+         "objective entry 1 must be finite, got NaN"),
+        ("nmf", lambda doc: doc.__setitem__("objective", [float("-inf")]),
+         "objective entry 0 must be finite, got -Infinity"),
         ("nmf", lambda doc: doc.__setitem__("rank", 7),
          r"'u_factors' has shape \(2, 1\), not \(rows, 7\) for rank 7"),
         ("nmf", lambda doc: doc.__setitem__("rank", 0), "'rank' >= 1"),
@@ -455,7 +470,8 @@ class TestValidation:
             "default-w1", "default-w1-null", "seed-true", "default-w1-short",
             "dims-unknown-key", "dims-count-float", "dims-list-entry", "nmf-rank",
             "nmf-levels", "trace", "cluster-rank", "cluster-objective", "unknown-key",
-            "nmf-dims", "nmf-default-w1", "nmf-objective", "nmf-rank-wide", "nmf-rank-0",
+            "nmf-dims", "nmf-default-w1", "nmf-objective", "nmf-objective-nan",
+            "nmf-objective-inf", "nmf-rank-wide", "nmf-rank-0",
             "nmf-levels-1", "nmf-levels-0"])
     def test_corrupt_header_named(self, tmp_path, kind, corrupt, message):
         path = _saved(tmp_path, kind)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclf import (
+    Checkpoint,
     DataError,
     TrainConfig,
     baselines,
@@ -753,6 +754,25 @@ class TestPredictNmf:
             want = nmf_predict(ckpt.factors, int(row[1]), int(row[2]), ckpt.n_levels)
             assert float(row[3]) == pytest.approx(want, abs=5e-7)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 1 << 14])
+    def test_complete_blocks_match_per_user_nmf_predict(self, nmf_trained, tmp_path,
+                                                        monkeypatch, block_rows):
+        # 8 users of 10 items: at 7 cells a block each user is a block
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+        blocks = []
+        monkeypatch.setattr(cli, "_write_block",
+                            lambda write, domain, first, rows: blocks.append((first, rows)))
+        assert main(["predict", "--checkpoint", nmf_trained, "--complete", "0",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        ckpt = load_checkpoint(nmf_trained)
+        items = np.arange(10)
+        step = max(1, block_rows // len(items))
+        assert [first for first, _ in blocks] == list(range(0, 8, step))
+        for first, rows in blocks:
+            for i, row in enumerate(rows):
+                want = nmf_predict(ckpt.factors, first + i, items, ckpt.n_levels)
+                assert np.array_equal(row, want)
+
     @pytest.mark.parametrize("flag", [["--w1", "0.5"], ["--mix-specific"]])
     @pytest.mark.parametrize("source", [["--complete", "0"], ["--cell", "0,1,1"]])
     def test_cluster_weight_flags_refused(self, nmf_trained, tmp_path, capsys, flag, source):
@@ -772,6 +792,46 @@ class TestPredictNmf:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
+
+
+def _empty_grid_checkpoint(tmp_path, kind) -> str:
+    """A checkpoint whose domain 1 (nmf: domain 0) has no users or no items."""
+    path = str(tmp_path / "model.json")
+    if kind == "nmf":
+        factors = baselines.NmfFactors(u_factors=np.ones((0, 2)), v_factors=np.ones((3, 2)),
+                                       rank=2, objective=[1.0])
+        save_checkpoint(path, Checkpoint(model_kind="nmf", seed=0, trace=[],
+                                         factors=factors, n_levels=5))
+        return path
+    users, items = {"no-users": ([3, 0], [2, 2]), "no-items": ([3, 2], [2, 0])}[kind]
+    dataset = tmp_path / "data"
+    dataset.mkdir()
+    (dataset / "manifest.json").write_text(json.dumps({
+        "format": "pclf-dataset-v1", "n_levels": 5, "n_users": users, "n_items": items,
+        "user_ids": [[f"u{i}" for i in range(n)] for n in users],
+        "item_ids": [[f"i{i}" for i in range(n)] for n in items]}))
+    (dataset / "ratings.csv").write_text("domain,user_idx,item_idx,rating\n"
+                                         "0,0,0,3\n0,1,1,4\n0,2,0,5\n")
+    assert main(["train", "--dataset", str(dataset), "-K", "2", "-T", "2", "-L", "1",
+                 "--betas", "1.0", "--max-iters", "3", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("kind, domain, head", [
+    ("no-users", "1", "# model_kind=pclf w1=0.35,0.35"),
+    ("no-items", "1", "# model_kind=pclf w1=0.35,0.35"),
+    ("nmf", "0", "# model_kind=nmf"),
+], ids=["pclf-no-users", "pclf-no-items", "nmf-no-users"])
+def test_complete_empty_grid_writes_header(tmp_path, capsys, kind, domain, head):
+    """A domain without users or items completes to the two header lines alone."""
+    ckpt = _empty_grid_checkpoint(tmp_path, kind)
+    capsys.readouterr()
+    want = f"{head}\ndomain,user_idx,item_idx,predicted_rating\n"
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--checkpoint", ckpt, "--complete", domain, "--out", str(out)]) == 0
+    assert out.read_text() == want
+    assert main(["predict", "--checkpoint", ckpt, "--complete", domain]) == 0
+    assert capsys.readouterr().out == want
 
 
 class TestInspect:
@@ -1505,9 +1565,8 @@ class TestCsvWriter:
         rng = np.random.default_rng(0)
         rows = rng.uniform(1, 12, size=(1002, 3))
         written = []
-        with cli._row_sink(written.append, 1) as sink:
-            for u, row in enumerate(rows):
-                sink(u, row)
+        for block in data.row_blocks(len(rows), rows.shape[1]):
+            cli._write_block(written.append, 1, block.start, rows[block])
         users = np.repeat(np.arange(len(rows)), 3)
         items = np.tile(np.arange(3), len(rows))
         assert "".join(written) == _formatted(np.ones_like(users), users, items, rows.ravel())

@@ -360,6 +360,20 @@ class TestRoundTrip:
         with pytest.raises(DataError, match=message):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("n_domains", [{}, {"n_domains": 0}], ids=["implied", "declared"])
+    def test_load_rejects_no_domains(self, tmp_path, tiny_dataset, n_domains):
+        save_dataset(tiny_dataset, str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        doc = {key: value for key, value in json.loads(manifest.read_text()).items()
+               if key not in ("n_domains", "n_ratings")}
+        doc.update(n_users=[], n_items=[], user_ids=[], item_ids=[], **n_domains)
+        manifest.write_text(json.dumps(doc))
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_bytes(ratings.read_bytes().splitlines(keepends=True)[0])
+        with pytest.raises(DataError, match="dataset manifest .* has no domains; "
+                                            "at least one domain is required"):
+            load_dataset(str(tmp_path))
+
     def test_load_without_n_ratings(self, tmp_path, tiny_dataset):
         save_dataset(tiny_dataset, str(tmp_path))
         manifest = tmp_path / "manifest.json"

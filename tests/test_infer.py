@@ -15,7 +15,7 @@ from pclf import (
     predict_cross,
     predict_many,
 )
-from pclf.inference import predict_cells
+from pclf.inference import item_table, predict_cells, user_table
 
 from oracles import expected_rating, predict_cells_reference, random_dims, random_params
 from test_core import permute_params
@@ -343,28 +343,53 @@ class TestPredictCross:
         assert mixed == pytest.approx(0.6 * common + 0.4 * specific, abs=1e-12)
 
 
+def _completed(params, mats, mems, weights, domain):
+    """``complete_matrix``'s blocks as (first user, rows) pairs."""
+    blocks = []
+    complete_matrix(params, mats, mems, weights, domain,
+                    lambda first, rows: blocks.append((first, rows)))
+    return blocks
+
+
 class TestCompleteMatrix:
     def test_enumeration_order(self):
         dims, params, mats, mems = _prediction_bundle(
             seed=15, users=(2, 2), items=(2, 2)
         )
         weights = PredictionWeights(w1=(0.5, 0.5))
-        seen = []
-        def sink(u, row):
-            seen.extend((u, v, val) for v, val in enumerate(row))
-        complete_matrix(params, mats, mems, weights, 0, sink)
-        assert [(u, v) for u, v, _ in seen] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        seen = [(first + i, v) for first, rows in _completed(params, mats, mems, weights, 0)
+                for i, row in enumerate(rows) for v in range(len(row))]
+        assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_streamed_equals_pointwise(self, tiny_dataset):
         dims, params, mats, mems = _prediction_bundle(seed=16)
         weights = PredictionWeights(w1=(0.35, 0.35))
-        rows = {}
-        complete_matrix(params, mats, mems, weights, 0, lambda u, row: rows.update({u: row}))
+        rows = {first + i: row for first, block in _completed(params, mats, mems, weights, 0)
+                for i, row in enumerate(block)}
         for u in range(dims.n_users[0]):
             for v in range(dims.n_items[0]):
                 assert rows[u][v] == pytest.approx(
                     predict(params, mats, mems, weights, 0, u, v), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 1 << 14])
+    def test_blocks_match_per_user_products(self, monkeypatch, block_rows):
+        # at 7 cells a block, domain 0's 3 items give blocks of 2 users and a
+        # last block of 1; domain 1's 11 items give one user a block
+        dims, params, mats, mems = _prediction_bundle(
+            seed=20, k=20, t=10, l=(15, 12), users=(9, 6), items=(3, 11))
+        weights = PredictionWeights(w1=(0.35, 0.6))
+        monkeypatch.setattr("pclf.data.BLOCK_ROWS", block_rows)
+        for domain in range(2):
+            items = item_table(params, mats, mems, domain, weights.w1[domain])[:-1]
+            users = user_table(params, mems, domain)[:-1]
+            blocks = _completed(params, mats, mems, weights, domain)
+            step = max(1, block_rows // len(items))
+            assert [first for first, _ in blocks] == list(range(0, len(users), step))
+            for first, rows in blocks:
+                assert rows.shape == (min(step, len(users) - first), len(items))
+                for i, row in enumerate(rows):
+                    assert np.array_equal(row, items @ users[first + i])
 
     @pytest.mark.parametrize("domain", [-1, 2])
     def test_domain_out_of_range_refused(self, domain):
@@ -380,8 +405,9 @@ class TestCompleteMatrix:
         mats.s_com[:] = 3.3
         mats.s_spe[0][:] = 3.3
         weights = PredictionWeights(w1=(0.7, 0.7))
-        values = []
-        complete_matrix(params, mats, mems, weights, 0, lambda u, row: values.extend(row))
+        values = np.concatenate([rows.ravel() for _, rows in
+                                 _completed(params, mats, mems, weights, 0)])
+        assert len(values) == dims.n_users[0] * dims.n_items[0]
         np.testing.assert_allclose(values, 3.3, atol=1e-12)
 
 
