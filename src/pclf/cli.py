@@ -27,17 +27,16 @@ from .checkpoint import (
 )
 from .data import (
     DataError,
+    DomainSource,
     ScaleSpec,
     _write_rows,
     atomic_write,
-    build_dataset,
     load_dataset,
-    parse_ratings,
+    read_domains,
     read_int_rows,
     read_json,
     row_blocks,
     save_dataset,
-    select_subset,
     text_lines,
 )
 from .em import ModelError, TrainConfig
@@ -72,24 +71,13 @@ def cmd_ingest(args) -> int:
         raise DataError("--scale must be given once or once per --input")
     scales = args.scale if len(args.scale) == len(args.input) else args.scale * len(args.input)
     columns = tuple(_parse_numbers(args.columns, int, "--columns"))
-    per_domain = []
-    for path, scale_text in zip(args.input, scales):
-        scale = _parse_scale(scale_text, args.levels)
-        raw = parse_ratings(
-            path, delimiter=args.delimiter, column_map=columns,
-            scale=scale, skip_header=args.skip_header,
-        )
-        if args.select_users or args.select_items:
-            raw = select_subset(
-                raw,
-                n_users=args.select_users or len({r.user_id for r in raw}),
-                n_items=args.select_items or len({r.item_id for r in raw}),
-                min_user_ratings=args.min_user_ratings,
-                min_item_ratings=args.min_item_ratings,
-                seed=args.seed,
-            )
-        per_domain.append((raw, scale))
-    dataset = build_dataset(per_domain)
+    sources = [DomainSource(path, _parse_scale(scale, args.levels), delimiter=args.delimiter,
+                            columns=columns, skip_header=args.skip_header)
+               for path, scale in zip(args.input, scales)]
+    subset = {"n_users": args.select_users or None, "n_items": args.select_items or None,
+              "min_user_ratings": args.min_user_ratings,
+              "min_item_ratings": args.min_item_ratings}
+    dataset = read_domains(sources, subset if any(subset.values()) else None, args.seed)
     save_dataset(dataset, args.out)
     _print_summary(dataset)
     return 0

@@ -6,11 +6,12 @@ the same entity).  All ratings are normalized onto a shared discrete scale
 1..R before anything downstream sees them.
 
 Ratings are held as columns: a dataset is built from raw ratings
-(``build_dataset``) or from an (S, 4) integer array of (domain, user,
-item, level) rows (``CrossDomainDataset.from_indexed``), and cut with one
-position array per domain (``restrict``).  ``given_n_split`` still returns
-lists of ``RatingTriple``, a NamedTuple, made without a Python-level call
-per rating; ``_given_n_positions`` gives the same split as positions for
+(``build_dataset``, behind ``read_domains``, the one path from rating
+files) or from an (S, 4) integer array of (domain, user, item, level)
+rows (``CrossDomainDataset.from_indexed``), and cut with one position
+array per domain (``restrict``).  ``given_n_split`` still returns lists
+of ``RatingTriple``, a NamedTuple, made without a Python-level call per
+rating; ``_given_n_positions`` gives the same split as positions for
 ``restrict``.
 
 Numbers become CSV bytes in one place, the block writer ``_csv_rows``:
@@ -56,6 +57,24 @@ class ScaleSpec:
         if not 2 <= self.target_levels <= np.iinfo(np.int64).max:
             raise DataError(
                 f"target_levels must lie in [2, 2**63 - 1], got {self.target_levels}")
+
+
+@dataclass(frozen=True)
+class DomainSource:
+    """One domain's rating file and how to parse it."""
+
+    path: str
+    scale: ScaleSpec
+    name: str = ""
+    delimiter: str = "\t"
+    columns: tuple[int, int, int] = (0, 1, 2)
+    skip_header: bool = False
+
+    def __post_init__(self):
+        if len(self.columns) != 3:
+            raise DataError(f"columns needs 3 entries (user, item, rating), got {self.columns}")
+        if "\n" in self.name or "\r" in self.name:   # it would split a row of table.txt
+            raise DataError(f"a domain name must not hold a line break, got {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +173,8 @@ def parse_ratings(
 
 def select_subset(
     ratings: list[RawRating],
-    n_users: int,
-    n_items: int,
+    n_users: int | None = None,
+    n_items: int | None = None,
     min_user_ratings: int = 0,
     min_item_ratings: int = 0,
     seed: int = 0,
@@ -164,12 +183,13 @@ def select_subset(
 
     A user qualifies with strictly more than ``min_user_ratings`` ratings
     (items analogously), so a threshold of 16 keeps users that rated at
-    least 17 items.  Candidates are ordered by first appearance, so the
-    same (input, seed) pair always yields the same subset.
+    least 17 items; a count of None keeps every qualifying one, drawn as
+    that count would be.  Candidates are ordered by first appearance, so
+    the same (input, seed) pair always yields the same subset.
     """
     if min_user_ratings < 0 or min_item_ratings < 0:
         raise DataError("rating-count thresholds must be >= 0")
-    if n_users < 0 or n_items < 0:
+    if any(n is not None and n < 0 for n in (n_users, n_items)):
         raise DataError(f"subset counts must be >= 0, got {n_users} users and {n_items} items")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
@@ -180,6 +200,8 @@ def select_subset(
         item_counts[r.item_id] = item_counts.get(r.item_id, 0) + 1
     users = [u for u, c in user_counts.items() if c > min_user_ratings]
     items = [i for i, c in item_counts.items() if c > min_item_ratings]
+    n_users = len(users) if n_users is None else n_users
+    n_items = len(items) if n_items is None else n_items
     if len(users) < n_users:
         raise DataError(
             f"requested {n_users} users but only {len(users)} have more than "
@@ -388,6 +410,20 @@ def build_dataset(
         user_ids=user_ids,
         item_ids=item_ids,
     )
+
+
+def read_domains(sources: list[DomainSource], subset: dict | None = None,
+                 seed: int = 0) -> CrossDomainDataset:
+    """Parse each source's file, cut it by ``select_subset(**subset, seed=seed)``
+    when ``subset`` is given, and index the domains with ``build_dataset``."""
+    per_domain = []
+    for src in sources:
+        raw = parse_ratings(src.path, delimiter=src.delimiter, column_map=src.columns,
+                            scale=src.scale, skip_header=src.skip_header)
+        if subset is not None:
+            raw = select_subset(raw, **subset, seed=seed)
+        per_domain.append((raw, src.scale))
+    return build_dataset(per_domain)
 
 
 @dataclass

@@ -22,15 +22,14 @@ from .checkpoint import KNOWN_MODELS, Checkpoint
 from .data import (
     CrossDomainDataset,
     DataError,
+    DomainSource,
     RatingTriple,
     ScaleSpec,
     _checked,
     _given_n_positions,
     _is,
-    build_dataset,
-    parse_ratings,
+    read_domains,
     read_json,
-    select_subset,
 )
 from .em import ModelDims, ModelError, PclfParams, TrainConfig, init_params_many, train
 
@@ -235,22 +234,6 @@ def _replay_choice(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class DomainSource:
-    """One domain's input file and its parsing/subsetting controls."""
-
-    path: str
-    scale: ScaleSpec
-    name: str = ""
-    delimiter: str = "\t"
-    columns: tuple[int, int, int] = (0, 1, 2)
-    skip_header: bool = False
-
-    def __post_init__(self):
-        if "\n" in self.name or "\r" in self.name:   # it would split a row of table.txt
-            raise DataError(f"a domain name must not hold a line break, got {self.name!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Everything the Given-N harness needs for one experiment.  Besides
@@ -295,6 +278,8 @@ class ExperimentConfig:
                 raise DataError(f"{name} lists {repeated[0]!r} more than once")
         if (self.synthetic is None) == (not self.domains):
             raise DataError("config needs exactly one of 'domains' or 'synthetic'")
+        if self.synthetic is not None and self.subset is not None:
+            raise DataError("'subset' cuts 'domains' rating files; a 'synthetic' config has none")
         n_domains = self.synthetic.dims.n_domains if self.synthetic else len(self.domains)
         if self.weights is not None and (
                 not isinstance(self.weights, (list, tuple)) or len(self.weights) != n_domains
@@ -366,8 +351,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     domains = []
     for i, d in enumerate(fields.get("domains", [])):
         _checked(d, _DOMAIN_TYPES, f"domains[{i}]", ("path", "scale"))
-        if len(d.get("columns", (0, 1, 2))) != 3:
-            raise DataError(f"'columns' in domains[{i}] needs 3 entries, got {d['columns']}")
         scale = _checked(d["scale"], {"min": float, "max": float, "target_levels": int},
                          f"domains[{i}] scale", ("min", "max"))
         domains.append(DomainSource(**{**d, "scale": ScaleSpec(**scale)}))
@@ -438,16 +421,7 @@ def _base_dataset(config: ExperimentConfig, seed: int) -> CrossDomainDataset:
     if config.synthetic is not None:
         dataset, _ = synth_generate(replace(config.synthetic, seed=seed))
         return dataset
-    per_domain = []
-    for src in config.domains:
-        raw = parse_ratings(
-            src.path, delimiter=src.delimiter, column_map=src.columns,
-            scale=src.scale, skip_header=src.skip_header,
-        )
-        if config.subset:
-            raw = select_subset(raw, **config.subset, seed=seed)
-        per_domain.append((raw, src.scale))
-    return build_dataset(per_domain)
+    return read_domains(config.domains, config.subset, seed)
 
 
 def _assert_no_leak(train_ds: CrossDomainDataset, evals) -> None:

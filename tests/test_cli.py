@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -61,6 +62,22 @@ def rating_files(tmp_path):
     return str(d0), str(d1)
 
 
+@pytest.fixture
+def uneven_files(tmp_path):
+    """Two 40-user x 30-item TSVs, on scales 1:5 and 0:9: users u0..u29 rate
+    12 items each and u30..u39 rate 3."""
+    rng = np.random.default_rng(11)
+    paths = []
+    for d, top in enumerate((5, 9)):
+        lines = [f"u{u}\ti{v}\t{rng.integers(1 - d, top + 1)}\n"
+                 for u in range(40) for v in rng.choice(30, size=12 if u < 30 else 3,
+                                                        replace=False)]
+        path = tmp_path / f"uneven{d}.tsv"
+        path.write_text("".join(lines))
+        paths.append(str(path))
+    return paths
+
+
 def _ingest(rating_files, tmp_path, capsys):
     out = str(tmp_path / "dataset")
     rc = main([
@@ -107,6 +124,81 @@ class TestIngest:
             "--out", str(tmp_path / "d2"),
         ])
         assert rc == 1
+
+    def test_thresholds_apply_without_counts(self, uneven_files, tmp_path, capsys):
+        """A threshold alone keeps every user or item past it."""
+        path = uneven_files[0]
+        assert main(["ingest", "--input", path, "--scale", "1:5", "--min-user-ratings", "5",
+                     "--out", str(tmp_path / "users")]) == 0
+        assert "domain 0: users=30 items=30 ratings=360" in capsys.readouterr().out
+        assert load_dataset(str(tmp_path / "users")).user_ids == [[f"u{u}" for u in range(30)]]
+        item_counts = {}
+        for line in open(path):
+            item = line.split("\t")[1]
+            item_counts[item] = item_counts.get(item, 0) + 1
+        kept = sorted(i for i, c in item_counts.items() if c > 14)
+        assert 0 < len(kept) < 30
+        assert main(["ingest", "--input", path, "--scale", "1:5", "--min-item-ratings", "14",
+                     "--out", str(tmp_path / "items")]) == 0
+        assert sorted(load_dataset(str(tmp_path / "items")).item_ids[0]) == kept
+        capsys.readouterr()
+        assert main(["ingest", "--input", path, "--scale", "1:5", "--min-item-ratings", "100",
+                     "--out", str(tmp_path / "none")]) == 1
+        assert capsys.readouterr().err == "error: domain 0 has no ratings\n"
+
+    def test_item_count_keeps_every_qualifying_user(self, uneven_files, tmp_path, capsys):
+        """A count of items alone asks for no count of users."""
+        out = str(tmp_path / "d")
+        assert main(["ingest", "--input", uneven_files[0], "--scale", "1:5",
+                     "--select-items", "10", "--min-user-ratings", "5", "--out", out]) == 0
+        assert "domain 0: users=30 items=10" in capsys.readouterr().out
+        assert sorted(load_dataset(out).user_ids[0]) == sorted(f"u{u}" for u in range(30))
+
+    @pytest.mark.parametrize("n_inputs, flags, digests", [
+        (1, ["--select-users", "8", "--min-user-ratings", "5"],
+         ("2cececaf9c3b8111f6f6f2808c8dc44f2549bfd2ae2ce01e81208efc54db4fb1",
+          "5b55344e0035fdd795961f750676b06874c22d2ee28a9e6c84d3a20076096e6d")),
+        (1, ["--select-items", "10"],
+         ("956860a0e8ffab267daebbb72581732ee8610a217961aaa9b0f558247e78c1bb",
+          "6ed65523b8b185cd2650481d4d2d06ee3dfd67289d35bce3f0a3a2b830302d6a")),
+        (2, ["--select-users", "12", "--select-items", "9", "--min-item-ratings", "3",
+             "--seed", "7"],
+         ("55e69fd26e86756cd0c0954253a9051af4b80ec42bf9bed547289227ae7fe857",
+          "8c49a6f2b430184a5d85b693c06fc0fb5db8b3e1a28c6e08b529c8c54a89b5f9")),
+        (2, [],
+         ("addc5631876690c35b4584b6c1f8f097b65f7b2b5861c395e5652a2f2eab1adf",
+          "fbcfe92bf68f5774d51788ac1526432f6f6da71c264d776c817d642b284110e5")),
+    ], ids=["users-threshold", "items", "two-domains-both-counts", "no-subset"])
+    def test_output_bytes_pinned(self, uneven_files, tmp_path, capsys, n_inputs, flags,
+                                 digests):
+        """The sha256 of ratings.csv and manifest.json: a count of 0 draws every
+        qualifying user or item in the order an explicit full count drew them."""
+        inputs = [arg for path, scale in zip(uneven_files[:n_inputs], ("1:5", "0:9"))
+                  for arg in ("--input", path, "--scale", scale)]
+        out = tmp_path / "d"
+        assert main(["ingest", *inputs, *flags, "--out", str(out)]) == 0
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("ratings.csv", "manifest.json")) == digests
+
+    def test_same_dataset_as_a_domains_config(self, uneven_files, tmp_path, capsys):
+        """pclf ingest and an experiment config's subset cut the same files alike."""
+        out = str(tmp_path / "d")
+        assert main(["ingest", "--input", uneven_files[0], "--scale", "1:5",
+                     "--input", uneven_files[1], "--scale", "0:9", "--select-users", "12",
+                     "--select-items", "9", "--min-user-ratings", "3",
+                     "--min-item-ratings", "3", "--seed", "7", "--out", out]) == 0
+        config = evaluate.config_from_dict({
+            "domains": [{"path": uneven_files[0], "scale": {"min": 1, "max": 5}},
+                        {"path": uneven_files[1], "scale": {"min": 0, "max": 9}}],
+            "subset": {"n_users": 12, "n_items": 9, "min_user_ratings": 3,
+                       "min_item_ratings": 3},
+            "n_train_users": 6, "base_seed": 7})
+        want, got = evaluate._base_dataset(config, 7), load_dataset(out)
+        for name in ("n_levels", "n_users", "n_items", "user_ids", "item_ids"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("users", "items", "ratings"):
+            for a, b in zip(getattr(got, name), getattr(want, name)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestTrain:
@@ -375,6 +467,8 @@ class TestPredict:
                                              "scale": {"min": 1, "max": 5}}]}],
     ["evaluate", {**RAW_DOMAIN, "domains": [{"path": "RAW", "name": "two\nlines",
                                              "scale": {"min": 1, "max": 5}}]}],
+    # a subset cuts rating files; a synthetic config has none
+    ["evaluate", {"subset": {"n_users": 5, "n_items": 5}}],
     # rmgm-like pools the domains, so it needs two, whichever source gives them
     ["evaluate", {**RAW_DOMAIN, "models": list(KNOWN_MODELS),
                   "domains": [{"path": "RAW", "scale": {"min": 1, "max": 5}}]}],
@@ -401,7 +495,7 @@ class TestPredict:
         "ingest-columns-two", "ingest-columns-four", "config-rating-nan",
         "config-scale-inf", "config-scale-past-float", "config-delimiter-empty",
         "config-subset-negative", "config-columns-negative", "config-columns-repeated",
-        "config-name-line-break", "config-rmgm-one-domain", "config-rmgm-synthetic-Z-1"])
+        "config-name-line-break", "config-subset-with-synthetic", "config-rmgm-one-domain", "config-rmgm-synthetic-Z-1"])
 def test_malformed_value_one_line_error(trained, tmp_path, capsys, argv):
     dataset, ckpt = trained
     out = tmp_path / "m.json"

@@ -177,6 +177,19 @@ class TestSelectSubset:
         with pytest.raises(DataError):
             select_subset(raws, n_users=1, n_items=1, min_user_ratings=16)
 
+    def test_no_count_keeps_every_qualifying_one(self):
+        """A count of None takes every qualifying user or item, drawn as an
+        explicit count of all of them is, so the other count's draw keeps its
+        sample."""
+        raws = _make_raws(10, 5) + [RawRating("light", f"x{j}", 3) for j in range(2)]
+        assert select_subset(raws, min_user_ratings=2) == raws[:50]
+        assert select_subset(raws, min_item_ratings=1) == []
+        for seed in range(4):
+            assert (select_subset(raws, n_items=7, min_user_ratings=2, seed=seed)
+                    == select_subset(raws, n_users=10, n_items=7, min_user_ratings=2, seed=seed))
+            assert (select_subset(raws, n_users=4, seed=seed)
+                    == select_subset(raws, n_users=4, n_items=52, seed=seed))
+
 
 class TestBuildDataset:
     def test_counts(self):

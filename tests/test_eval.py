@@ -253,6 +253,13 @@ class TestExperimentConfig:
                 "dims": {"K": 2, "T": 2, "L": [1, 1]}, "models": ["pclf"],
             })
 
+    def test_subset_refused_beside_synthetic(self):
+        """A subset cuts rating files; synthetic data would ignore it.  Per-repeat
+        redraws of synthetic data stay."""
+        with pytest.raises(DataError, match="'subset' cuts 'domains' rating files"):
+            _synthetic_config(subset={"n_users": 5, "n_items": 5})
+        assert _synthetic_config(subset=None, resample_subsets=True).resample_subsets
+
     def test_unknown_train_key(self):
         with pytest.raises(DataError, match="warmup"):
             _synthetic_config(train={"warmup": 3})
